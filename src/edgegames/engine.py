@@ -345,10 +345,12 @@ def play_match(
 
     Returns a transcript with the hitting round of the first builder move that
     creates the property, or "never" if the board is exhausted (or max_rounds
-    builder moves were made) without it.
+    builder moves were made) without it. Raises ValueError if max_rounds < 1.
     """
     if max_rounds is None:
         max_rounds = num_edges(rules.n)
+    elif max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     state = new_game(rules)
     strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
     moves = []

@@ -100,6 +100,8 @@ class SweepConfig:
             raise ValueError("empty n range")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
         self.eps = Fraction(self.eps) if not isinstance(self.eps, Fraction) else self.eps
 
 

@@ -249,6 +249,11 @@ def test_max_rounds_cap():
     assert tr.result in ("hit", "never")
     builder_moves = [m for m in tr.moves if m[1] == "avoider"]
     assert len(builder_moves) <= 2
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            play_match(
+                FirstAvailableStrategy(), FirstAvailableStrategy(), rules(5), max_rounds=bad
+            )
 
 
 def test_hit_round_is_builder_move_count():

@@ -172,6 +172,8 @@ def test_sweep_config_validation():
         small_config(n_values=[])
     with pytest.raises(ValueError):
         small_config(trials=0)
+    with pytest.raises(ValueError):
+        small_config(max_rounds=0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,4 +360,14 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["play", "--n", "6", "--property", "nope"]) == 2
     assert main(["verify", "p1", "--graph", "no-such-file.txt"]) == 2
     assert main(["solve", "--n", "8", "--property", "subgraph:K3"]) == 2  # symmetry cap
+    assert main(["solve", "--n", "4", "--property", "subgraph:K1"]) == 2  # holds at start
     capsys.readouterr()  # swallow the error prints
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_cli_max_rounds_below_one_exit_code_2(tmp_path, capsys, rounds):
+    out = tmp_path / "out"
+    assert main(["play", "--n", "5", "--max-rounds", rounds, "--out", str(out)]) == 2
+    assert main(["sweep", "--n", "6:8", "--max-rounds", rounds, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "max_rounds must be >= 1" in capsys.readouterr().err

@@ -2,12 +2,17 @@
 
 The oracle is a deliberately plain no-memo, no-symmetry recursion over the
 claim tree with its own bitmask hit checks -- slower but structurally
-independent of the solver's canonicalization and undo machinery.
+independent of the solver's canonicalization and undo machinery. The
+canonical key has its own oracle: the minimum relabelled claim string over
+all vertex permutations, built edge by edge.
 """
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegames import (
     BUILDER,
@@ -20,10 +25,11 @@ from edgegames import (
     best_move,
     complete_graph,
     new_game,
+    parse_property,
     solve_tau,
 )
-from edgegames.solver import NEVER, canonical_claims
-from edgegames.graphs import edge_pairs, num_edges
+from edgegames.solver import NEVER, _Search, canonical_claims
+from edgegames.graphs import edge_index, edge_pairs, num_edges
 
 
 def triangle_rules(n, **kw):
@@ -149,6 +155,19 @@ def test_opponent_first_matches_oracle():
     assert res2.value == "exact" and res2.t == 1
 
 
+@pytest.mark.parametrize(
+    "n, prop, value, nodes",
+    [
+        (5, "subgraph:K3", 5, 542),
+        (6, "subgraph:K3", 7, 15_299),
+        (6, "nc:2", 7, 14_273),
+    ],
+)
+def test_pinned_values_and_node_counts(n, prop, value, nodes):
+    res = solve_tau(GameRules(n=n, prop=parse_property(prop)))
+    assert (res.value, res.t, res.nodes) == ("exact", value, nodes)
+
+
 def test_symmetry_off_agrees():
     for n in (3, 4):
         a = solve_tau(triangle_rules(n), symmetry=True)
@@ -160,6 +179,55 @@ def test_symmetry_off_agrees():
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
+
+def brute_canonical(claims, n) -> bytes:
+    """Smallest relabelled claim string: position j of permutation p's string
+    holds the claim on (p(u), p(v)), where (u, v) is edge j."""
+    pairs = edge_pairs(n)
+    return min(
+        bytes(claims[edge_index(*sorted((p[u], p[v])), n)] for u, v in pairs)
+        for p in itertools.permutations(range(n))
+    )
+
+
+def base3(digits: bytes) -> int:
+    value = 0
+    for d in digits:
+        value = 3 * value + d
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_key_matches_brute_force(data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    m = num_edges(n)
+    claims = bytearray(data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=m, max_size=m)))
+    expected = brute_canonical(claims, n)
+    assert canonical_claims(claims, n) == expected
+    # nc:n never holds on n vertices, so any claim map is a legal start
+    search = _Search(GameRules(n=n, prop=NotKColorableProperty(n)), None, True, claims)
+    assert int(search.key.min()) == base3(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_incremental_key_through_claims_and_undos(data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    search = _Search(GameRules(n=n, prop=NotKColorableProperty(n)), None, True)
+    played = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        free = [e for e in range(search.m) if search.claims[e] == 0]
+        if played and (not free or data.draw(st.booleans())):
+            search.undo(*played.pop())
+        else:
+            move = (data.draw(st.sampled_from(free)), data.draw(st.sampled_from([BUILDER, OPPONENT])))
+            search.claim(*move)
+            played.append(move)
+        expected = brute_canonical(search.claims, n)
+        assert int(search.key.min()) == base3(expected)
+        assert canonical_claims(search.claims, n) == expected
+
 
 def test_canonical_claims_permutation_invariant():
     import random
@@ -173,8 +241,6 @@ def test_canonical_claims_permutation_invariant():
         p = list(range(n))
         rng.shuffle(p)
         relabeled = bytearray(len(pairs))
-        from edgegames.graphs import edge_index
-
         for eid, (u, v) in enumerate(pairs):
             pu, pv = p[u], p[v]
             if pu > pv:
@@ -233,6 +299,17 @@ def test_best_move_enforcer_minimizes():
         if player == BUILDER and state.rules.prop.hit_after_state(state, *m):
             break
     assert state.counts[BUILDER] <= 5
+
+
+def test_property_already_held_at_start_is_rejected():
+    # K1 is in every graph, so the empty board already has the property
+    with pytest.raises(ValueError):
+        solve_tau(GameRules(n=4, prop=SubgraphProperty([complete_graph(1)], "subgraph:K1")))
+    state = new_game(triangle_rules(5))
+    for move in [(0, 1), (3, 4), (0, 2), (2, 4), (1, 2), (1, 4)]:
+        apply_move(state, state.whose_turn(), move)  # builder now holds 0-1-2
+    with pytest.raises(ValueError):
+        best_move(state, BUILDER)
 
 
 def test_best_move_turn_check():
