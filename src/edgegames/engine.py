@@ -217,7 +217,6 @@ class GameState:
         }
         self.counts = {BUILDER: 0, OPPONENT: 0}
         self.unclaimed = num_edges(n)
-        self.history = []  # (round, player, u, v)
 
     def copy(self) -> "GameState":
         other = GameState.__new__(GameState)
@@ -228,7 +227,6 @@ class GameState:
         other.deg = {p: d.copy() for p, d in self.deg.items()}
         other.counts = dict(self.counts)
         other.unclaimed = self.unclaimed
-        other.history = list(self.history)
         return other
 
     @property
@@ -274,7 +272,6 @@ def apply_move(state: GameState, player: int, edge) -> GameState:
     state.deg[player][v] += 1
     state.counts[player] += 1
     state.unclaimed -= 1
-    state.history.append((state.counts[player], player, u, v))
     return state
 
 

@@ -7,6 +7,7 @@ All densities are exact `Fraction`s; no floats enter any threshold comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -139,15 +140,14 @@ def edge_index(u: int, v: int, n: int) -> int:
 
 def edge_of(i: int, n: int):
     """Inverse of edge_index."""
-    if not 0 <= i < num_edges(n):
+    m = num_edges(n)
+    if not 0 <= i < m:
         raise ValueError("edge id %d out of range for n=%d" % (i, n))
-    u = 0
-    row = n - 1
-    while i >= row:
-        i -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + i)
+    # Counted from the end, the last r rows hold r(r+1)/2 ids; id i sits in
+    # the r-th row from the end for r = floor((isqrt(8j+1)-1)/2), j = m-1-i.
+    r = (math.isqrt(8 * (m - 1 - i) + 1) - 1) // 2
+    u = n - 2 - r
+    return (u, i - u * (2 * n - u - 1) // 2 + u + 1)
 
 
 def edge_pairs(n: int):
@@ -177,18 +177,23 @@ def density(G: Graph, A: int, B: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph / induced-subgraph search (backtracking, degree pruning)
+# Subgraph / induced-subgraph search: a colouring certificate, then one
+# domain-mask matcher (Ullmann-style candidate masks, degree pruning)
 # ---------------------------------------------------------------------------
 
-def _embed_order(F: Graph):
-    """Order F's vertices so each (after the first) touches a placed one if possible."""
-    if F.n == 0:
-        return []
-    remaining = set(range(F.n))
-    start = max(remaining, key=F.degree)
-    order = [start]
-    remaining.remove(start)
-    placed = 1 << start
+@functools.lru_cache(maxsize=1024)
+def _pattern_chi(F: Graph) -> int:
+    """chi(F), computed once per pattern (Graph is frozen and hashable)."""
+    return chromatic_number(F)
+
+
+@functools.lru_cache(maxsize=1024)
+def _embed_order(F: Graph, first: tuple) -> tuple:
+    """The pre-placed vertices `first`, then each vertex touching as many
+    placed ones as possible, ties broken by degree, then by label."""
+    order = list(first)
+    placed = mask_of(first)
+    remaining = [w for w in range(F.n) if w not in first]
     while remaining:
         nxt = max(
             remaining,
@@ -197,97 +202,107 @@ def _embed_order(F: Graph):
         order.append(nxt)
         remaining.remove(nxt)
         placed |= 1 << nxt
-    return order
+    return tuple(order)
 
 
-def _find_embedding(G: Graph, F: Graph, induced: bool) -> Optional[tuple]:
-    if F.n > G.n:
-        return None
+def _is_bipartite(G: Graph) -> bool:
+    """BFS 2-colouring on the masks, one whole frontier per step."""
+    unseen = (1 << G.n) - 1
+    while unseen:
+        frontier = side = unseen & -unseen  # side: the frontier's colour class
+        other = 0
+        while frontier:
+            unseen &= ~frontier
+            reach = 0
+            for w in bits(frontier):
+                reach |= G.adj[w]
+            if reach & side:
+                return False
+            frontier = reach & unseen
+            side, other = other | frontier, side
+    return True
+
+
+def _certified_free(G: Graph, F: Graph) -> bool:
+    """True when G has a proper (chi(F)-1)-colouring, so it holds no copy of F."""
+    k = _pattern_chi(F)
+    return k >= 3 and (_is_bipartite(G) or (k >= 4 and max(greedy_coloring(G)) + 1 < k))
+
+
+def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optional[tuple]:
+    """The embedding kernel: an injective map V(F)->V(G) preserving edges (and
+    non-edges when `induced`), or None.
+
+    `domains[i]` restricts F-vertex i to a mask of G-vertices (the transversal
+    case); `anchor=(u, v)` asks for a copy through the G-edge uv, pre-placing
+    u, v on each F-edge in both orientations. No search runs when G is
+    certifiably (chi(F)-1)-colourable. Otherwise each F-vertex, in
+    connectivity order, draws its candidates from one mask: its domain minus
+    the used vertices, ANDed with the adjacency of each placed F-neighbour
+    and, for induced search, minus that of each placed F-non-neighbour.
+    """
     if F.n == 0:
         return ()
-    order = _embed_order(F)
+    if F.n > G.n or _certified_free(G, F) or (anchor and not G.has_edge(*anchor)):
+        return None
+    adj = G.adj
+    if domains is None:  # degree pruning for non-induced search: deg_G >= deg_F
+        need = [0 if induced else F.degree(w) for w in range(F.n)]
+        domains = [mask_of(g for g in range(G.n) if adj[g].bit_count() >= d) for d in need]
     image = [-1] * F.n
 
-    def backtrack(pos: int, used: int):
+    def extend(pos: int, used: int) -> bool:
         if pos == len(order):
             return True
         fv = order[pos]
-        need = F.degree(fv)
-        for gv in range(G.n):
-            if used >> gv & 1:
-                continue
-            if not induced and G.degree(gv) < need:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                fe = F.adj[fv] >> prev & 1
-                ge = G.adj[gv] >> image[prev] & 1
-                if induced:
-                    if fe != ge:
-                        ok = False
-                        break
-                elif fe and not ge:
-                    ok = False
-                    break
-            if ok:
-                image[fv] = gv
-                if backtrack(pos + 1, used | 1 << gv):
-                    return True
-                image[fv] = -1
+        cand = domains[fv] & ~used
+        for w in order[:pos]:
+            if F.adj[fv] >> w & 1:
+                cand &= adj[image[w]]
+            elif induced:
+                cand &= ~adj[image[w]]
+        while cand:
+            low = cand & -cand
+            image[fv] = low.bit_length() - 1
+            if extend(pos + 1, used | low):
+                return True
+            cand ^= low
         return False
 
-    if backtrack(0, 0):
-        return tuple(image)
+    if anchor is None:
+        starts = [((), ())]
+    else:
+        u, v = anchor
+        starts = [((a, b), gs) for a, b in F.edges() for gs in ((u, v), (v, u))]
+    for first, pinned in starts:
+        order = _embed_order(F, first)
+        for a, g in zip(first, pinned):
+            image[a] = g
+        if extend(len(first), mask_of(pinned)):
+            return tuple(image)
     return None
 
 
 def contains_subgraph(G: Graph, F: Graph) -> Optional[tuple]:
     """Injective map V(F)->V(G) preserving edges, or None."""
-    return _find_embedding(G, F, induced=False)
+    return embed(G, F, induced=False)
 
 
 def contains_induced(G: Graph, F: Graph) -> Optional[tuple]:
     """Injective map preserving both edges and non-edges, or None."""
-    return _find_embedding(G, F, induced=True)
+    return embed(G, F, induced=True)
 
 
 def contains_subgraph_with_edge(G: Graph, F: Graph, u: int, v: int) -> Optional[tuple]:
-    """A copy of F in G using edge (u,v), or None.
+    """A copy of F in G whose image uses the edge (u,v), or None.
 
-    Sound as a full containment check only when G minus that edge is known to
-    be F-free (the in-game incremental case for monotone detectors).
+    The kernel pre-places u and v on each F-edge and searches the rest; the
+    colouring certificate answers None at once when G is (chi(F)-1)-colourable
+    (on a bipartite G for any non-bipartite F, say). Sound as a full
+    containment check only when G minus that edge is known to be F-free (the
+    in-game incremental case for monotone detectors).
     """
-    if F.n == 0 or F.n > G.n:
-        return contains_subgraph(G, F)
-    for a in range(F.n):
-        for b in bits(F.adj[a]):
-            for gu, gv in ((u, v), (v, u)):
-                image = [-1] * F.n
-                image[a], image[b] = gu, gv
-                rest = [w for w in range(F.n) if w not in (a, b)]
-                if _anchored(G, F, image, rest, (1 << gu) | (1 << gv)):
-                    return tuple(image)
-    return None
-
-
-def _anchored(G: Graph, F: Graph, image, rest, used):
-    if not rest:
-        return True
-    fv = rest[0]
-    need = F.degree(fv)
-    for gv in range(G.n):
-        if used >> gv & 1 or G.degree(gv) < need:
-            continue
-        if all(
-            not (F.adj[fv] >> w & 1) or (G.adj[gv] >> image[w] & 1)
-            for w in range(F.n)
-            if image[w] >= 0
-        ):
-            image[fv] = gv
-            if _anchored(G, F, image, rest[1:], used | 1 << gv):
-                return True
-            image[fv] = -1
-    return False
+    return embed(G, F, induced=False, anchor=(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +394,16 @@ def turan_graph(n: int, k: int) -> Graph:
     )
 
 
+def turan_bounds(n: int, k: int):
+    """(floor(t(n,k-1)/2), (k-2)/(k-1) * n^2/4) for k >= 2: the lower bound and
+    the leading term of the upper bound for a family of minimum chromatic
+    number k. Every bound in the package is this formula.
+    """
+    if k < 2:
+        raise ValueError("bounds need k >= 2")
+    return turan_number(n, k - 1) // 2, Fraction(k - 2, k - 1) * n * n / 4
+
+
 def theorem_bounds(n: int, k: int):
     """Family-variant bounds: (floor(t(n,k-1)/2), (k-2)/(k-1) * n^2/4).
 
@@ -387,18 +412,14 @@ def theorem_bounds(n: int, k: int):
     """
     if k < 3:
         raise ValueError("family variant needs k >= 3")
-    lower = turan_number(n, k - 1) // 2
-    upper_main = Fraction(k - 2, k - 1) * n * n / 4
-    return lower, upper_main
+    return turan_bounds(n, k)
 
 
 def nc_theorem_bounds(n: int, k: int):
     """Non-k-colorability bounds: (floor(t(n,k)/2), (k-1)/k * n^2/4)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lower = turan_number(n, k) // 2
-    upper_main = Fraction(k - 1, k) * n * n / 4
-    return lower, upper_main
+    return turan_bounds(n, k + 1)
 
 
 # ---------------------------------------------------------------------------

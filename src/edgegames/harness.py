@@ -31,7 +31,7 @@ from .graphs import (
     graph_from_text,
     mask_of,
     nc_theorem_bounds,
-    turan_number,
+    turan_bounds,
 )
 from .regularity import jumbleg_margin
 from .strategies import parse_strategy
@@ -78,9 +78,7 @@ def property_bounds(prop: PropertyDetector, n: int):
         k = 2
     else:
         raise ValueError("no bound formula for detector %r" % prop.descriptor)
-    lower = turan_number(n, k - 1) // 2
-    upper_main = Fraction(k - 2, k - 1) * n * n / 4
-    return lower, upper_main
+    return turan_bounds(n, k)
 
 
 @dataclass
@@ -256,8 +254,7 @@ def report_bounds(n: int, k: int, variant: str = "family") -> dict:
     if variant == "family":
         if k < 2:
             raise ValueError("family variant needs k >= 2")
-        lower = turan_number(n, k - 1) // 2
-        upper_main = Fraction(k - 2, k - 1) * n * n / 4
+        lower, upper_main = turan_bounds(n, k)
         if k == 2:
             flags.append("last two inequalities only")
             caption = (

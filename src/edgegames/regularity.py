@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, density, edges_between, mask_of
+from .graphs import Graph, bits, density, edges_between, embed, mask_of
 
 
 def _as_fraction(x) -> Fraction:
@@ -364,9 +364,8 @@ def find_induced_embedding(G: Graph, H: Graph, parts) -> Optional[tuple]:
     """A transversal u_1 in U_1, ..., u_f in U_f spanning an induced copy of H
     (u_i u_j an edge of G iff v_i v_j an edge of H), or None.
     """
-    f = H.n
-    if len(parts) != f:
-        raise ValueError("need exactly %d parts" % f)
+    if len(parts) != H.n:
+        raise ValueError("need exactly %d parts" % H.n)
     acc = 0
     for P in parts:
         if P == 0:
@@ -374,29 +373,7 @@ def find_induced_embedding(G: Graph, H: Graph, parts) -> Optional[tuple]:
         if P & acc:
             raise ValueError("parts overlap")
         acc |= P
-    choice = [-1] * f
-
-    def backtrack(i: int):
-        if i == f:
-            return True
-        for u in bits(parts[i]):
-            ok = True
-            for j in range(i):
-                he = H.adj[i] >> j & 1
-                ge = G.adj[u] >> choice[j] & 1
-                if he != ge:
-                    ok = False
-                    break
-            if ok:
-                choice[i] = u
-                if backtrack(i + 1):
-                    return True
-                choice[i] = -1
-        return False
-
-    if backtrack(0):
-        return tuple(choice)
-    return None
+    return embed(G, H, induced=True, domains=parts)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,27 @@ def test_edge_index_bijection_all_n_up_to_64():
         assert seen == set(range(m))
 
 
+def test_edge_of_inverts_edge_index_all_n_up_to_64():
+    for n in range(2, 65):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert [edge_of(edge_index(u, v, n), n) for u, v in pairs] == pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=2000), st.data())
+def test_edge_of_matches_edge_index_large_n(n, data):
+    i = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2 - 1))
+    u, v = edge_of(i, n)
+    assert 0 <= u < v < n
+    assert edge_index(u, v, n) == i
+
+
+def test_edge_of_rejects_out_of_range_ids():
+    for n, i in ((4, -1), (4, 6), (2, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            edge_of(i, n)
+
+
 def test_edge_index_rejects_bad_edges():
     with pytest.raises(ValueError):
         edge_index(1, 1, 4)
