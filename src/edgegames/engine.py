@@ -19,14 +19,16 @@ from typing import Optional
 
 import numpy as np
 
+# The detectors call the kernel by these names: bench/spans.py wraps them here.
 from .graphs import (
     Graph,
+    _trusted_graph,
     contains_induced,
     contains_subgraph,
     contains_subgraph_with_edge,
     edge_index,
     edge_pairs,
-    greedy_coloring,
+    greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     is_k_colorable,
     chromatic_number,
     num_edges,
@@ -54,11 +56,13 @@ class IllegalMoveError(Exception):
 # ---------------------------------------------------------------------------
 
 class PropertyDetector:
-    """Detects whether the builder's graph has acquired the target property.
+    """Detects whether the builder's graph has the target property.
 
-    `holds` is a full recomputation; `hit_after` may use the newly added edge
-    as an anchor, which is sound during play because the match stops at the
-    first hit (so the property did not hold before the move).
+    `holds(G)` is the full recomputation. `hit_after_masks(n, adj, u, v)` is
+    `holds` on the builder's masks just after it claimed uv, and may look only
+    for what uv created: its precondition is that the property did not hold
+    before. Play keeps it (`require_absent` at the start, stop at the first
+    hit). The engine calls only `hit_after_state`; subclasses leave it alone.
     """
 
     descriptor = "?"
@@ -66,16 +70,17 @@ class PropertyDetector:
     def holds(self, G: Graph) -> bool:
         raise NotImplementedError
 
-    def hit_after(self, G: Graph, u: int, v: int) -> bool:
-        return self.holds(G)
-
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
-        """Same check on raw adjacency masks; overrides skip the per-move
-        Graph construction on hot paths (engine loop, solver nodes)."""
-        return self.hit_after(Graph(n, tuple(adj)), u, v)
+        return self.holds(_trusted_graph(n, adj))
 
     def hit_after_state(self, state: "GameState", u: int, v: int) -> bool:
         return self.hit_after_masks(state.n, state.adj[BUILDER], u, v)
+
+
+def require_absent(prop: PropertyDetector, n: int, adj) -> None:
+    """Raise ValueError unless the property is absent from the builder's masks."""
+    if prop.holds(_trusted_graph(n, adj)):
+        raise ValueError("the builder's graph already has the property")
 
 
 class HasEdgeProperty(PropertyDetector):
@@ -84,12 +89,15 @@ class HasEdgeProperty(PropertyDetector):
     def holds(self, G: Graph) -> bool:
         return any(G.adj)
 
-    def hit_after(self, G: Graph, u: int, v: int) -> bool:
+    def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
         return True
 
 
 class SubgraphProperty(PropertyDetector):
-    """Some member of the family occurs as a (not necessarily induced) subgraph."""
+    """Some member of the family occurs as a (not necessarily induced)
+    subgraph, or as an induced subgraph when the class sets `induced`."""
+
+    induced = False
 
     def __init__(self, members, descriptor: Optional[str] = None):
         self.members = list(members)
@@ -98,41 +106,29 @@ class SubgraphProperty(PropertyDetector):
         self.k = min(chromatic_number(F) for F in self.members)
         designated = next(F for F in self.members if chromatic_number(F) == self.k)
         self.f = designated.n
-        self.descriptor = descriptor or "subgraph:<family>"
-        self._triangle_only = all(
-            F.n == 3 and F.edge_count() == 3 for F in self.members
-        )
+        self.descriptor = descriptor or ("induced" if self.induced else "subgraph") + ":<family>"
+        self._triangle_only = all(F.n == 3 and F.edge_count() == 3 for F in self.members)
 
     def holds(self, G: Graph) -> bool:
-        return any(contains_subgraph(G, F) is not None for F in self.members)
-
-    def hit_after(self, G: Graph, u: int, v: int) -> bool:
-        if self._triangle_only:
-            return bool(G.adj[u] & G.adj[v])
-        return any(
-            contains_subgraph_with_edge(G, F, u, v) is not None for F in self.members
-        )
+        find = contains_induced if self.induced else contains_subgraph
+        return any(find(G, F) is not None for F in self.members)
 
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
+        # a copy that is new after uv contains u and v; in an induced copy uv
+        # is then the image of an F-edge, so the anchored search finds it
         if self._triangle_only:
             return bool(adj[u] & adj[v])
-        return self.hit_after(Graph(n, tuple(adj)), u, v)
+        G = _trusted_graph(n, adj)
+        return any(
+            contains_subgraph_with_edge(G, F, u, v, induced=self.induced) is not None
+            for F in self.members
+        )
 
 
-class InducedSubgraphProperty(PropertyDetector):
+class InducedSubgraphProperty(SubgraphProperty):
     """Some member of the family occurs as an induced subgraph."""
 
-    def __init__(self, members, descriptor: Optional[str] = None):
-        self.members = list(members)
-        if not self.members:
-            raise ValueError("empty family")
-        self.k = min(chromatic_number(F) for F in self.members)
-        designated = next(F for F in self.members if chromatic_number(F) == self.k)
-        self.f = designated.n
-        self.descriptor = descriptor or "induced:<family>"
-
-    def holds(self, G: Graph) -> bool:
-        return any(contains_induced(G, F) is not None for F in self.members)
+    induced = True
 
 
 class NotKColorableProperty(PropertyDetector):
@@ -145,19 +141,9 @@ class NotKColorableProperty(PropertyDetector):
     def holds(self, G: Graph) -> bool:
         return not is_k_colorable(G, self.k)
 
-    def hit_after(self, G: Graph, u: int, v: int) -> bool:
-        if self.k >= G.n:
-            return False  # every graph on n vertices is n-colorable
-        # cheap positive certificate first; exact search only when greedy fails
-        colors = greedy_coloring(G)
-        if max(colors, default=-1) + 1 <= self.k:
-            return False
-        return not is_k_colorable(G, self.k)
-
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
-        if self.k >= n:
-            return False
-        return self.hit_after(Graph(n, tuple(adj)), u, v)
+        # every graph on n vertices is n-colorable
+        return self.k < n and self.holds(_trusted_graph(n, adj))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +228,10 @@ class GameState:
         return first if self.counts[first] == self.counts[second] else second
 
     def builder_graph(self) -> Graph:
-        return Graph(self.n, tuple(self.adj[BUILDER]))
+        return _trusted_graph(self.n, self.adj[BUILDER])
 
     def opponent_graph(self) -> Graph:
-        return Graph(self.n, tuple(self.adj[OPPONENT]))
+        return _trusted_graph(self.n, self.adj[OPPONENT])
 
 
 def new_game(rules: GameRules) -> GameState:
@@ -342,13 +328,15 @@ def play_match(
 
     Returns a transcript with the hitting round of the first builder move that
     creates the property, or "never" if the board is exhausted (or max_rounds
-    builder moves were made) without it. Raises ValueError if max_rounds < 1.
+    builder moves were made) without it. Raises ValueError if max_rounds < 1
+    or if the property holds on the empty graph.
     """
     if max_rounds is None:
         max_rounds = num_edges(rules.n)
     elif max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = new_game(rules)
+    require_absent(rules.prop, state.n, state.adj[BUILDER])
     strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
     moves = []
     result, t = "never", -1

@@ -74,6 +74,14 @@ class Graph:
         return min(self.degree(u) for u in range(self.n))
 
 
+def _trusted_graph(n: int, adj) -> Graph:
+    """A Graph on adjacency masks the package keeps symmetric itself (game
+    state, solver, sweep monitor), built without the O(n*deg) validation."""
+    G = object.__new__(Graph)
+    G.__dict__.update(n=n, adj=tuple(adj))
+    return G
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     adj = [0] * n
     for u, v in edges:
@@ -293,16 +301,20 @@ def contains_induced(G: Graph, F: Graph) -> Optional[tuple]:
     return embed(G, F, induced=True)
 
 
-def contains_subgraph_with_edge(G: Graph, F: Graph, u: int, v: int) -> Optional[tuple]:
-    """A copy of F in G whose image uses the edge (u,v), or None.
+def contains_subgraph_with_edge(
+    G: Graph, F: Graph, u: int, v: int, induced: bool = False
+) -> Optional[tuple]:
+    """A copy of F in G (induced when `induced`) whose image uses the edge
+    (u,v), or None.
 
     The kernel pre-places u and v on each F-edge and searches the rest; the
     colouring certificate answers None at once when G is (chi(F)-1)-colourable
     (on a bipartite G for any non-bipartite F, say). Sound as a full
-    containment check only when G minus that edge is known to be F-free (the
-    in-game incremental case for monotone detectors).
+    containment check only when G minus that edge holds no such copy (the
+    in-game incremental case): a new copy contains u and v, so uv is the
+    image of an F-edge even in an induced copy.
     """
-    return embed(G, F, induced=False, anchor=(u, v))
+    return embed(G, F, induced=induced, anchor=(u, v))
 
 
 # ---------------------------------------------------------------------------

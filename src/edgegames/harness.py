@@ -72,7 +72,7 @@ def property_bounds(prop: PropertyDetector, n: int):
     """
     if isinstance(prop, NotKColorableProperty):
         return nc_theorem_bounds(n, prop.k)
-    if isinstance(prop, (SubgraphProperty, InducedSubgraphProperty)):
+    if isinstance(prop, SubgraphProperty):  # induced families included
         k = prop.k
     elif isinstance(prop, HasEdgeProperty):
         k = 2
@@ -134,7 +134,7 @@ def margin_violation_fraction(
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
     on the final claim map."""
     claims = state_or_transcript_claims
-    from .graphs import Graph, edge_pairs, edges_between
+    from .graphs import _trusted_graph, edge_pairs, edges_between
 
     adj = {1: [0] * n, 2: [0] * n}
     for eid, (u, v) in enumerate(edge_pairs(n)):
@@ -142,8 +142,8 @@ def margin_violation_fraction(
         if c:
             adj[c][u] |= 1 << v
             adj[c][v] |= 1 << u
-    G_b = Graph(n, tuple(adj[1]))
-    G_m = Graph(n, tuple(adj[2]))
+    G_b = _trusted_graph(n, adj[1])
+    G_m = _trusted_graph(n, adj[2])
     size = monitor_set_size(n, eps)
     rng = random.Random(seed)
     bad = 0

@@ -14,9 +14,8 @@ row to it, and undoing the claim subtracts it again, so a node costs one
 n!-wide add and one min instead of n! relabellings. The claim map alone
 determines whose turn it is and the round, so nothing else enters the key.
 
-Assumes a monotone property detector whose property does not hold at the
-start position (checked with the full `holds`), so anchored hit checks are
-sound.
+Assumes a detector whose property is absent at the start (checked with
+the full `holds`), so its incremental hit checks are sound.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BUILDER, GameRules, GameState, OPPONENT, UNCLAIMED
-from .graphs import Graph, edge_pairs, num_edges
+from .engine import BUILDER, GameRules, GameState, OPPONENT, UNCLAIMED, require_absent
+from .graphs import edge_pairs, num_edges
 
 NEVER = math.inf
 MAX_SYMMETRY_N = 7  # n! permutations per weight table: 5040 at n = 7
@@ -104,8 +103,7 @@ class _Search:
         for eid, c in enumerate(start):
             if c != UNCLAIMED:
                 self.claim(eid, int(c))
-        if self.prop.holds(Graph(self.n, tuple(self.adj))):
-            raise ValueError("the builder's graph already has the property")
+        require_absent(self.prop, self.n, self.adj)
 
     def _turn(self) -> int:
         second = OPPONENT if self.first == BUILDER else BUILDER

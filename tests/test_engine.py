@@ -1,9 +1,10 @@
 """Game engine: detectors, turn order, move legality, transcripts, replay."""
 
 import json
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegames import (
     AVOIDER_ENFORCER,
@@ -24,12 +25,15 @@ from edgegames import (
     cycle_graph,
     enforcer_graph,
     graph_from_edges,
+    graph_from_name,
     new_game,
+    parse_property,
     path_graph,
     play_match,
     replay,
 )
-from edgegames.graphs import num_edges
+from edgegames.engine import PropertyDetector
+from edgegames.graphs import Graph, edge_pairs, num_edges
 
 
 def triangle_prop():
@@ -57,30 +61,71 @@ def test_subgraph_detector_triangle():
     assert not p.holds(G)
     G2 = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert p.holds(G2)
-    assert p.hit_after(G2, 0, 2)
+    assert p.hit_after_masks(G2.n, G2.adj, 0, 2)
 
 
-def test_subgraph_hit_after_agrees_with_holds():
-    # anchored detection must agree with a full recompute when the property
-    # first appears with the added edge
-    p = SubgraphProperty([cycle_graph(4)], descriptor="subgraph:C4")
-    rng = random.Random(6)
-    for _ in range(50):
-        n = 6
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        G = graph_from_edges(n, edges)
-        if p.holds(G):
-            continue
-        # add one random absent edge
-        absent = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if not G.has_edge(u, v)
-        ]
-        u, v = absent[rng.randrange(len(absent))]
-        G2 = graph_from_edges(n, edges + [(u, v)])
-        assert p.hit_after(G2, u, v) == p.holds(G2)
+def _detector(descriptor):
+    """`parse_property`, plus the two-member family `subgraph:K4+C5`."""
+    if descriptor == "subgraph:K4+C5":
+        return SubgraphProperty([complete_graph(4), cycle_graph(5)], descriptor)
+    return parse_property(descriptor)
+
+
+DETECTORS = [
+    "edge",
+    "subgraph:C4",
+    "subgraph:C5",
+    "subgraph:K4",
+    "subgraph:K4+C5",
+    "induced:P3",
+    "induced:P4",
+    "induced:C4",
+    "nc:2",
+    "nc:3",
+]
+
+
+@pytest.mark.parametrize("descriptor", DETECTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hit_after_masks_matches_holds(descriptor, data):
+    # the incremental check must equal a full recompute whenever the property
+    # did not hold before the added edge; G is grown edge by edge, skipping
+    # every edge that would give it the property (induced ones are not monotone)
+    p = _detector(descriptor)
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    order = data.draw(st.permutations(edge_pairs(n)))
+    stop = data.draw(st.integers(min_value=0, max_value=len(order) - 1))
+    adj = [0] * n
+    for u, v in order[:stop]:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if p.holds(Graph(n, tuple(adj))):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+    assert not p.holds(Graph(n, tuple(adj)))
+    u, v = order[stop]
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    assert p.hit_after_masks(n, list(adj), u, v) == p.holds(Graph(n, tuple(adj)))
+
+
+class FullRecomputeInduced(InducedSubgraphProperty):
+    """The induced detector with the base class's full `holds` per move."""
+
+    hit_after_masks = PropertyDetector.hit_after_masks
+
+
+@pytest.mark.parametrize("name, n", [("P3", 8), ("P4", 12), ("C4", 12)])
+def test_induced_anchored_transcripts_match_full_recompute(name, n):
+    F = graph_from_name(name)
+    for seed in range(4):
+        out = []
+        for prop in (InducedSubgraphProperty([F]), FullRecomputeInduced([F])):
+            rules = GameRules(n=n, prop=prop)
+            t = play_match(RandomStrategy(seed), RandomStrategy(seed + 100), rules, seed=seed)
+            out.append(t.to_jsonl())
+        assert out[0] == out[1]
 
 
 def test_family_uses_min_chromatic_member():
@@ -104,20 +149,6 @@ def test_nc_detector():
     assert not NotKColorableProperty(3).holds(complete_graph(3))
     with pytest.raises(ValueError):
         NotKColorableProperty(0)
-
-
-def test_nc_hit_after_matches_holds():
-    p = NotKColorableProperty(2)
-    rng = random.Random(9)
-    for _ in range(30):
-        G = graph_from_edges(
-            6, [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.4]
-        )
-        for u in range(6):
-            for v in range(u + 1, 6):
-                if G.has_edge(u, v):
-                    assert p.hit_after(G, u, v) == p.holds(G)
-                    break
 
 
 def test_empty_family_rejected():
@@ -195,6 +226,21 @@ def test_state_bookkeeping():
     assert list(state.deg[BUILDER]) == [1, 1, 0, 0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.data())
+def test_state_graphs_equal_validated_graphs(n, data):
+    # the state builds its graphs without re-validating symmetry; they must be
+    # the same values, with the same hash, as fully validated graphs
+    state = new_game(rules(n))
+    order = data.draw(st.permutations(edge_pairs(n)))
+    for edge in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
+        apply_move(state, state.whose_turn(), edge)
+    for player, G in ((BUILDER, avoider_graph(state)), (OPPONENT, enforcer_graph(state))):
+        validated = Graph(n, tuple(state.adj[player]))
+        assert G == validated and hash(G) == hash(validated)
+        assert G == graph_from_edges(n, G.edges())
+
+
 def test_state_copy_is_independent():
     state = new_game(rules(4))
     apply_move(state, BUILDER, (0, 1))
@@ -254,6 +300,14 @@ def test_max_rounds_cap():
             play_match(
                 FirstAvailableStrategy(), FirstAvailableStrategy(), rules(5), max_rounds=bad
             )
+
+
+@pytest.mark.parametrize("descriptor", ["subgraph:K1", "induced:K1", "induced:Kpartite:3"])
+def test_property_held_by_empty_graph_is_rejected(descriptor):
+    # every graph on >= 3 vertices holds K1 and three non-adjacent vertices;
+    # no builder move can create them, so the match must not report "never"
+    with pytest.raises(ValueError, match="already has the property"):
+        play_match(FirstAvailableStrategy(), FirstAvailableStrategy(), rules(5, _detector(descriptor)))
 
 
 def test_hit_round_is_builder_move_count():

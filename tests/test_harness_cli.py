@@ -361,6 +361,8 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["verify", "p1", "--graph", "no-such-file.txt"]) == 2
     assert main(["solve", "--n", "8", "--property", "subgraph:K3"]) == 2  # symmetry cap
     assert main(["solve", "--n", "4", "--property", "subgraph:K1"]) == 2  # holds at start
+    assert main(["play", "--n", "5", "--property", "subgraph:K1"]) == 2
+    assert main(["sweep", "--n", "5:6", "--property", "subgraph:K1"]) == 2
     capsys.readouterr()  # swallow the error prints
 
 

@@ -18,18 +18,21 @@ from edgegames import (
     BUILDER,
     GameRules,
     HasEdgeProperty,
+    InducedSubgraphProperty,
     NotKColorableProperty,
     OPPONENT,
     SubgraphProperty,
     apply_move,
     best_move,
     complete_graph,
+    graph_from_name,
     new_game,
     parse_property,
     solve_tau,
 )
 from edgegames.solver import NEVER, _Search, canonical_claims
 from edgegames.graphs import edge_index, edge_pairs, num_edges
+from test_engine import FullRecomputeInduced
 
 
 def triangle_rules(n, **kw):
@@ -166,6 +169,15 @@ def test_opponent_first_matches_oracle():
 def test_pinned_values_and_node_counts(n, prop, value, nodes):
     res = solve_tau(GameRules(n=n, prop=parse_property(prop)))
     assert (res.value, res.t, res.nodes) == ("exact", value, nodes)
+
+
+@pytest.mark.parametrize("name", ["P3", "P4", "C4", "Kpartite:1,2", "K3"])
+def test_induced_anchored_solve_matches_full_recompute(name):
+    F = graph_from_name(name)
+    for n in (4, 5):
+        a = solve_tau(GameRules(n=n, prop=InducedSubgraphProperty([F])))
+        b = solve_tau(GameRules(n=n, prop=FullRecomputeInduced([F])))
+        assert (a.value, a.t, a.nodes) == (b.value, b.t, b.nodes)
 
 
 def test_symmetry_off_agrees():
