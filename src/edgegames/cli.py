@@ -47,7 +47,9 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _vertex_mask(spec: str) -> int:
+def _vertex_mask(spec: str | None) -> int:
+    if spec is None:
+        raise ValueError("--A and --B are required")
     return mask_of(int(x) for x in spec.split(","))
 
 
@@ -149,7 +151,7 @@ def cmd_verify(args) -> int:
         }
     elif args.check == "slicing":
         alpha = Fraction(args.alpha)
-        if args.A and args.B:
+        if args.A or args.B:
             violations, trials = verify_slicing(
                 G,
                 _vertex_mask(args.A),

@@ -29,11 +29,10 @@ from .engine import (
 from .graphs import (
     graph_from_name,
     graph_from_text,
-    mask_of,
     nc_theorem_bounds,
     turan_bounds,
 )
-from .regularity import jumbleg_margin
+from .regularity import _random_disjoint_pair, jumbleg_margin, least_size_above
 from .strategies import parse_strategy
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
@@ -100,7 +99,7 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        self.eps = Fraction(self.eps) if not isinstance(self.eps, Fraction) else self.eps
+        self.eps = Fraction(self.eps)
 
 
 @dataclass
@@ -122,10 +121,7 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
     """Monitor pairs are sampled at max(floor(eps*n)+1, ceil(n/4)), capped at
     n//2: sizes near n/4 make the margin bound a multi-sigma target instead
     of a coin flip at the minimum qualifying size."""
-    min_size = 1
-    while Fraction(min_size) <= eps * n:
-        min_size += 1
-    return min(max(min_size, -(-n // 4)), n // 2)
+    return min(max(least_size_above(eps * n), -(-n // 4)), n // 2)
 
 
 def margin_violation_fraction(
@@ -148,8 +144,7 @@ def margin_violation_fraction(
     rng = random.Random(seed)
     bad = 0
     for _ in range(pairs):
-        picks = rng.sample(range(n), 2 * size)
-        S, T = mask_of(picks[:size]), mask_of(picks[size:])
+        S, T = _random_disjoint_pair(rng, n, size, size)
         e_B = edges_between(G_b, S, T)
         e_M = edges_between(G_m, S, T)
         _, _, ok = jumbleg_margin(e_B, e_M, size, size, eps)

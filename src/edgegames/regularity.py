@@ -26,16 +26,14 @@ import numpy as np
 from .graphs import Graph, bits, density, edges_between, embed, mask_of
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
-    raise TypeError("cannot interpret %r as a rational" % (x,))
+P2_EXACT_LIMIT = 16  # exact P2 scans 4^n cells
+PAIR_EXACT_LIMIT = 24  # exact regular-pair scans 2^|A| * 2^|B| cells
+_BLOCK_CELLS = 1 << 16  # pairs per row block of the exact scan
+
+
+def least_size_above(x) -> int:
+    """The smallest set size strictly above x (at least 1)."""
+    return max(1, math.floor(x) + 1)
 
 
 @dataclass
@@ -62,19 +60,115 @@ class RegularityReport:
 
 
 # ---------------------------------------------------------------------------
+# The two scans behind every unbiasedness and regularity check
+# ---------------------------------------------------------------------------
+
+def _report(mode: str, worst: Fraction, samples: int, witness, fails) -> RegularityReport:
+    """`witness` is the first pair at the worst deviation; it is named only
+    when that deviation is positive and fails the check."""
+    failed = fails(worst)
+    S, T = witness if failed and worst else (None, None)
+    return RegularityReport(
+        passed=not failed,
+        mode=mode,
+        deviation=worst,
+        samples=samples,
+        witness_S=S,
+        witness_T=T,
+    )
+
+
+def _subset_sums(M):
+    """Column k of the result is the sum of the columns of M picked by the bits of k."""
+    S = np.zeros((M.shape[0], 1 << M.shape[1]), dtype=np.int64)
+    for j in range(M.shape[1]):
+        S[:, 1 << j : 2 << j] = S[:, : 1 << j] + M[:, j, None]
+    return S
+
+
+def _exact_scan(
+    G: Graph, A_list, B_list, xs, ys, c: Fraction, fails, disjoint: bool = False
+) -> RegularityReport:
+    """Worst |e(X,Y)/(|X||Y|) - c| over every row X in xs and column Y in ys.
+
+    xs and ys are subset indices (bitmasks over the positions of A_list and
+    B_list) in the caller's scan order; the witness is the first worst pair
+    in row-major order. With `disjoint`, pairs with X & Y != 0 are skipped
+    and not counted. Rows go in blocks of about _BLOCK_CELLS pairs, so no
+    2^|A| x 2^|B| matrix is held. A float ratio with an exact integer
+    numerator locates each block's maximum (equal ratios are equal
+    deviations, and distinct ones stay apart at these sizes); the reported
+    deviation is an exact Fraction.
+    """
+    M = np.array(
+        [[G.adj[u] >> v & 1 for v in B_list] for u in A_list], dtype=np.int64
+    ).reshape(len(A_list), len(B_list))
+    R = _subset_sums(M.T).T  # R[X, j] = e(X, {B_j})
+    xcard = np.array([X.bit_count() for X in xs], dtype=np.int64)
+    ycard = np.array([Y.bit_count() for Y in ys], dtype=np.int64)
+    xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    p, q = c.numerator, c.denominator
+    worst = Fraction(0)
+    witness = None
+    count = 0
+    step = max(1, _BLOCK_CELLS // max(1, len(ys)))
+    for lo in range(0, len(xs), step):
+        X = xs[lo : lo + step]
+        sizes = xcard[lo : lo + step, None] * ycard  # |X||Y|
+        dev_num = np.take(_subset_sums(R[X]), ys, axis=1) * q  # q e(X_i, Y_j)
+        dev_num -= p * sizes
+        np.abs(dev_num, out=dev_num)  # deviation = dev_num / (|X||Y| q)
+        ratio = dev_num / sizes
+        if disjoint:
+            overlap = (X[:, None] & ys) != 0
+            np.putmask(ratio, overlap, -1.0)
+            count += ratio.size - int(np.count_nonzero(overlap))
+        else:
+            count += ratio.size
+        i, j = divmod(int(np.argmax(ratio)), len(ys))
+        if ratio[i, j] < 0:
+            continue
+        dev = Fraction(int(dev_num[i, j]), int(sizes[i, j]) * q)
+        if dev > worst:
+            worst = dev
+            witness = (
+                mask_of(A_list[k] for k in bits(int(X[i]))),
+                mask_of(B_list[k] for k in bits(int(ys[j]))),
+            )
+    return _report("exact", worst, count, witness, fails)
+
+
+def _sampled_scan(G: Graph, draw, c: Fraction, fails, trials: int, seed: int) -> RegularityReport:
+    """Worst |d(X,Y) - c| over `trials` pairs (X, Y) = draw(rng), where rng
+    is random.Random(seed); the witness is the first worst pair drawn."""
+    if trials < 1:
+        raise ValueError("sampled mode needs trials >= 1")
+    rng = random.Random(seed)
+    worst = Fraction(0)
+    witness = None
+    for _ in range(trials):
+        X, Y = draw(rng)
+        dev = abs(density(G, X, Y) - c)
+        if dev > worst:
+            worst = dev
+            witness = (X, Y)
+    return _report("sampled", worst, trials, witness, fails)
+
+
+# ---------------------------------------------------------------------------
 # JumbleG-style pseudo-randomness (unbiased pairs, P1, P2, margin lemma)
 # ---------------------------------------------------------------------------
 
 def is_unbiased(G: Graph, S: int, T: int, eps):
     """(ok, deviation) where deviation = |e(S,T)/(|S||T|) - 1/2|, ok iff <= eps."""
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     dev = abs(density(G, S, T) - Fraction(1, 2))
     return dev <= eps, dev
 
 
 def check_p1(G: Graph, eps):
     """(ok, min_degree): ok iff min degree >= (1/2 - eps) * n."""
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     mindeg = G.min_degree()
     return Fraction(mindeg) >= (Fraction(1, 2) - eps) * G.n, mindeg
 
@@ -90,80 +184,42 @@ def check_p2(
     mode: str = "exact",
     trials: int = 1000,
     seed: int = 0,
-    exact_limit: int = 16,
     set_size: Optional[int] = None,
 ) -> RegularityReport:
     """Every disjoint pair S,T with |S|,|T| > eps*n must be eps-unbiased.
 
-    Exact mode enumerates all qualifying pairs (n <= exact_limit). Sampled
-    mode draws `trials` random disjoint pairs; by default both sets have the
-    minimum qualifying size floor(eps*n)+1, overridable via `set_size` (small
-    qualifying sets fluctuate binomially, so larger sizes give a sharper
-    signal at moderate eps; see check_p2's callers).
+    Exact mode scans all qualifying pairs (n <= P2_EXACT_LIMIT) in the order
+    (|S|, sorted S, |T|, sorted T). Sampled mode draws `trials` random
+    disjoint pairs; by default both sets have the minimum qualifying size
+    floor(eps*n)+1, overridable via `set_size` (small qualifying sets
+    fluctuate binomially, so larger sizes give a sharper signal at moderate
+    eps; see check_p2's callers).
     """
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     n = G.n
     half = Fraction(1, 2)
-    min_size = 1
-    while Fraction(min_size) <= eps * n:
-        min_size += 1
+    min_size = least_size_above(eps * n)
+    fails = lambda dev: dev > eps
 
     if mode == "exact":
-        if n > exact_limit:
-            raise ValueError("exact P2 limited to n <= %d" % exact_limit)
-        worst = Fraction(0)
-        witness = None
-        verts = range(n)
-        checked = 0
-        for s_size in range(min_size, n - min_size + 1):
-            for S in itertools.combinations(verts, s_size):
-                Smask = mask_of(S)
-                rest = [v for v in verts if not Smask >> v & 1]
-                for t_size in range(min_size, len(rest) + 1):
-                    for T in itertools.combinations(rest, t_size):
-                        Tmask = mask_of(T)
-                        checked += 1
-                        dev = abs(density(G, Smask, Tmask) - half)
-                        if dev > worst:
-                            worst = dev
-                            if dev > eps:
-                                witness = (Smask, Tmask)
-        passed = worst <= eps
-        return RegularityReport(
-            passed=passed,
-            mode="exact",
-            deviation=worst,
-            samples=checked,
-            witness_S=witness[0] if witness else None,
-            witness_T=witness[1] if witness else None,
-        )
+        if n > P2_EXACT_LIMIT:
+            raise ValueError("exact P2 limited to n <= %d" % P2_EXACT_LIMIT)
+        order = [
+            mask_of(S)
+            for size in range(min_size, n - min_size + 1)
+            for S in itertools.combinations(range(n), size)
+        ]
+        return _exact_scan(G, range(n), range(n), order, order, half, fails, disjoint=True)
 
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    if trials < 1:
-        raise ValueError("sampled mode needs trials >= 1")
     size = min_size if set_size is None else set_size
     if size < min_size:
         raise ValueError("set_size below qualifying threshold")
     if 2 * size > n:
         raise ValueError("no disjoint pair of size %d fits in n=%d" % (size, n))
-    rng = random.Random(seed)
-    worst = Fraction(0)
-    witness = None
-    for _ in range(trials):
-        S, T = _random_disjoint_pair(rng, n, size, size)
-        dev = abs(density(G, S, T) - half)
-        if dev > worst:
-            worst = dev
-            if dev > eps:
-                witness = (S, T)
-    return RegularityReport(
-        passed=worst <= eps,
-        mode="sampled",
-        deviation=worst,
-        samples=trials,
-        witness_S=witness[0] if witness else None,
-        witness_T=witness[1] if witness else None,
+    return _sampled_scan(
+        G, lambda rng: _random_disjoint_pair(rng, n, size, size), half, fails, trials, seed
     )
 
 
@@ -171,7 +227,7 @@ def jumbleg_margin(e_B: int, e_M: int, s_size: int, t_size: int, eps):
     """(margin, bound, ok): margin = e_B - e_M, bound = 2*eps*|S||T| + 1."""
     if s_size < 1 or t_size < 1:
         raise ValueError("set sizes must be >= 1")
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     margin = e_B - e_M
     bound = 2 * eps * s_size * t_size + 1
     return margin, bound, Fraction(margin) <= bound
@@ -188,30 +244,6 @@ def jumbleg_eps_threshold(n: int) -> float:
 # Szemeredi-style regular pairs
 # ---------------------------------------------------------------------------
 
-def _subset_edge_matrix(G: Graph, A_list, B_list):
-    """Edge counts e(X,Y) for all X subset A, Y subset B, as a 2^a x 2^b array.
-
-    Subset indices are bitmasks over the positions of A_list / B_list.
-    """
-    a, b = len(A_list), len(B_list)
-    M = np.zeros((a, b), dtype=np.int64)
-    for i, u in enumerate(A_list):
-        row = G.adj[u]
-        for j, v in enumerate(B_list):
-            M[i, j] = row >> v & 1
-    # subset sums over rows: S[X] = sum of M rows in X
-    S = np.zeros((1 << a, b), dtype=np.int64)
-    for X in range(1, 1 << a):
-        low = X & -X
-        S[X] = S[X ^ low] + M[low.bit_length() - 1]
-    # Y indicator matrix, b x 2^b
-    Yind = np.zeros((b, 1 << b), dtype=np.int64)
-    cols = np.arange(1 << b)
-    for j in range(b):
-        Yind[j] = cols >> j & 1
-    return S @ Yind
-
-
 def is_regular_pair(
     G: Graph,
     A: int,
@@ -220,95 +252,49 @@ def is_regular_pair(
     mode: str = "exact",
     trials: int = 1000,
     seed: int = 0,
-    exact_limit: int = 24,
 ) -> RegularityReport:
     """alpha-regularity of (A,B): |d(A,B) - d(X,Y)| < alpha for all X sub A,
     Y sub B with |X| > alpha|A| and |Y| > alpha|B|.
 
-    Exact mode enumerates every qualifying sub-pair (|A|+|B| <= exact_limit);
-    sampled mode draws qualifying subsets at the minimum qualifying size.
+    Exact mode scans every qualifying sub-pair (|A|+|B| <= PAIR_EXACT_LIMIT)
+    in ascending subset-index order; sampled mode draws qualifying subsets at
+    the minimum qualifying size.
     """
-    alpha = _as_fraction(alpha)
+    alpha = Fraction(alpha)
     if A & B:
         raise ValueError("A and B overlap")
+    if (A | B) >> G.n:
+        raise ValueError("A and B must be vertices of the %d-vertex graph" % G.n)
     a_list, b_list = sorted(bits(A)), sorted(bits(B))
     a, b = len(a_list), len(b_list)
     if a == 0 or b == 0:
         raise ValueError("empty side")
-    d_num = edges_between(G, A, B)  # d(A,B) = d_num / (a*b)
-    p, q = alpha.numerator, alpha.denominator
+    d = Fraction(edges_between(G, A, B), a * b)
+    x_size, y_size = least_size_above(alpha * a), least_size_above(alpha * b)
+    fails = lambda dev: dev >= alpha
 
     if mode == "exact":
-        if a + b > exact_limit:
-            raise ValueError("exact regular-pair limited to |A|+|B| <= %d" % exact_limit)
-        e_all = _subset_edge_matrix(G, a_list, b_list)
-        xcard = np.array([X.bit_count() for X in range(1 << a)], dtype=np.int64)
-        ycard = np.array([Y.bit_count() for Y in range(1 << b)], dtype=np.int64)
-        x_ok = xcard * q > p * a  # |X| > alpha * |A|, exact
-        y_ok = ycard * q > p * b
-        xs = np.flatnonzero(x_ok)
-        ys = np.flatnonzero(y_ok)
-        worst = Fraction(0)
-        witness = None
-        checked = 0
-        for X in xs:
-            sizes = xcard[X] * ycard[ys]  # |X||Y|
-            # deviation = |e(X,Y)*ab - d_num*|X||Y|| / (|X||Y|*ab)
-            dev_num = np.abs(e_all[X, ys] * (a * b) - d_num * sizes)
-            checked += len(ys)
-            # float ratio locates the max; the value itself stays exact
-            j = int(np.argmax(dev_num / sizes))
-            dev = Fraction(int(dev_num[j]), int(sizes[j]) * a * b)
-            if dev > worst:
-                worst = dev
-                if dev >= alpha:
-                    Xmask = mask_of(a_list[i] for i in bits(int(X)))
-                    Ymask = mask_of(b_list[i] for i in bits(int(ys[j])))
-                    witness = (Xmask, Ymask)
-        return RegularityReport(
-            passed=worst < alpha,
-            mode="exact",
-            deviation=worst,
-            samples=checked,
-            witness_S=witness[0] if witness else None,
-            witness_T=witness[1] if witness else None,
-        )
+        if a + b > PAIR_EXACT_LIMIT:
+            raise ValueError("exact regular-pair limited to |A|+|B| <= %d" % PAIR_EXACT_LIMIT)
+        xs = [X for X in range(1 << a) if X.bit_count() >= x_size]
+        ys = [Y for Y in range(1 << b) if Y.bit_count() >= y_size]
+        return _exact_scan(G, a_list, b_list, xs, ys, d, fails)
 
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    if trials < 1:
-        raise ValueError("sampled mode needs trials >= 1")
-    x_size = 1
-    while Fraction(x_size) <= alpha * a:
-        x_size += 1
-    y_size = 1
-    while Fraction(y_size) <= alpha * b:
-        y_size += 1
-    rng = random.Random(seed)
-    d = Fraction(d_num, a * b)
-    worst = Fraction(0)
-    witness = None
-    for _ in range(trials):
-        X = mask_of(rng.sample(a_list, x_size))
-        Y = mask_of(rng.sample(b_list, y_size))
-        dev = abs(d - density(G, X, Y))
-        if dev > worst:
-            worst = dev
-            if dev >= alpha:
-                witness = (X, Y)
-    return RegularityReport(
-        passed=worst < alpha,
-        mode="sampled",
-        deviation=worst,
-        samples=trials,
-        witness_S=witness[0] if witness else None,
-        witness_T=witness[1] if witness else None,
+    return _sampled_scan(
+        G,
+        lambda rng: (mask_of(rng.sample(a_list, x_size)), mask_of(rng.sample(b_list, y_size))),
+        d,
+        fails,
+        trials,
+        seed,
     )
 
 
 def slicing_alpha(alpha, L0: int, Li: int, Lj: int) -> Fraction:
     """Degraded parameter alpha' = max{2a, (L0/Li)a, (L0/Lj)a} for slices."""
-    alpha = _as_fraction(alpha)
+    alpha = Fraction(alpha)
     if not (1 <= Li <= L0 and 1 <= Lj <= L0):
         raise ValueError("slice sizes must satisfy 1 <= Li,Lj <= L0")
     return max(2 * alpha, Fraction(L0, Li) * alpha, Fraction(L0, Lj) * alpha)
@@ -323,7 +309,6 @@ def verify_slicing(
     Lj: int,
     trials: int = 100,
     seed: int = 0,
-    exact_limit: int = 24,
 ):
     """Property harness for the slicing conclusion.
 
@@ -332,14 +317,14 @@ def verify_slicing(
     alpha'-regular (exact mode) with density inside (d - alpha, d + alpha).
     Returns (violations, trials).
     """
-    alpha = _as_fraction(alpha)
+    alpha = Fraction(alpha)
     a_list, b_list = sorted(bits(A)), sorted(bits(B))
     L0 = len(a_list)
     if len(b_list) != L0:
         raise ValueError("slicing harness needs |A| = |B|")
     if not (Fraction(Li) > alpha * L0 and Fraction(Lj) > alpha * L0):
         raise ValueError("slice sizes must exceed alpha * L0")
-    src = is_regular_pair(G, A, B, alpha, mode="exact", exact_limit=exact_limit)
+    src = is_regular_pair(G, A, B, alpha, mode="exact")
     if not src.passed:
         raise ValueError("source pair is not alpha-regular")
     d = density(G, A, B)
@@ -349,7 +334,7 @@ def verify_slicing(
     for _ in range(trials):
         X = mask_of(rng.sample(a_list, Li))
         Y = mask_of(rng.sample(b_list, Lj))
-        rep = is_regular_pair(G, X, Y, aprime, mode="exact", exact_limit=exact_limit)
+        rep = is_regular_pair(G, X, Y, aprime, mode="exact")
         dxy = density(G, X, Y)
         if not rep.passed or not (d - alpha < dxy < d + alpha):
             violations += 1
@@ -422,7 +407,7 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
     l/n <= E/2 under which the inequality is derived. Both the hypothesis
     check and the displayed inequality are reported independently.
     """
-    E = _as_fraction(E)
+    E = Fraction(E)
     n = G.n
     ell = len(outer)
     if ell != len(inner) or ell < 2:
@@ -477,7 +462,7 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
 
 def cluster_graph(G: Graph, parts, threshold) -> Graph:
     """Auxiliary graph on the parts: i ~ j iff d(parts[i], parts[j]) >= threshold."""
-    threshold = _as_fraction(threshold)
+    threshold = Fraction(threshold)
     ell = len(parts)
     if ell < 2:
         raise ValueError("need at least 2 parts")
@@ -516,7 +501,7 @@ class ConstantSchedule:
 
     def __post_init__(self):
         for name in ("epsilon", "E0", "E1", "eta", "delta", "gamma"):
-            setattr(self, name, _as_fraction(getattr(self, name)))
+            setattr(self, name, Fraction(getattr(self, name)))
         for name in ("f", "k", "S0", "S1", "m"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
                 raise ValueError("%s must be a positive integer" % name)

@@ -109,7 +109,7 @@ class JumbleGStrategy(Strategy):
     """
 
     def __init__(self, eps):
-        eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
+        eps = Fraction(eps)
         if not 0 < eps < Fraction(1, 2):
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = eps

@@ -363,6 +363,13 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["solve", "--n", "4", "--property", "subgraph:K1"]) == 2  # holds at start
     assert main(["play", "--n", "5", "--property", "subgraph:K1"]) == 2
     assert main(["sweep", "--n", "5:6", "--property", "subgraph:K1"]) == 2
+    assert main(["verify", "regular-pair", "--graph", "K6"]) == 2  # no --A/--B
+    for mode in ("exact", "sampled"):
+        assert main(["verify", "regular-pair", "--graph", "K6", "--A", "0,1", "--B", "2,99",
+                     "--mode", mode]) == 2  # vertex 99 is not in K6
+    assert main(["verify", "slicing", "--graph", "K6", "--A", "0,1", "--B", "2,99",
+                 "--L0", "2", "--Li", "2", "--Lj", "2"]) == 2
+    assert main(["verify", "slicing", "--graph", "K6", "--A", "0,1"]) == 2  # no --B
     capsys.readouterr()  # swallow the error prints
 
 

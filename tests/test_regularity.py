@@ -33,6 +33,7 @@ from edgegames import (
     validate_constants,
     verify_slicing,
 )
+from edgegames import regularity
 from edgegames.regularity import is_equipartition
 
 HALF = Fraction(1, 2)
@@ -77,21 +78,21 @@ def test_check_p1():
 
 
 def oracle_p2(G, eps):
-    """Second enumerator: worst deviation over qualifying disjoint pairs."""
+    """Second enumerator over qualifying disjoint pairs in (|S|, S, |T|, T)
+    order: (worst deviation, pair count, first pair at the worst deviation)."""
     n = G.n
-    worst = Fraction(0)
-    for s_size in range(1, n):
-        if Fraction(s_size) <= eps * n:
-            continue
+    sizes = [k for k in range(1, n + 1) if Fraction(k) > eps * n]
+    worst, count, first = Fraction(0), 0, None
+    for s_size in sizes:
         for S in itertools.combinations(range(n), s_size):
             rest = sorted(set(range(n)) - set(S))
-            for t_size in range(1, len(rest) + 1):
-                if Fraction(t_size) <= eps * n:
-                    continue
+            for t_size in sizes:
                 for T in itertools.combinations(rest, t_size):
+                    count += 1
                     dev = abs(density(G, mask_of(S), mask_of(T)) - HALF)
-                    worst = max(worst, dev)
-    return worst
+                    if dev > worst:
+                        worst, first = dev, (mask_of(S), mask_of(T))
+    return worst, count, first
 
 
 def test_p2_exact_empty_graph():
@@ -103,15 +104,27 @@ def test_p2_exact_empty_graph():
     assert check_p2(empty_graph(6), Fraction(9, 10), mode="exact").passed
 
 
-def test_p2_exact_matches_oracle():
+# the exact scan works in row blocks; 64 cells puts one or two rows in each
+BLOCK_SIZES = (regularity._BLOCK_CELLS, 64)
+
+
+def test_p2_exact_matches_oracle(monkeypatch):
     rng = random.Random(7)
     for trial in range(6):
         G = random_graph(7, 0.5, rng)
-        for eps in (Fraction(1, 7), Fraction(1, 4), Fraction(2, 5)):
-            rep = check_p2(G, eps, mode="exact")
-            worst = oracle_p2(G, eps)
-            assert rep.deviation == worst, (trial, eps)
-            assert rep.passed == (worst <= eps)
+        # at eps = 1/2 sets need 4 of the 7 vertices, so no pair qualifies
+        for eps in (Fraction(1, 7), Fraction(1, 4), Fraction(2, 5), HALF):
+            worst, count, first = oracle_p2(G, eps)
+            want = first if worst > eps else (None, None)
+            for block_cells in BLOCK_SIZES:
+                monkeypatch.setattr(regularity, "_BLOCK_CELLS", block_cells)
+                rep = check_p2(G, eps, mode="exact")
+                assert rep.deviation == worst, (trial, eps, block_cells)
+                assert rep.samples == count, (trial, eps, block_cells)
+                assert rep.passed == (worst <= eps)
+                assert (rep.witness_S, rep.witness_T) == want, (trial, eps, block_cells)
+            if eps == HALF:
+                assert count == 0 and rep.passed and rep.witness_S is None
 
 
 def test_p2_witness_is_a_violation():
@@ -189,10 +202,11 @@ def test_jumbleg_eps_threshold():
 # ---------------------------------------------------------------------------
 
 def oracle_regular_pair(G, A_verts, B_verts, alpha):
-    """Worst density deviation over qualifying sub-pairs, by full enumeration."""
+    """(worst density deviation, sub-pair count) over qualifying sub-pairs,
+    by full enumeration."""
     a, b = len(A_verts), len(B_verts)
     d = density(G, mask_of(A_verts), mask_of(B_verts))
-    worst = Fraction(0)
+    worst, count = Fraction(0), 0
     for xs in range(1, a + 1):
         if Fraction(xs) <= alpha * a:
             continue
@@ -201,8 +215,9 @@ def oracle_regular_pair(G, A_verts, B_verts, alpha):
                 if Fraction(ys) <= alpha * b:
                     continue
                 for Y in itertools.combinations(B_verts, ys):
+                    count += 1
                     worst = max(worst, abs(d - density(G, mask_of(X), mask_of(Y))))
-    return worst
+    return worst, count
 
 
 def test_regular_pair_complete_bipartite():
@@ -226,16 +241,19 @@ def test_regular_pair_half_graph_witness():
     assert dev == rep.deviation
 
 
-def test_regular_pair_matches_oracle():
+def test_regular_pair_matches_oracle(monkeypatch):
     rng = random.Random(21)
     for trial in range(8):
         A_verts, B_verts = list(range(4)), list(range(4, 9))
         G = random_bipartite(A_verts, B_verts, 0.5, rng, 9)
         for alpha in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            rep = is_regular_pair(G, mask_of(A_verts), mask_of(B_verts), alpha)
-            worst = oracle_regular_pair(G, A_verts, B_verts, alpha)
-            assert rep.deviation == worst, (trial, alpha)
-            assert rep.passed == (worst < alpha)  # strict threshold
+            worst, count = oracle_regular_pair(G, A_verts, B_verts, alpha)
+            for block_cells in BLOCK_SIZES:
+                monkeypatch.setattr(regularity, "_BLOCK_CELLS", block_cells)
+                rep = is_regular_pair(G, mask_of(A_verts), mask_of(B_verts), alpha)
+                assert rep.deviation == worst, (trial, alpha, block_cells)
+                assert rep.samples == count, (trial, alpha, block_cells)
+                assert rep.passed == (worst < alpha)  # strict threshold
 
 
 def test_regular_pair_strictness():
@@ -262,6 +280,9 @@ def test_regular_pair_validation():
             mask_of(range(13, 26)),
             HALF,
         )  # over the exact cap
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError):
+            is_regular_pair(G, mask_of([0, 1]), mask_of([2, 99]), HALF, mode=mode)
 
 
 def test_regular_pair_sampled_one_sided():
