@@ -151,28 +151,18 @@ def cmd_verify(args) -> int:
         }
     elif args.check == "slicing":
         alpha = Fraction(args.alpha)
+        L0 = 1 if args.L0 is None else args.L0
+        payload = {"check": "slicing"}
         if args.A or args.B:
+            A, B = _vertex_mask(args.A), _vertex_mask(args.B)
+            if args.L0 is not None and args.L0 != A.bit_count():
+                raise ValueError("--L0 must equal |A| = %d when --A/--B are given" % A.bit_count())
+            L0 = A.bit_count()
             violations, trials = verify_slicing(
-                G,
-                _vertex_mask(args.A),
-                _vertex_mask(args.B),
-                alpha,
-                args.Li,
-                args.Lj,
-                trials=args.trials,
-                seed=args.seed,
+                G, A, B, alpha, args.Li, args.Lj, trials=args.trials, seed=args.seed
             )
-            payload = {
-                "check": "slicing",
-                "alpha_prime": str(slicing_alpha(alpha, args.L0, args.Li, args.Lj)),
-                "violations": violations,
-                "trials": trials,
-            }
-        else:
-            payload = {
-                "check": "slicing",
-                "alpha_prime": str(slicing_alpha(alpha, args.L0, args.Li, args.Lj)),
-            }
+            payload.update(violations=violations, trials=trials)
+        payload["alpha_prime"] = str(slicing_alpha(alpha, L0, args.Li, args.Lj))
     else:
         raise ValueError("unknown check %r" % args.check)
     _write(json.dumps(payload, sort_keys=True) + "\n", args.out)
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--B", default=None)
     verify.add_argument("--parts", type=int, default=2)
     verify.add_argument("--inner-size", type=int, default=1)
-    verify.add_argument("--L0", type=int, default=1)
+    verify.add_argument("--L0", type=int, default=None, help="|A| when --A/--B are given, else 1")
     verify.add_argument("--Li", type=int, default=1)
     verify.add_argument("--Lj", type=int, default=1)
     verify.add_argument("--out", default=None)

@@ -3,16 +3,22 @@
 Two players alternately claim edges of K_n. Under the avoider-enforcer
 convention the property is evaluated on Avoider's graph immediately after
 each Avoider move; under maker-breaker it is Maker's graph after each Maker
-move. Internally the property-graph owner is "player 0" (the builder) and
-the opponent is "player 1"; the convention only changes the role labels.
+move. Internally the property-graph owner is the builder (claim code 1)
+and the other player is the opponent (code 2); the convention only changes
+the role labels.
 
 The builder moves first by default. Round r is complete once both players
 hold r edges; with an odd board the first mover takes the final unpaired
 edge and the match ends mid-round.
+
+One `Board` holds who claimed which edge for play, the strategies, the
+exact solver and the sweep monitor; its `claim` and `undo` are the only
+writers of claim codes, masks and counts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +37,6 @@ from .graphs import (
     greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     is_k_colorable,
     chromatic_number,
-    num_edges,
 )
 
 AVOIDER_ENFORCER = "avoider-enforcer"
@@ -169,6 +174,12 @@ class GameRules:
         return _ROLE_NAMES[self.convention][player]
 
 
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> list:
+    """edge_pairs(n), shared by the boards on n vertices; never mutated."""
+    return edge_pairs(n)
+
+
 _ENDPOINT_CACHE: dict = {}
 
 
@@ -183,37 +194,49 @@ def _endpoints(n: int):
     return _ENDPOINT_CACHE[n]
 
 
-class GameState:
-    """Claim status per edge of K_n plus derived per-player structure.
+class Board:
+    """Who claimed which edge of K_n; `claim` and `undo` are its only writers.
 
-    apply_move mutates in place (and returns self): full matches on boards of
-    a few hundred vertices are too hot for copy-per-move. Use `copy()` when a
-    snapshot is needed; the exact solver keeps its own undo stack instead.
+    `claims` holds one claim code per edge id (fast scalar reads) and `codes`
+    is a zero-copy int8 numpy view of the same buffer (vector reads). `adj`
+    holds both players' adjacency masks. The exact solver also sets `key` to
+    `codes @ W` and `rows` to the weight rows per player; while `key` is set,
+    claim and undo keep it equal to `codes @ W`.
     """
 
-    def __init__(self, rules: GameRules):
-        self.rules = rules
-        n = rules.n
+    def __init__(self, n: int, first_mover: int = BUILDER):
         self.n = n
-        self.claims = np.zeros(num_edges(n), dtype=np.int8)
+        self.first = first_mover
+        self.pairs = _pairs(n)
+        self.m = len(self.pairs)
+        self.claims = bytearray(self.m)
+        self.codes = np.frombuffer(self.claims, dtype=np.int8)
         self.adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
-        self.deg = {
-            BUILDER: np.zeros(n, dtype=np.int64),
-            OPPONENT: np.zeros(n, dtype=np.int64),
-        }
         self.counts = {BUILDER: 0, OPPONENT: 0}
-        self.unclaimed = num_edges(n)
+        self.unclaimed = self.m
+        self.key = self.rows = None
 
-    def copy(self) -> "GameState":
-        other = GameState.__new__(GameState)
-        other.rules = self.rules
-        other.n = self.n
-        other.claims = self.claims.copy()
-        other.adj = {p: list(rows) for p, rows in self.adj.items()}
-        other.deg = {p: d.copy() for p, d in self.deg.items()}
-        other.counts = dict(self.counts)
-        other.unclaimed = self.unclaimed
-        return other
+    def claim(self, eid: int, player: int) -> None:
+        self.claims[eid] = player
+        u, v = self.pairs[eid]
+        adj = self.adj[player]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        self.counts[player] += 1
+        self.unclaimed -= 1
+        if self.key is not None:
+            self.key += self.rows[player][eid]
+
+    def undo(self, eid: int, player: int) -> None:
+        self.claims[eid] = UNCLAIMED
+        u, v = self.pairs[eid]
+        adj = self.adj[player]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        self.counts[player] -= 1
+        self.unclaimed += 1
+        if self.key is not None:
+            self.key -= self.rows[player][eid]
 
     @property
     def round(self) -> int:
@@ -221,11 +244,11 @@ class GameState:
         return min(self.counts[BUILDER], self.counts[OPPONENT])
 
     def whose_turn(self) -> Optional[int]:
-        first = self.rules.first_mover
-        second = OPPONENT if first == BUILDER else BUILDER
         if self.unclaimed == 0:
             return None
-        return first if self.counts[first] == self.counts[second] else second
+        if self.counts[BUILDER] == self.counts[OPPONENT]:
+            return self.first
+        return OPPONENT if self.first == BUILDER else BUILDER
 
     def builder_graph(self) -> Graph:
         return _trusted_graph(self.n, self.adj[BUILDER])
@@ -234,8 +257,17 @@ class GameState:
         return _trusted_graph(self.n, self.adj[OPPONENT])
 
 
-def new_game(rules: GameRules) -> GameState:
-    return GameState(rules)
+class GameState(Board):
+    """A board under a match's rules, plus the per-player numpy degree
+    vectors that the JumbleG strategy reads. apply_move mutates it in place."""
+
+    def __init__(self, rules: GameRules):
+        super().__init__(rules.n, rules.first_mover)
+        self.rules = rules
+        self.deg = {
+            BUILDER: np.zeros(rules.n, dtype=np.int64),
+            OPPONENT: np.zeros(rules.n, dtype=np.int64),
+        }
 
 
 def apply_move(state: GameState, player: int, edge) -> GameState:
@@ -251,22 +283,11 @@ def apply_move(state: GameState, player: int, edge) -> GameState:
         )
     if state.claims[eid] != UNCLAIMED:
         raise IllegalMoveError("edge (%d,%d) already claimed" % (u, v))
-    state.claims[eid] = player
-    state.adj[player][u] |= 1 << v
-    state.adj[player][v] |= 1 << u
-    state.deg[player][u] += 1
-    state.deg[player][v] += 1
-    state.counts[player] += 1
-    state.unclaimed -= 1
+    state.claim(eid, player)
+    deg = state.deg[player]
+    deg[u] += 1
+    deg[v] += 1
     return state
-
-
-def avoider_graph(state: GameState) -> Graph:
-    return state.builder_graph()
-
-
-def enforcer_graph(state: GameState) -> Graph:
-    return state.opponent_graph()
 
 
 @dataclass
@@ -277,8 +298,8 @@ class Transcript:
     property_descriptor: str
     seed: Optional[int]
     moves: list  # (round, role_name, u, v, note)
-    result: str  # "hit" | "never"
-    t: int  # hitting round, -1 when never
+    result: str  # "hit" | "never" | "capped"
+    t: int  # hitting round, -1 unless hit
     final_claims: tuple
 
     def to_jsonl(self) -> str:
@@ -310,7 +331,7 @@ def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:
     rules = GameRules(
         n=transcript.n, prop=prop, convention=transcript.convention, first_mover=first
     )
-    state = new_game(rules)
+    state = GameState(rules)
     names = {v: k for k, v in _ROLE_NAMES[transcript.convention].items()}
     for _, role, u, v, _ in transcript.moves:
         apply_move(state, names[role], (u, v))
@@ -327,15 +348,14 @@ def play_match(
     """Play a full match; the builder's graph is checked after each builder move.
 
     Returns a transcript with the hitting round of the first builder move that
-    creates the property, or "never" if the board is exhausted (or max_rounds
-    builder moves were made) without it. Raises ValueError if max_rounds < 1
-    or if the property holds on the empty graph.
+    creates the property, "never" if the board is exhausted without it, or
+    "capped" (t = -1) if max_rounds builder moves were made without it while
+    edges were still unclaimed. Raises ValueError if max_rounds < 1 or if the
+    property holds on the empty graph.
     """
-    if max_rounds is None:
-        max_rounds = num_edges(rules.n)
-    elif max_rounds < 1:
+    if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    state = new_game(rules)
+    state = GameState(rules)
     require_absent(rules.prop, state.n, state.adj[BUILDER])
     strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
     moves = []
@@ -360,7 +380,8 @@ def play_match(
             if rules.prop.hit_after_state(state, u, v):
                 result, t = "hit", state.counts[BUILDER]
                 break
-            if state.counts[BUILDER] >= max_rounds:
+            if state.counts[BUILDER] == max_rounds and state.unclaimed:
+                result = "capped"
                 break
     return Transcript(
         n=rules.n,
@@ -371,5 +392,5 @@ def play_match(
         moves=moves,
         result=result,
         t=t,
-        final_claims=tuple(int(c) for c in state.claims),
+        final_claims=tuple(state.claims),
     )

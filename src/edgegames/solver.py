@@ -8,11 +8,12 @@ evaluated immediately after each builder move, exactly like the engine.
 With symmetry on (n <= 7), positions are memoized up to vertex relabelling.
 The key of a claim map is the smallest base-3 number, over all n!
 vertex permutations, that the relabelled claim string spells. The search
-keeps one such number per permutation in a vector and updates it
-incrementally: claiming edge e for a player adds claims[e] times e's weight
-row to it, and undoing the claim subtracts it again, so a node costs one
-n!-wide add and one min instead of n! relabellings. The claim map alone
-determines whose turn it is and the round, so nothing else enters the key.
+is an engine `Board` that keeps one such number per permutation in a
+vector, updated by the board's own claim and undo: claiming edge e for a
+player adds claims[e] times e's weight row to it, and undoing the claim
+subtracts it again, so a node costs one n!-wide add and one min instead of
+n! relabellings. The claim map alone determines whose turn it is and the
+round, so nothing else enters the key.
 
 Assumes a detector whose property is absent at the start (checked with
 the full `holds`), so its incremental hit checks are sound.
@@ -27,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BUILDER, GameRules, GameState, OPPONENT, UNCLAIMED, require_absent
-from .graphs import edge_pairs, num_edges
+from .engine import BUILDER, Board, GameRules, GameState, OPPONENT, UNCLAIMED, require_absent
+from .graphs import edge_pairs
 
 NEVER = math.inf
 MAX_SYMMETRY_N = 7  # n! permutations per weight table: 5040 at n = 7
@@ -80,70 +81,43 @@ def canonical_claims(claims, n: int) -> bytes:
     return bytes(claims[by_position].astype(np.uint8))
 
 
-class _Search:
+class _Search(Board):
     """Minimax from a start position, given as one claim code per edge id."""
 
     def __init__(self, rules: GameRules, budget: Optional[int], symmetry: bool, start=()):
-        self.n = rules.n
+        super().__init__(rules.n, rules.first_mover)
         self.prop = rules.prop
-        self.first = rules.first_mover
         self.budget = budget
-        self.pairs = edge_pairs(self.n)
-        self.m = num_edges(self.n)
-        self.claims = bytearray(self.m)
-        self.adj = [0] * self.n  # builder's graph only
-        self.counts = {BUILDER: 0, OPPONENT: 0}
         self.nodes = 0
         self.memo = {}
-        self.key = None  # per-permutation key vector, when symmetry is on
-        if symmetry:
-            W = _weights(self.n)
-            self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
-            self.key = np.zeros(W.shape[1], dtype=np.int64)
+        W = _weights(self.n) if symmetry else None
         for eid, c in enumerate(start):
             if c != UNCLAIMED:
-                self.claim(eid, int(c))
-        require_absent(self.prop, self.n, self.adj)
-
-    def _turn(self) -> int:
-        second = OPPONENT if self.first == BUILDER else BUILDER
-        return self.first if self.counts[self.first] == self.counts[second] else second
-
-    def claim(self, eid: int, player: int) -> None:
-        self.claims[eid] = player
-        self.counts[player] += 1
-        if self.key is not None:
-            self.key += self.rows[player][eid]
-        if player == BUILDER:
-            u, v = self.pairs[eid]
-            self.adj[u] |= 1 << v
-            self.adj[v] |= 1 << u
-
-    def undo(self, eid: int, player: int) -> None:
-        self.claims[eid] = UNCLAIMED
-        self.counts[player] -= 1
-        if self.key is not None:
-            self.key -= self.rows[player][eid]
-        if player == BUILDER:
-            u, v = self.pairs[eid]
-            self.adj[u] &= ~(1 << v)
-            self.adj[v] &= ~(1 << u)
+                self.claim(eid, c)
+        if W is not None:
+            self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
+            self.key = self.codes @ W
+        require_absent(self.prop, self.n, self.adj[BUILDER])
 
     def best(self):
         """(value, first optimal edge id) for the player to move at the
         current position, which must have an unclaimed edge."""
-        turn = self._turn()
+        turn = self.whose_turn()
         builder = turn == BUILDER
+        n, claims, pairs, counts = self.n, self.claims, self.pairs, self.counts
+        adj = self.adj[BUILDER]
+        hit = self.prop.hit_after_masks
+        claim, undo, value = self.claim, self.undo, self._value
         best = move = None
         for eid in range(self.m):
-            if self.claims[eid] != UNCLAIMED:
+            if claims[eid] != UNCLAIMED:
                 continue
-            self.claim(eid, turn)
-            if builder and self.prop.hit_after_masks(self.n, self.adj, *self.pairs[eid]):
-                val = self.counts[BUILDER]
+            claim(eid, turn)
+            if builder and hit(n, adj, *pairs[eid]):
+                val = counts[BUILDER]
             else:
-                val = self._value()
-            self.undo(eid, turn)
+                val = value()
+            undo(eid, turn)
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
         return best, move
@@ -153,14 +127,15 @@ class _Search:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExhausted()
-        if self.counts[BUILDER] + self.counts[OPPONENT] == self.m:
+        if self.unclaimed == 0:
             return NEVER
         if self.key is None:
             return self.best()[0]
         key = int(self.key.min())
-        if key not in self.memo:
-            self.memo[key] = self.best()[0]
-        return self.memo[key]
+        val = self.memo.get(key)
+        if val is None:
+            val = self.memo[key] = self.best()[0]
+        return val
 
 
 def solve_tau(

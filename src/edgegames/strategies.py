@@ -41,10 +41,10 @@ class FirstAvailableStrategy(Strategy):
     descriptor = "first"
 
     def next_move(self, state, player):
-        free = np.flatnonzero(state.claims == UNCLAIMED)
-        if len(free) == 0:
+        eid = state.claims.find(UNCLAIMED)
+        if eid < 0:
             raise RuntimeError("no moves left")
-        return edge_of(int(free[0]), state.n)
+        return edge_of(eid, state.n)
 
 
 class RandomStrategy(Strategy):
@@ -59,7 +59,7 @@ class RandomStrategy(Strategy):
         return RandomStrategy(self.seed if self.seed is not None else seed)
 
     def next_move(self, state, player):
-        free = np.flatnonzero(state.claims == UNCLAIMED)
+        free = np.flatnonzero(state.codes == UNCLAIMED)
         if len(free) == 0:
             raise RuntimeError("no moves left")
         return edge_of(int(free[self._rng.randrange(len(free))]), state.n)
@@ -88,15 +88,15 @@ class TuranAvoiderStrategy(Strategy):
 
     def next_move(self, state, player):
         cross = self._cross(state.n)
-        free_cross = cross[state.claims[cross] == UNCLAIMED]
+        free_cross = cross[state.codes[cross] == UNCLAIMED]
         if len(free_cross):
             self.last_note = None
             return edge_of(int(free_cross[0]), state.n)
-        free = np.flatnonzero(state.claims == UNCLAIMED)
-        if len(free) == 0:
+        eid = state.claims.find(UNCLAIMED)
+        if eid < 0:
             raise RuntimeError("no moves left")
         self.last_note = "fallback"
-        return edge_of(int(free[0]), state.n)
+        return edge_of(eid, state.n)
 
 
 class JumbleGStrategy(Strategy):
@@ -114,19 +114,29 @@ class JumbleGStrategy(Strategy):
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = eps
         self.descriptor = "jumbleg:%s" % eps
+        # per-edge key buffers, reused every move: fresh m-sized temporaries
+        # per move can page-fault on every move, depending on heap layout
+        self._key = self._part = np.empty(0, dtype=np.int64)
+
+    def fork(self, seed):
+        return JumbleGStrategy(self.eps)  # its own buffers
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
         # enforcer this is the spec'd (d_A(u)-d_E(u)) + (d_A(v)-d_E(v)) key
+        if state.unclaimed == 0:
+            raise RuntimeError("no moves left")
+        if len(self._key) != state.m:
+            self._key, self._part = np.empty((2, state.m), dtype=np.int64)
+        key, part = self._key, self._part
         other = 3 - player  # BUILDER=1, OPPONENT=2
         diff = state.deg[other] - state.deg[player]
         u_idx, v_idx = _endpoints(state.n)
-        key = diff[u_idx] + diff[v_idx]
-        free = state.claims == UNCLAIMED
-        if not free.any():
-            raise RuntimeError("no moves left")
-        key = np.where(free, key, np.iinfo(np.int64).min)
-        return edge_of(int(np.argmax(key)), state.n)
+        # mode="clip" writes straight into `out` (the default mode buffers)
+        np.take(diff, u_idx, out=key, mode="clip")
+        key += np.take(diff, v_idx, out=part, mode="clip")
+        np.putmask(key, state.codes, np.iinfo(np.int64).min)  # claimed edges
+        return edge_of(int(key.argmax()), state.n)
 
 
 def default_monitor_eps(n: int) -> float:

@@ -13,6 +13,7 @@ from edgegames import (
     OPPONENT,
     FirstAvailableStrategy,
     GameRules,
+    GameState,
     HasEdgeProperty,
     IllegalMoveError,
     InducedSubgraphProperty,
@@ -20,19 +21,16 @@ from edgegames import (
     RandomStrategy,
     SubgraphProperty,
     apply_move,
-    avoider_graph,
     complete_graph,
     cycle_graph,
-    enforcer_graph,
     graph_from_edges,
     graph_from_name,
-    new_game,
     parse_property,
     path_graph,
     play_match,
     replay,
 )
-from edgegames.engine import PropertyDetector
+from edgegames.engine import Board, PropertyDetector
 from edgegames.graphs import Graph, edge_pairs, num_edges
 
 
@@ -181,7 +179,7 @@ def test_role_names():
 
 
 def test_turn_alternation_builder_first():
-    state = new_game(rules(3))
+    state = GameState(rules(3))
     assert state.whose_turn() == BUILDER
     apply_move(state, BUILDER, (0, 1))
     assert state.whose_turn() == OPPONENT
@@ -192,14 +190,14 @@ def test_turn_alternation_builder_first():
 
 
 def test_turn_alternation_opponent_first():
-    state = new_game(rules(3, first_mover=OPPONENT))
+    state = GameState(rules(3, first_mover=OPPONENT))
     assert state.whose_turn() == OPPONENT
     apply_move(state, OPPONENT, (0, 1))
     assert state.whose_turn() == BUILDER
 
 
 def test_illegal_moves():
-    state = new_game(rules(4))
+    state = GameState(rules(4))
     apply_move(state, BUILDER, (0, 1))
     with pytest.raises(IllegalMoveError):
         apply_move(state, BUILDER, (0, 2))  # out of turn
@@ -214,15 +212,15 @@ def test_illegal_moves():
 
 
 def test_state_bookkeeping():
-    state = new_game(rules(4))
+    state = GameState(rules(4))
     apply_move(state, BUILDER, (0, 1))
     apply_move(state, OPPONENT, (2, 3))
     assert state.round == 1
     assert state.counts == {BUILDER: 1, OPPONENT: 1}
     assert state.unclaimed == num_edges(4) - 2
-    assert avoider_graph(state).has_edge(0, 1)
-    assert not avoider_graph(state).has_edge(2, 3)
-    assert enforcer_graph(state).has_edge(2, 3)
+    assert state.builder_graph().has_edge(0, 1)
+    assert not state.builder_graph().has_edge(2, 3)
+    assert state.opponent_graph().has_edge(2, 3)
     assert list(state.deg[BUILDER]) == [1, 1, 0, 0]
 
 
@@ -231,24 +229,48 @@ def test_state_bookkeeping():
 def test_state_graphs_equal_validated_graphs(n, data):
     # the state builds its graphs without re-validating symmetry; they must be
     # the same values, with the same hash, as fully validated graphs
-    state = new_game(rules(n))
+    state = GameState(rules(n))
     order = data.draw(st.permutations(edge_pairs(n)))
     for edge in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
         apply_move(state, state.whose_turn(), edge)
-    for player, G in ((BUILDER, avoider_graph(state)), (OPPONENT, enforcer_graph(state))):
+    for player, G in ((BUILDER, state.builder_graph()), (OPPONENT, state.opponent_graph())):
         validated = Graph(n, tuple(state.adj[player]))
         assert G == validated and hash(G) == hash(validated)
         assert G == graph_from_edges(n, G.edges())
 
 
-def test_state_copy_is_independent():
-    state = new_game(rules(4))
-    apply_move(state, BUILDER, (0, 1))
-    snap = state.copy()
-    apply_move(state, OPPONENT, (2, 3))
-    assert snap.counts[OPPONENT] == 0
-    assert snap.unclaimed == state.unclaimed + 1
-    assert not enforcer_graph(snap).has_edge(2, 3)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.sampled_from([BUILDER, OPPONENT]), st.data())
+def test_board_claim_undo_matches_rebuild(n, first, data):
+    # any claim/undo sequence leaves the board equal to one rebuilt from its
+    # claim codes alone, and the numpy view reads the same buffer
+    board = Board(n, first)
+    claimed = {}
+    for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
+        free = [e for e in range(num_edges(n)) if e not in claimed]
+        if claimed and (not free or data.draw(st.booleans())):
+            eid = data.draw(st.sampled_from(sorted(claimed)))
+            board.undo(eid, claimed.pop(eid))
+        else:
+            eid = data.draw(st.sampled_from(free))
+            claimed[eid] = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+            board.claim(eid, claimed[eid])
+    codes = [claimed.get(e, 0) for e in range(num_edges(n))]
+    adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
+    for eid, (u, v) in enumerate(edge_pairs(n)):
+        if codes[eid]:
+            adj[codes[eid]][u] |= 1 << v
+            adj[codes[eid]][v] |= 1 << u
+    counts = {p: codes.count(p) for p in (BUILDER, OPPONENT)}
+    assert list(board.claims) == codes
+    assert board.codes.tolist() == codes
+    assert board.adj == adj
+    assert board.counts == counts
+    assert board.unclaimed == codes.count(0)
+    assert board.round == min(counts.values())
+    second = OPPONENT if first == BUILDER else BUILDER
+    expected_turn = None if 0 not in codes else (first if counts[first] == counts[second] else second)
+    assert board.whose_turn() == expected_turn
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +293,7 @@ def test_property_checked_only_after_builder_moves():
     state = replay(tr, triangle_prop())
     # the hit, if any, is in the builder's graph
     if tr.result == "hit":
-        assert triangle_prop().holds(avoider_graph(state))
+        assert triangle_prop().holds(state.builder_graph())
 
 
 def test_never_outcome_exhausts_board():
@@ -292,9 +314,22 @@ def test_max_rounds_cap():
         rules(10, prop=triangle_prop()),
         max_rounds=2,
     )
-    assert tr.result in ("hit", "never")
+    assert tr.result == "capped" and tr.t == -1
     builder_moves = [m for m in tr.moves if m[1] == "avoider"]
     assert len(builder_moves) <= 2
+    assert json.loads(tr.to_jsonl().strip().split("\n")[-1]) == {
+        "type": "outcome", "result": "capped", "t": -1
+    }
+    # a cap reached on the move that exhausts the board is still "never",
+    # and a hit on the last allowed move is still a hit
+    tr = play_match(
+        FirstAvailableStrategy(), FirstAvailableStrategy(), rules(2, prop=triangle_prop()), max_rounds=1
+    )
+    assert (tr.result, tr.t) == ("never", -1)
+    tr = play_match(
+        FirstAvailableStrategy(), FirstAvailableStrategy(), rules(4, prop=triangle_prop()), max_rounds=3
+    )
+    assert (tr.result, tr.t) == ("hit", 3)
     for bad in (0, -3):
         with pytest.raises(ValueError):
             play_match(

@@ -5,9 +5,12 @@ exercised exactly as a shell user would see them.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegames import (
     HasEdgeProperty,
@@ -23,13 +26,16 @@ from edgegames import (
     turan_number,
 )
 from edgegames.cli import main
+from edgegames.graphs import bits, edge_index, num_edges
 from edgegames.harness import (
     CSV_COLUMNS,
+    margin_violation_fraction,
     match_seed,
     monitor_set_size,
     parse_n_range,
     property_bounds,
 )
+from edgegames.regularity import _random_disjoint_pair, jumbleg_margin
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +110,27 @@ def test_monitor_set_size():
     # small boards: quarter-size sets, capped at n//2 so a disjoint pair fits
     assert monitor_set_size(8, Fraction(1, 10)) == 2
     assert 2 * monitor_set_size(11, Fraction(1, 10)) <= 11
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_margin_violation_fraction_matches_per_pair_bound(data):
+    # the monitor compares integer margins with floor(bound) from one
+    # jumbleg_margin call; the reference counts edges from the claim codes
+    # and asks jumbleg_margin about every pair, with the same draws
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    m = num_edges(n)
+    claims = data.draw(st.lists(st.sampled_from([0, 1, 1, 1, 2]), min_size=m, max_size=m))
+    eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1, 10), Fraction(3, 20)]))
+    seed, pairs = data.draw(st.integers(min_value=0, max_value=2**32)), 30
+    size = monitor_set_size(n, eps)
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(pairs):
+        S, T = _random_disjoint_pair(rng, n, size, size)
+        cross = [claims[edge_index(min(u, v), max(u, v), n)] for u in bits(S) for v in bits(T)]
+        bad += not jumbleg_margin(cross.count(1), cross.count(2), size, size, eps)[2]
+    assert margin_violation_fraction(tuple(claims), n, eps, pairs, seed) == Fraction(bad, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +254,20 @@ def test_cli_play_writes_transcript(tmp_path):
     assert json.loads(lines[-1])["type"] == "outcome"
 
 
+def test_cli_play_max_rounds_is_capped(tmp_path):
+    out = tmp_path / "match.jsonl"
+    code = main(
+        [
+            "play", "--n", "8", "--avoider", "turan:2", "--enforcer", "random",
+            "--property", "subgraph:K3", "--seed", "5", "--max-rounds", "2", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().strip().split("\n")]
+    assert records[-1] == {"type": "outcome", "result": "capped", "t": -1}
+    assert [r["role"] for r in records[1:-1]] == ["avoider", "enforcer", "avoider"]
+
+
 def test_cli_solve(tmp_path):
     out = tmp_path / "solve.json"
     code = main(["solve", "--n", "4", "--property", "subgraph:K3", "--out", str(out)])
@@ -316,6 +357,14 @@ def test_cli_verify_slicing(tmp_path, graph_file=None):
     payload = json.loads(out.read_text())
     assert payload["violations"] == 0 and payload["trials"] == 20
     assert payload["alpha_prime"] == "2/3"
+    # without --L0 the check derives L0 = |A| and reports the same alpha'
+    code = main(
+        ["verify", "slicing", "--graph", "Kpartite:6,6", "--alpha", "1/3",
+         "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11",
+         "--Li", "3", "--Lj", "3", "--trials", "20", "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["alpha_prime"] == "2/3"
 
 
 def test_cli_verify_graph_file(tmp_path):
@@ -370,6 +419,9 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["verify", "slicing", "--graph", "K6", "--A", "0,1", "--B", "2,99",
                  "--L0", "2", "--Li", "2", "--Lj", "2"]) == 2
     assert main(["verify", "slicing", "--graph", "K6", "--A", "0,1"]) == 2  # no --B
+    assert main(["verify", "slicing", "--graph", "Kpartite:6,6", "--alpha", "1/3",
+                 "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11",
+                 "--L0", "12", "--Li", "3", "--Lj", "3"]) == 2  # L0 is |A| = 6
     capsys.readouterr()  # swallow the error prints
 
 

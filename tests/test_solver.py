@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from edgegames import (
     BUILDER,
     GameRules,
+    GameState,
     HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
@@ -26,7 +27,6 @@ from edgegames import (
     best_move,
     complete_graph,
     graph_from_name,
-    new_game,
     parse_property,
     solve_tau,
 )
@@ -284,7 +284,7 @@ def test_best_move_avoids_immediate_loss():
     # nc/first checks: best_move for the builder must not pick (1,2) when a
     # safe alternative with equal value exists -- here every alternative is
     # "never" on n=4, while (1,2) is an immediate hit.
-    state = new_game(triangle_rules(4))
+    state = GameState(triangle_rules(4))
     apply_move(state, BUILDER, (0, 1))
     apply_move(state, OPPONENT, (2, 3))
     apply_move(state, BUILDER, (0, 2))
@@ -292,14 +292,13 @@ def test_best_move_avoids_immediate_loss():
     mv = best_move(state, BUILDER)
     assert mv != (1, 2)
     # and the game value from here is never
-    st2 = state.copy()
-    apply_move(st2, BUILDER, mv)
+    apply_move(state, BUILDER, mv)
 
 
 def test_best_move_enforcer_minimizes():
     # n=5 triangle game value is 5 with optimal play; after the builder's
     # first move the enforcer's reply must preserve value <= 5
-    state = new_game(triangle_rules(5))
+    state = GameState(triangle_rules(5))
     apply_move(state, BUILDER, (0, 1))
     mv = best_move(state, OPPONENT)
     apply_move(state, OPPONENT, mv)
@@ -317,7 +316,7 @@ def test_property_already_held_at_start_is_rejected():
     # K1 is in every graph, so the empty board already has the property
     with pytest.raises(ValueError):
         solve_tau(GameRules(n=4, prop=SubgraphProperty([complete_graph(1)], "subgraph:K1")))
-    state = new_game(triangle_rules(5))
+    state = GameState(triangle_rules(5))
     for move in [(0, 1), (3, 4), (0, 2), (2, 4), (1, 2), (1, 4)]:
         apply_move(state, state.whose_turn(), move)  # builder now holds 0-1-2
     with pytest.raises(ValueError):
@@ -325,14 +324,14 @@ def test_property_already_held_at_start_is_rejected():
 
 
 def test_best_move_turn_check():
-    state = new_game(triangle_rules(4))
+    state = GameState(triangle_rules(4))
     with pytest.raises(ValueError):
         best_move(state, OPPONENT)
 
 
 def test_solver_result_best_move_is_optimal():
     res = solve_tau(triangle_rules(5))
-    state = new_game(triangle_rules(5))
+    state = GameState(triangle_rules(5))
     apply_move(state, BUILDER, res.best_move)  # must at least be legal
 
 

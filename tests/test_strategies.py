@@ -9,6 +9,7 @@ from edgegames import (
     BUILDER,
     FirstAvailableStrategy,
     GameRules,
+    GameState,
     HasEdgeProperty,
     JumbleGStrategy,
     OPPONENT,
@@ -16,10 +17,8 @@ from edgegames import (
     SubgraphProperty,
     TuranAvoiderStrategy,
     apply_move,
-    avoider_graph,
     complete_graph,
     is_k_colorable,
-    new_game,
     parse_strategy,
     play_match,
 )
@@ -28,7 +27,7 @@ from edgegames.strategies import default_monitor_eps
 
 
 def fresh_state(n):
-    return new_game(GameRules(n=n, prop=HasEdgeProperty()))
+    return GameState(GameRules(n=n, prop=HasEdgeProperty()))
 
 
 def triangle_rules(n):
@@ -93,7 +92,7 @@ def test_turan_graph_stays_colorable_through_cross_phase():
     # point its graph respects the 2-clustering, hence is bipartite
     s = TuranAvoiderStrategy(2)
     rules = GameRules(n=6, prop=SubgraphProperty([complete_graph(7)], "subgraph:K7"))
-    state = new_game(rules)
+    state = GameState(rules)
     opp = TuranAvoiderStrategy(2)  # mirror: also exhausts cross edges first
     cross_total = sum(
         1 for a in range(6) for b in range(a + 1, 6) if a % 2 != b % 2
@@ -106,7 +105,7 @@ def test_turan_graph_stays_colorable_through_cross_phase():
         if u % 2 != v % 2:
             seen_cross += 1
         apply_move(state, player, (u, v))
-        assert is_k_colorable(avoider_graph(state), 2)
+        assert is_k_colorable(state.builder_graph(), 2)
 
 
 def test_turan_fallback_note():
