@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,18 +181,20 @@ def _pairs(n: int) -> list:
     return edge_pairs(n)
 
 
-_ENDPOINT_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _incidence(n: int):
+    """The n x n edge-id table of K_n, shared and never mutated.
 
-
-def _endpoints(n: int):
-    """(u_idx, v_idx) numpy arrays over edge ids, cached per n."""
-    if n not in _ENDPOINT_CACHE:
-        pairs = edge_pairs(n)
-        _ENDPOINT_CACHE[n] = (
-            np.array([p[0] for p in pairs], dtype=np.int64),
-            np.array([p[1] for p in pairs], dtype=np.int64),
-        )
-    return _ENDPOINT_CACHE[n]
+    `inc[w, x]` is the id of edge wx, and the diagonal `inc[w, w]` is m, one
+    slot past the last edge id, so a row of `inc` lines up with a vertex
+    vector. It is intp, the dtype numpy indexes with, since JumbleG gathers
+    rows of it on every move.
+    """
+    m = n * (n - 1) // 2
+    inc = np.full((n, n), m, dtype=np.intp)
+    u, v = np.triu_indices(n, 1)  # edge ids in order
+    inc[u, v] = inc[v, u] = np.arange(m)
+    return inc
 
 
 class Board:
@@ -258,12 +261,16 @@ class Board:
 
 
 class GameState(Board):
-    """A board under a match's rules, plus the per-player numpy degree
-    vectors that the JumbleG strategy reads. apply_move mutates it in place."""
+    """A board under a match's rules, plus `log`, the claimed edge ids in
+    move order (an int32 array), and the per-player numpy degree vectors that
+    the JumbleG strategy reads. apply_move is its only writer and mutates it
+    in place; the incremental strategies read what it appended to `log`
+    since their last call."""
 
     def __init__(self, rules: GameRules):
         super().__init__(rules.n, rules.first_mover)
         self.rules = rules
+        self.log = array("i")  # int32 edge ids: a list would hold an int object per move
         self.deg = {
             BUILDER: np.zeros(rules.n, dtype=np.int64),
             OPPONENT: np.zeros(rules.n, dtype=np.int64),
@@ -284,10 +291,14 @@ def apply_move(state: GameState, player: int, edge) -> GameState:
     if state.claims[eid] != UNCLAIMED:
         raise IllegalMoveError("edge (%d,%d) already claimed" % (u, v))
     state.claim(eid, player)
+    state.log.append(eid)
     deg = state.deg[player]
     deg[u] += 1
     deg[v] += 1
     return state
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
 
 
 @dataclass
@@ -319,7 +330,7 @@ class Transcript:
                 rec["note"] = note
             records.append(rec)
         records.append({"type": "outcome", "result": self.result, "t": self.t})
-        return "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        return "\n".join(map(_encode, records)) + "\n"
 
 
 def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:

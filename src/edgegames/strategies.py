@@ -16,12 +16,13 @@ independent per-match instance before concurrent play.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .engine import GameState, UNCLAIMED, _endpoints
+from .engine import GameState, UNCLAIMED, _incidence
 from .graphs import edge_of
 
 
@@ -48,21 +49,33 @@ class FirstAvailableStrategy(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Uniform choice among unclaimed edges from a seeded stream."""
+    """Uniform choice among unclaimed edges from a seeded stream.
+
+    Keeps the sorted free edge ids of the board it last played on, and drops
+    the ids the board's log gained since; any other board is read afresh.
+    """
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self.descriptor = "random" if seed is None else "random:%d" % seed
         self._rng = random.Random(seed)
+        self._board, self._seen, self._free = None, 0, []
 
     def fork(self, seed):
         return RandomStrategy(self.seed if self.seed is not None else seed)
 
     def next_move(self, state, player):
-        free = np.flatnonzero(state.codes == UNCLAIMED)
-        if len(free) == 0:
+        log, free = state.log, self._free
+        if state is not self._board or len(log) < self._seen:
+            self._board = state
+            free = self._free = np.flatnonzero(state.codes == UNCLAIMED).tolist()
+        else:
+            for eid in log[self._seen:]:
+                del free[bisect_left(free, eid)]
+        self._seen = len(log)
+        if not free:
             raise RuntimeError("no moves left")
-        return edge_of(int(free[self._rng.randrange(len(free))]), state.n)
+        return edge_of(free[self._rng.randrange(len(free))], state.n)
 
 
 class TuranAvoiderStrategy(Strategy):
@@ -82,7 +95,7 @@ class TuranAvoiderStrategy(Strategy):
 
     def _cross(self, n: int):
         if n not in self._cross_ids:
-            u_idx, v_idx = _endpoints(n)
+            u_idx, v_idx = np.triu_indices(n, 1)  # edge ids in order
             self._cross_ids[n] = np.flatnonzero(u_idx % self.parts != v_idx % self.parts)
         return self._cross_ids[n]
 
@@ -99,6 +112,9 @@ class TuranAvoiderStrategy(Strategy):
         return edge_of(eid, state.n)
 
 
+_CLAIMED = np.iinfo(np.int64).min  # JumbleG key of a claimed edge
+
+
 class JumbleGStrategy(Strategy):
     """Discrepancy-greedy pseudo-randomizer.
 
@@ -106,6 +122,12 @@ class JumbleGStrategy(Strategy):
     (d_A(u) - d_E(u)) + (d_A(v) - d_E(v)) where d_A/d_E are the current
     builder/opponent degrees; ties go to the minimum edge id. Deterministic,
     and a pure function of the claim map.
+
+    Keeps the per-edge key of the board and player it last played for, and
+    that board's claimed flags. A move changes the degrees at its two
+    endpoints only, so each call recomputes just the edges at the endpoints
+    of the board's new log entries; any other board or player is keyed
+    afresh. Claimed edges are keyed int64 min.
     """
 
     def __init__(self, eps):
@@ -114,29 +136,38 @@ class JumbleGStrategy(Strategy):
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = eps
         self.descriptor = "jumbleg:%s" % eps
-        # per-edge key buffers, reused every move: fresh m-sized temporaries
-        # per move can page-fault on every move, depending on heap layout
-        self._key = self._part = np.empty(0, dtype=np.int64)
+        self._board, self._player, self._seen = None, None, 0
+        self._key = self._claimed = None
 
     def fork(self, seed):
-        return JumbleGStrategy(self.eps)  # its own buffers
+        return JumbleGStrategy(self.eps)  # its own key
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
         # enforcer this is the spec'd (d_A(u)-d_E(u)) + (d_A(v)-d_E(v)) key
         if state.unclaimed == 0:
             raise RuntimeError("no moves left")
-        if len(self._key) != state.m:
-            self._key, self._part = np.empty((2, state.m), dtype=np.int64)
-        key, part = self._key, self._part
-        other = 3 - player  # BUILDER=1, OPPONENT=2
-        diff = state.deg[other] - state.deg[player]
-        u_idx, v_idx = _endpoints(state.n)
-        # mode="clip" writes straight into `out` (the default mode buffers)
-        np.take(diff, u_idx, out=key, mode="clip")
-        key += np.take(diff, v_idx, out=part, mode="clip")
-        np.putmask(key, state.codes, np.iinfo(np.int64).min)  # claimed edges
-        return edge_of(int(key.argmax()), state.n)
+        log, claimed = state.log, self._claimed
+        if state is not self._board or player != self._player or len(log) < self._seen:
+            self._board, self._player = state, player
+            # bool flags gather faster than the int8 codes; slot m, where the
+            # incidence table's diagonal points, counts as claimed
+            claimed = self._claimed = np.append(state.codes != UNCLAIMED, True)
+            self._key = np.empty(state.m + 1, dtype=np.int64)
+            touched = range(state.n)
+        else:
+            touched = set()
+            for eid in log[self._seen:]:
+                claimed[eid] = True
+                touched.update(state.pairs[eid])
+        self._seen = len(log)
+        ws = list(touched)
+        diff = state.deg[3 - player] - state.deg[player]  # BUILDER=1, OPPONENT=2
+        ids = _incidence(state.n).take(ws, axis=0)  # the edges at each w
+        key = diff.take(ws)[:, None] + diff
+        np.putmask(key, claimed.take(ids), _CLAIMED)
+        self._key[ids] = key
+        return edge_of(int(self._key.argmax()), state.n)
 
 
 def default_monitor_eps(n: int) -> float:

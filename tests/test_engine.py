@@ -30,8 +30,8 @@ from edgegames import (
     play_match,
     replay,
 )
-from edgegames.engine import Board, PropertyDetector
-from edgegames.graphs import Graph, edge_pairs, num_edges
+from edgegames.engine import Board, PropertyDetector, _incidence
+from edgegames.graphs import Graph, edge_index, edge_pairs, num_edges
 
 
 def triangle_prop():
@@ -222,6 +222,28 @@ def test_state_bookkeeping():
     assert not state.builder_graph().has_edge(2, 3)
     assert state.opponent_graph().has_edge(2, 3)
     assert list(state.deg[BUILDER]) == [1, 1, 0, 0]
+
+
+def test_apply_move_logs_claims_in_order():
+    state = GameState(rules(4, first_mover=OPPONENT))
+    apply_move(state, OPPONENT, (2, 3))
+    apply_move(state, BUILDER, (0, 1))
+    with pytest.raises(IllegalMoveError):
+        apply_move(state, OPPONENT, (0, 1))  # taken: nothing is logged
+    with pytest.raises(IllegalMoveError):
+        apply_move(state, BUILDER, (0, 2))  # out of turn
+    apply_move(state, OPPONENT, (1, 3))
+    assert state.log.tolist() == [edge_index(2, 3, 4), edge_index(0, 1, 4), edge_index(1, 3, 4)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_incidence_matches_edge_index(n):
+    inc = _incidence(n)
+    for w in range(n):
+        assert inc[w].tolist() == [
+            num_edges(n) if x == w else edge_index(min(w, x), max(w, x), n) for x in range(n)
+        ]
+    assert _incidence.cache_info().maxsize == 8
 
 
 @settings(max_examples=100, deadline=None)

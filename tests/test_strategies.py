@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegames import (
     BUILDER,
@@ -12,6 +15,7 @@ from edgegames import (
     GameState,
     HasEdgeProperty,
     JumbleGStrategy,
+    NotKColorableProperty,
     OPPONENT,
     RandomStrategy,
     SubgraphProperty,
@@ -22,8 +26,8 @@ from edgegames import (
     parse_strategy,
     play_match,
 )
-from edgegames.graphs import edge_index
-from edgegames.strategies import default_monitor_eps
+from edgegames.graphs import edge_index, edge_of
+from edgegames.strategies import Strategy, default_monitor_eps
 
 
 def fresh_state(n):
@@ -176,6 +180,85 @@ def test_jumbleg_matches_reference_scan():
         if player is None:
             continue
         assert s.next_move(state, player) == oracle_jumbleg_move(state, player)
+
+
+def pick_free(state, rng):
+    """RandomStrategy's pick, read afresh from the board: the reference."""
+    free = np.flatnonzero(state.codes == 0)
+    return edge_of(int(free[rng.randrange(len(free))]), state.n)
+
+
+class _Checked(Strategy):
+    """Plays `strat` once `start` edges are claimed (picks with `warm`
+    before that), asserting at every move that it picks what the
+    from-scratch `oracle` picks on the same board."""
+
+    def __init__(self, strat, oracle, start, warm):
+        self.strat, self.oracle, self.start, self.warm = strat, oracle, start, warm
+        self.descriptor = strat.descriptor
+
+    def next_move(self, state, player):
+        self.state = state
+        if state.m - state.unclaimed < self.start:
+            return pick_free(state, self.warm)
+        move = self.strat.next_move(state, player)
+        assert move == self.oracle(state, player)
+        return move
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.integers(2, 12),
+            st.sampled_from([BUILDER, OPPONENT]),
+            st.sampled_from(["builder", "opponent", "both", "shared"]),
+            st.integers(0, 8),
+            st.integers(0, 8),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_incremental_strategies_match_from_scratch_oracles(seed, games):
+    # whole games on full boards (nc:n never fires on n vertices); the same
+    # instances play every game, and each may first be called on a board
+    # that already has moves; "shared" is one JumbleG instance on both sides
+    jumbleg, jumbleg2 = JumbleGStrategy(Fraction(1, 10)), JumbleGStrategy(Fraction(1, 5))
+    rand, oracle_rng = RandomStrategy(seed), random.Random(seed)
+    rand_oracle = lambda state, player: pick_free(state, oracle_rng)  # noqa: E731
+    warm = random.Random(seed ^ 1)
+    for n, first, side, start_b, start_o in games:
+        if side == "opponent":
+            builder = _Checked(rand, rand_oracle, start_b, warm)
+        else:
+            builder = _Checked(jumbleg, oracle_jumbleg_move, start_b, warm)
+        if side == "builder":
+            opponent = _Checked(rand, rand_oracle, start_o, warm)
+        else:
+            other = jumbleg if side == "shared" else jumbleg2
+            opponent = _Checked(other, oracle_jumbleg_move, start_o, warm)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        tr = play_match(builder, opponent, rules)
+        assert tr.result == "never"
+        state = next(s.state for s in (builder, opponent) if hasattr(s, "state"))
+        assert state.unclaimed == 0
+        assert state.log.tolist() == [edge_index(u, v, n) for _, _, u, v, _ in tr.moves]
+
+
+def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
+    # board B's log is already longer than what the instances saw on board
+    # A, so only the board's identity tells them to read B afresh
+    jumbleg, rand, oracle_rng = JumbleGStrategy(Fraction(1, 10)), RandomStrategy(3), random.Random(3)
+    warm = random.Random(4)
+    for n, moves in ((6, 3), (6, 9), (7, 12)):
+        state = fresh_state(n)
+        for _ in range(moves):
+            apply_move(state, state.whose_turn(), pick_free(state, warm))
+        player = state.whose_turn()
+        assert jumbleg.next_move(state, player) == oracle_jumbleg_move(state, player)
+        assert rand.next_move(state, player) == pick_free(state, oracle_rng)
 
 
 def test_jumbleg_balances_builder_degrees():
