@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .engine import GameRules, IllegalMoveError, play_match
-from .graphs import load_graph, mask_of
+from .graphs import bits, load_graph, mask_of
 from .harness import (
     SweepConfig,
     format_bounds_text,
@@ -36,7 +36,7 @@ from .regularity import (
     verify_slicing,
 )
 from .solver import BudgetExhausted, solve_tau
-from .strategies import parse_strategy
+from .strategies import match_players
 
 
 def _write(text: str, out: str | None):
@@ -56,8 +56,7 @@ def _vertex_mask(spec: str | None) -> int:
 def cmd_play(args) -> int:
     prop = parse_property(args.property)
     rules = GameRules(n=args.n, prop=prop)
-    avoider = parse_strategy(args.avoider).fork(args.seed)
-    enforcer = parse_strategy(args.enforcer).fork(args.seed ^ 0x5DEECE66D)
+    avoider, enforcer = match_players(args.avoider, args.enforcer, args.seed)
     transcript = play_match(
         avoider, enforcer, rules, max_rounds=args.max_rounds, seed=args.seed
     )
@@ -128,16 +127,10 @@ def cmd_verify(args) -> int:
         )
         payload = {"check": "regular-pair", **report.to_json()}
     elif args.check == "density-lemma":
+        if args.inner_size < 1:
+            raise ValueError("--inner-size must be >= 1")
         outer = round_robin_partition(G.n, args.parts)
-        inner = []
-        for part in outer:
-            chosen = 0
-            for v in range(G.n):
-                if part >> v & 1:
-                    chosen |= 1 << v
-                    if chosen.bit_count() == args.inner_size:
-                        break
-            inner.append(chosen)
+        inner = [mask_of(list(bits(part))[: args.inner_size]) for part in outer]
         rep = check_density_lemma(G, outer, inner, Fraction(args.E))
         payload = {
             "check": "density-lemma",

@@ -262,8 +262,7 @@ class Board:
 
 class GameState(Board):
     """A board under a match's rules, plus `log`, the claimed edge ids in
-    move order (an int32 array), and the per-player numpy degree vectors that
-    the JumbleG strategy reads. apply_move is its only writer and mutates it
+    move order (an int32 array). apply_move is its only writer and mutates it
     in place; the incremental strategies read what it appended to `log`
     since their last call."""
 
@@ -271,13 +270,12 @@ class GameState(Board):
         super().__init__(rules.n, rules.first_mover)
         self.rules = rules
         self.log = array("i")  # int32 edge ids: a list would hold an int object per move
-        self.deg = {
-            BUILDER: np.zeros(rules.n, dtype=np.int64),
-            OPPONENT: np.zeros(rules.n, dtype=np.int64),
-        }
 
 
 def apply_move(state: GameState, player: int, edge) -> GameState:
+    """Claim `edge` for `player` in place and append its id to `state.log`.
+    Raises IllegalMoveError out of turn or on a claimed edge, and ValueError
+    on a malformed one."""
     u, v = edge
     if player not in (BUILDER, OPPONENT):
         raise IllegalMoveError("unknown player %r" % player)
@@ -292,9 +290,6 @@ def apply_move(state: GameState, player: int, edge) -> GameState:
         raise IllegalMoveError("edge (%d,%d) already claimed" % (u, v))
     state.claim(eid, player)
     state.log.append(eid)
-    deg = state.deg[player]
-    deg[u] += 1
-    deg[v] += 1
     return state
 
 

@@ -35,7 +35,7 @@ from .graphs import (
     turan_bounds,
 )
 from .regularity import _random_disjoint_pair, jumbleg_margin, least_size_above
-from .strategies import parse_strategy
+from .strategies import match_players
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
 
@@ -102,6 +102,8 @@ class SweepConfig:
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         self.eps = Fraction(self.eps)
+        if self.eps < 0:
+            raise ValueError("eps must be >= 0")
 
 
 @dataclass
@@ -157,8 +159,7 @@ def run_sweep(cfg: SweepConfig):
     for n in cfg.n_values:
         for trial in range(cfg.trials):
             seed = match_seed(cfg.master_seed, n, trial)
-            avoider = parse_strategy(cfg.avoider).fork(seed)
-            enforcer = parse_strategy(cfg.enforcer).fork(seed ^ 0x5DEECE66D)
+            avoider, enforcer = match_players(cfg.avoider, cfg.enforcer, seed)
             rules = GameRules(n=n, prop=prop)
             transcript = play_match(
                 avoider, enforcer, rules, max_rounds=cfg.max_rounds, seed=seed

@@ -21,6 +21,7 @@ the full `holds`), so its incremental hit checks are sound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,8 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BUILDER, Board, GameRules, GameState, OPPONENT, UNCLAIMED, require_absent
-from .graphs import edge_pairs
+from .engine import (
+    BUILDER, Board, GameRules, GameState, OPPONENT, UNCLAIMED, _incidence, require_absent,
+)
 
 NEVER = math.inf
 MAX_SYMMETRY_N = 7  # n! permutations per weight table: 5040 at n = 7
@@ -47,9 +49,7 @@ class SolveResult:
     best_move: Optional[tuple]  # an optimal first move, when known
 
 
-_WEIGHT_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _weights(n: int) -> np.ndarray:
     """int64 table W of shape (m, n!): W[e, p] = 3**(m-1-j), where j is the
     id of the edge that vertex permutation p (in itertools order) maps edge
@@ -57,19 +57,13 @@ def _weights(n: int) -> np.ndarray:
     string, and its maximum, 3**m - 1 < 2**63 for n <= 7, cannot overflow."""
     if n > MAX_SYMMETRY_N:
         raise ValueError("symmetry canonicalization supports n <= %d" % MAX_SYMMETRY_N)
-    if n not in _WEIGHT_CACHE:
-        pairs = edge_pairs(n)
-        m = len(pairs)
-        index = np.zeros((n, n), dtype=np.int64)
-        for j, (u, v) in enumerate(pairs):
-            index[u, v] = index[v, u] = j
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        lo, hi = np.array(pairs, dtype=np.int64).T
-        relabelled = index[perms[:, lo], perms[:, hi]]  # (n!, m)
-        W = 3 ** (m - 1 - relabelled.T)
-        W.flags.writeable = False  # rows are shared by every search
-        _WEIGHT_CACHE[n] = W
-    return _WEIGHT_CACHE[n]
+    m = n * (n - 1) // 2
+    perms = np.array(list(itertools.permutations(range(n))))
+    lo, hi = np.triu_indices(n, 1)  # edge ids in order
+    relabelled = _incidence(n)[perms[:, lo], perms[:, hi]].astype(np.int64, copy=False)
+    W = 3 ** (m - 1 - relabelled.T)
+    W.flags.writeable = False  # rows are shared by every search
+    return W
 
 
 def canonical_claims(claims, n: int) -> bytes:
@@ -85,6 +79,8 @@ class _Search(Board):
     """Minimax from a start position, given as one claim code per edge id."""
 
     def __init__(self, rules: GameRules, budget: Optional[int], symmetry: bool, start=()):
+        if budget is not None and budget < 0:
+            raise ValueError("budget must be >= 0")
         super().__init__(rules.n, rules.first_mover)
         self.prop = rules.prop
         self.budget = budget
@@ -145,8 +141,8 @@ def solve_tau(
 
     Returns Exact(t) as value="exact", t=t; value="never" if the builder can
     exhaust the board without the property; value="unknown" when the node
-    budget runs out. Raises ValueError if the property holds on the empty
-    graph.
+    budget runs out. Raises ValueError if the budget is negative or the
+    property holds on the empty graph.
     """
     search = _Search(rules, budget, symmetry)
     try:
@@ -163,8 +159,8 @@ def best_move(
     state: GameState, player: int, budget: Optional[int] = None, symmetry: bool = True
 ):
     """A move achieving the minimax value for `player` at `state`; ties break
-    to the minimum edge id. Raises ValueError if it is not `player`'s turn or
-    the builder's graph already has the property."""
+    to the minimum edge id. Raises ValueError if it is not `player`'s turn, the
+    budget is negative or the builder's graph already has the property."""
     if state.whose_turn() != player:
         raise ValueError("not this player's turn")
     search = _Search(state.rules, budget, symmetry, state.claims)

@@ -9,8 +9,9 @@ first-available). Descriptor DSL for the CLI:
     random[:<seed>]  uniform over unclaimed edges
     first            lowest edge id
 
-Seeded strategies carry their own stream; use `fork(seed)` to get an
-independent per-match instance before concurrent play.
+`parse_strategy(descriptor, seed)` returns a fresh per-match instance: a
+bare `random` draws from `seed`, and `random:<s>` keeps its own `s`.
+`match_players` gives the two sides of one match their seeds.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class Strategy:
 
     def next_move(self, state: GameState, player: int):
         raise NotImplementedError
-
-    def fork(self, seed) -> "Strategy":
-        """Per-match instance; deterministic strategies just return self."""
-        return self
 
 
 class FirstAvailableStrategy(Strategy):
@@ -60,9 +57,6 @@ class RandomStrategy(Strategy):
         self.descriptor = "random" if seed is None else "random:%d" % seed
         self._rng = random.Random(seed)
         self._board, self._seen, self._free = None, 0, []
-
-    def fork(self, seed):
-        return RandomStrategy(self.seed if self.seed is not None else seed)
 
     def next_move(self, state, player):
         log, free = state.log, self._free
@@ -123,11 +117,12 @@ class JumbleGStrategy(Strategy):
     builder/opponent degrees; ties go to the minimum edge id. Deterministic,
     and a pure function of the claim map.
 
-    Keeps the per-edge key of the board and player it last played for, and
-    that board's claimed flags. A move changes the degrees at its two
-    endpoints only, so each call recomputes just the edges at the endpoints
-    of the board's new log entries; any other board or player is keyed
-    afresh. Claimed edges are keyed int64 min.
+    Keeps the per-edge key of the board and player it last played for, that
+    board's claimed flags and its per-vertex degree differences, read from
+    the board's masks. A move changes the degrees at its two endpoints only,
+    so each call recomputes just those vertices and the edges at them for
+    the board's new log entries; any other board or player is keyed afresh.
+    Claimed edges are keyed int64 min.
     """
 
     def __init__(self, eps):
@@ -137,10 +132,7 @@ class JumbleGStrategy(Strategy):
         self.eps = eps
         self.descriptor = "jumbleg:%s" % eps
         self._board, self._player, self._seen = None, None, 0
-        self._key = self._claimed = None
-
-    def fork(self, seed):
-        return JumbleGStrategy(self.eps)  # its own key
+        self._key = self._claimed = self._diff = None
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
@@ -154,6 +146,7 @@ class JumbleGStrategy(Strategy):
             # incidence table's diagonal points, counts as claimed
             claimed = self._claimed = np.append(state.codes != UNCLAIMED, True)
             self._key = np.empty(state.m + 1, dtype=np.int64)
+            self._diff = np.empty(state.n, dtype=np.int64)
             touched = range(state.n)
         else:
             touched = set()
@@ -161,8 +154,9 @@ class JumbleGStrategy(Strategy):
                 claimed[eid] = True
                 touched.update(state.pairs[eid])
         self._seen = len(log)
-        ws = list(touched)
-        diff = state.deg[3 - player] - state.deg[player]  # BUILDER=1, OPPONENT=2
+        ws, diff = list(touched), self._diff
+        other, mine = state.adj[3 - player], state.adj[player]  # BUILDER=1, OPPONENT=2
+        diff[ws] = [other[w].bit_count() - mine[w].bit_count() for w in ws]
         ids = _incidence(state.n).take(ws, axis=0)  # the edges at each w
         key = diff.take(ws)[:, None] + diff
         np.putmask(key, claimed.take(ids), _CLAIMED)
@@ -178,12 +172,12 @@ def default_monitor_eps(n: int) -> float:
     return min(0.1, jumbleg_eps_threshold(n))
 
 
-def parse_strategy(descriptor: str) -> Strategy:
-    """Parse the strategy DSL."""
+def parse_strategy(descriptor: str, seed: Optional[int] = None) -> Strategy:
+    """A fresh instance for one match; a bare `random` draws from `seed`."""
     if descriptor == "first":
         return FirstAvailableStrategy()
     if descriptor == "random":
-        return RandomStrategy()
+        return RandomStrategy(seed)
     if descriptor.startswith("random:"):
         return RandomStrategy(int(descriptor.split(":", 1)[1]))
     if descriptor.startswith("turan:"):
@@ -191,3 +185,8 @@ def parse_strategy(descriptor: str) -> Strategy:
     if descriptor.startswith("jumbleg:"):
         return JumbleGStrategy(Fraction(descriptor.split(":", 1)[1]))
     raise ValueError("unknown strategy descriptor: %r" % descriptor)
+
+
+def match_players(avoider: str, enforcer: str, seed: int):
+    """The (avoider, enforcer) instances of the match with this seed."""
+    return parse_strategy(avoider, seed), parse_strategy(enforcer, seed ^ 0x5DEECE66D)

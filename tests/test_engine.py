@@ -221,7 +221,7 @@ def test_state_bookkeeping():
     assert state.builder_graph().has_edge(0, 1)
     assert not state.builder_graph().has_edge(2, 3)
     assert state.opponent_graph().has_edge(2, 3)
-    assert list(state.deg[BUILDER]) == [1, 1, 0, 0]
+    assert [state.builder_graph().degree(w) for w in range(4)] == [1, 1, 0, 0]
 
 
 def test_apply_move_logs_claims_in_order():
@@ -421,9 +421,6 @@ def test_illegal_strategy_is_diagnosed():
 
         def next_move(self, state, player):
             return (0, 1)  # repeats the same move
-
-        def fork(self, seed):
-            return self
 
     with pytest.raises(IllegalMoveError) as err:
         play_match(Cheater(), FirstAvailableStrategy(), rules(4, prop=triangle_prop()))

@@ -343,6 +343,14 @@ def test_cli_verify_density_lemma(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["check"] == "density-lemma"
     assert payload["conclusion_ok"] is True
+    # on a cycle the count depends on which vertices were picked: the first
+    # two of each round-robin part
+    code = main(
+        ["verify", "density-lemma", "--graph", "C12", "--E", "1/2",
+         "--parts", "3", "--inner-size", "2", "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["lhs"] == 5
 
 
 def test_cli_verify_slicing(tmp_path, graph_file=None):
@@ -422,6 +430,14 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["verify", "slicing", "--graph", "Kpartite:6,6", "--alpha", "1/3",
                  "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11",
                  "--L0", "12", "--Li", "3", "--Lj", "3"]) == 2  # L0 is |A| = 6
+    for size in ("0", "-1"):
+        assert main(["verify", "density-lemma", "--graph", "C12", "--parts", "3",
+                     "--inner-size", size]) == 2
+    assert main(["sweep", "--n", "6", "--eps", "-1"]) == 2
+    assert main(["solve", "--n", "4", "--budget", "-5"]) == 2
+    # the boundary values stay valid
+    assert main(["sweep", "--n", "6", "--eps", "0"]) == 0
+    assert main(["solve", "--n", "4", "--budget", "0"]) == 0
     capsys.readouterr()  # swallow the error prints
 
 

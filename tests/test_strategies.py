@@ -27,7 +27,7 @@ from edgegames import (
     play_match,
 )
 from edgegames.graphs import edge_index, edge_of
-from edgegames.strategies import Strategy, default_monitor_eps
+from edgegames.strategies import Strategy, default_monitor_eps, match_players
 
 
 def fresh_state(n):
@@ -66,9 +66,16 @@ def test_random_strategy_seeded_reproducible():
 
 
 def test_random_fork_semantics():
-    # explicit seed survives fork; unseeded fork adopts the match seed
-    assert RandomStrategy(7).fork(99).seed == 7
-    assert RandomStrategy().fork(99).seed == 99
+    # an explicit seed wins; a bare "random" adopts the match seed
+    assert parse_strategy("random:7", 99).seed == 7
+    assert parse_strategy("random", 99).seed == 99
+
+
+def test_match_players_seeds_the_enforcer_apart():
+    avoider, enforcer = match_players("random", "random", 99)
+    assert avoider.seed == 99 and enforcer.seed == 99 ^ 0x5DEECE66D
+    avoider, enforcer = match_players("turan:2", "random:5", 99)
+    assert isinstance(avoider, TuranAvoiderStrategy) and enforcer.seed == 5
 
 
 def test_random_moves_are_legal():
@@ -149,16 +156,12 @@ def oracle_jumbleg_move(state, player):
     best_key, best_edge = None, None
     n = state.n
     other = BUILDER if player == OPPONENT else OPPONENT
+    deg = {p: [state.adj[p][w].bit_count() for w in range(n)] for p in (BUILDER, OPPONENT)}
     for u in range(n):
         for v in range(u + 1, n):
             if state.claims[edge_index(u, v, n)] != 0:
                 continue
-            key = (
-                state.deg[other][u]
-                - state.deg[player][u]
-                + state.deg[other][v]
-                - state.deg[player][v]
-            )
+            key = deg[other][u] - deg[player][u] + deg[other][v] - deg[player][v]
             if best_key is None or key > best_key:
                 best_key, best_edge = key, (u, v)
     return best_edge
@@ -317,10 +320,3 @@ def test_parse_strategy():
         parse_strategy("greedy")
     with pytest.raises(ValueError):
         parse_strategy("turan:x")
-
-
-def test_deterministic_strategies_fork_to_self():
-    s = FirstAvailableStrategy()
-    assert s.fork(1) is s
-    t = TuranAvoiderStrategy(2)
-    assert t.fork(1) is t
