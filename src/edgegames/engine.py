@@ -14,6 +14,10 @@ edge and the match ends mid-round.
 One `Board` holds who claimed which edge for play, the strategies, the
 exact solver and the sweep monitor; its `claim` and `undo` are the only
 writers of claim codes, masks and counts.
+
+A move is an edge id, the index of (u, v) in `edge_pairs(n)`, from the
+strategy through `apply_move` to `GameState.log`, the match's record. Pairs
+appear only where a person reads them: transcript lines and error messages.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .graphs import (
     contains_induced,
     contains_subgraph,
     contains_subgraph_with_edge,
-    edge_index,
     edge_pairs,
     greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     is_k_colorable,
@@ -46,6 +49,8 @@ MAKER_BREAKER = "maker-breaker"
 UNCLAIMED = 0
 BUILDER = 1  # Avoider / Maker
 OPPONENT = 2  # Enforcer / Breaker
+
+MAX_N = 2000  # largest board: ~2 M edges; GameState plus _incidence peak near 300 MB
 
 _ROLE_NAMES = {
     AVOIDER_ENFORCER: {BUILDER: "avoider", OPPONENT: "enforcer"},
@@ -68,7 +73,8 @@ class PropertyDetector:
     `holds` on the builder's masks just after it claimed uv, and may look only
     for what uv created: its precondition is that the property did not hold
     before. Play keeps it (`require_absent` at the start, stop at the first
-    hit). The engine calls only `hit_after_state`; subclasses leave it alone.
+    hit). The engine calls only `hit_after_state`, after the builder claimed
+    edge id eid; subclasses leave it alone.
     """
 
     descriptor = "?"
@@ -79,8 +85,8 @@ class PropertyDetector:
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
         return self.holds(_trusted_graph(n, adj))
 
-    def hit_after_state(self, state: "GameState", u: int, v: int) -> bool:
-        return self.hit_after_masks(state.n, state.adj[BUILDER], u, v)
+    def hit_after_state(self, state: "GameState", eid: int) -> bool:
+        return self.hit_after_masks(state.n, state.adj[BUILDER], *state.pairs[eid])
 
 
 def require_absent(prop: PropertyDetector, n: int, adj) -> None:
@@ -166,6 +172,8 @@ class GameRules:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("board needs n >= 2")
+        if self.n > MAX_N:
+            raise ValueError("board needs n <= %d" % MAX_N)
         if self.convention not in (AVOIDER_ENFORCER, MAKER_BREAKER):
             raise ValueError("unknown convention %r" % self.convention)
         if self.first_mover not in (BUILDER, OPPONENT):
@@ -272,14 +280,14 @@ class GameState(Board):
         self.log = array("i")  # int32 edge ids: a list would hold an int object per move
 
 
-def apply_move(state: GameState, player: int, edge) -> GameState:
-    """Claim `edge` for `player` in place and append its id to `state.log`.
+def apply_move(state: GameState, player: int, eid: int) -> GameState:
+    """Claim edge id `eid` for `player` in place and append it to `state.log`.
     Raises IllegalMoveError out of turn or on a claimed edge, and ValueError
-    on a malformed one."""
-    u, v = edge
+    on anything but an int in range(m)."""
     if player not in (BUILDER, OPPONENT):
         raise IllegalMoveError("unknown player %r" % player)
-    eid = edge_index(u, v, state.n)  # raises ValueError on malformed edges
+    if not isinstance(eid, int) or not 0 <= eid < state.m:
+        raise ValueError("a move is an int edge id in range(%d), not %r" % (state.m, eid))
     turn = state.whose_turn()
     if turn != player:
         raise IllegalMoveError(
@@ -287,7 +295,7 @@ def apply_move(state: GameState, player: int, edge) -> GameState:
             % (state.rules.role_name(player), state.rules.role_name(turn) if turn else "nobody")
         )
     if state.claims[eid] != UNCLAIMED:
-        raise IllegalMoveError("edge (%d,%d) already claimed" % (u, v))
+        raise IllegalMoveError("edge (%d,%d) already claimed" % state.pairs[eid])
     state.claim(eid, player)
     state.log.append(eid)
     return state
@@ -298,49 +306,48 @@ _encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per c
 
 @dataclass
 class Transcript:
+    """A match: header fields, the claim log, the strategies' notes by move
+    index, and the outcome. Turns alternate, so move i is the first mover's
+    iff i is even, and it is that player's (i // 2 + 1)-th."""
     n: int
     convention: str
-    first_mover: str
+    first_mover: int  # BUILDER or OPPONENT
     property_descriptor: str
     seed: Optional[int]
-    moves: list  # (round, role_name, u, v, note)
+    log: array  # int32 edge ids
+    notes: dict  # move index -> note
     result: str  # "hit" | "never" | "capped"
     t: int  # hitting round, -1 unless hit
-    final_claims: tuple
 
     def to_jsonl(self) -> str:
+        names = _ROLE_NAMES[self.convention]
+        roles = (names[self.first_mover], names[BUILDER + OPPONENT - self.first_mover])
         records = [
             {
                 "type": "header",
                 "n": self.n,
                 "convention": self.convention,
-                "first_mover": self.first_mover,
+                "first_mover": roles[0],
                 "property": self.property_descriptor,
                 "seed": self.seed,
             }
         ]
-        for rnd, role, u, v, note in self.moves:
-            rec = {"type": "move", "round": rnd, "role": role, "u": u, "v": v}
-            if note:
-                rec["note"] = note
+        pairs = _pairs(self.n)
+        for i, eid in enumerate(self.log):
+            u, v = pairs[eid]
+            rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1], "u": u, "v": v}
+            if i in self.notes:
+                rec["note"] = self.notes[i]
             records.append(rec)
         records.append({"type": "outcome", "result": self.result, "t": self.t})
         return "\n".join(map(_encode, records)) + "\n"
 
 
 def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:
-    """Rebuild the final state from a transcript's move list."""
-    first = BUILDER
-    for player, name in _ROLE_NAMES[transcript.convention].items():
-        if name == transcript.first_mover:
-            first = player
-    rules = GameRules(
-        n=transcript.n, prop=prop, convention=transcript.convention, first_mover=first
-    )
-    state = GameState(rules)
-    names = {v: k for k, v in _ROLE_NAMES[transcript.convention].items()}
-    for _, role, u, v, _ in transcript.moves:
-        apply_move(state, names[role], (u, v))
+    """The final position: the transcript's log applied move by move."""
+    state = GameState(GameRules(transcript.n, prop, transcript.convention, transcript.first_mover))
+    for eid in transcript.log:
+        apply_move(state, state.whose_turn(), eid)
     return state
 
 
@@ -364,26 +371,25 @@ def play_match(
     state = GameState(rules)
     require_absent(rules.prop, state.n, state.adj[BUILDER])
     strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
-    moves = []
+    notes = {}
     result, t = "never", -1
     while True:
         player = state.whose_turn()
         if player is None:
             break
         strat = strategies[player]
-        u, v = strat.next_move(state, player)
+        eid = strat.next_move(state, player)
         note = getattr(strat, "last_note", None)
         try:
-            apply_move(state, player, (u, v))
+            apply_move(state, player, eid)
         except (IllegalMoveError, ValueError) as exc:
             raise IllegalMoveError(
-                "strategy %r returned illegal move (%r,%r): %s"
-                % (strat.descriptor, u, v, exc)
+                "strategy %r returned illegal move %r: %s" % (strat.descriptor, eid, exc)
             ) from exc
-        rnd = state.counts[player]
-        moves.append((rnd, rules.role_name(player), u, v, note))
+        if note:
+            notes[len(state.log) - 1] = note
         if player == BUILDER:
-            if rules.prop.hit_after_state(state, u, v):
+            if rules.prop.hit_after_state(state, eid):
                 result, t = "hit", state.counts[BUILDER]
                 break
             if state.counts[BUILDER] == max_rounds and state.unclaimed:
@@ -392,11 +398,11 @@ def play_match(
     return Transcript(
         n=rules.n,
         convention=rules.convention,
-        first_mover=rules.role_name(rules.first_mover),
+        first_mover=rules.first_mover,
         property_descriptor=rules.prop.descriptor,
         seed=seed,
-        moves=moves,
+        log=state.log,
+        notes=notes,
         result=result,
         t=t,
-        final_claims=tuple(state.claims),
     )

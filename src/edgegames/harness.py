@@ -27,6 +27,7 @@ from .engine import (
     PropertyDetector,
     SubgraphProperty,
     play_match,
+    replay,
 )
 from .graphs import (
     graph_from_name,
@@ -128,25 +129,19 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
     return min(max(least_size_above(eps * n), -(-n // 4)), n // 2)
 
 
-def margin_violation_fraction(
-    state_or_transcript_claims, n: int, eps: Fraction, pairs: int, seed: int
-) -> Fraction:
+def margin_violation_fraction(board: Board, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
-    on the final claim map."""
+    on the board, read as builder B and opponent M."""
     from .graphs import edges_between  # looked up per call: bench/spans.py wraps it
 
-    board = Board(n)
-    for eid, c in enumerate(state_or_transcript_claims):
-        if c:
-            board.claim(eid, c)
     G_b, G_m = board.builder_graph(), board.opponent_graph()
-    size = monitor_set_size(n, eps)
+    size = monitor_set_size(board.n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
     rng = random.Random(seed)
     bad = 0
     for _ in range(pairs):
-        S, T = _random_disjoint_pair(rng, n, size, size)
+        S, T = _random_disjoint_pair(rng, board.n, size, size)
         if edges_between(G_b, S, T) - edges_between(G_m, S, T) > limit:
             bad += 1
     return Fraction(bad, pairs)
@@ -155,25 +150,25 @@ def margin_violation_fraction(
 def run_sweep(cfg: SweepConfig):
     """Play every (n, trial) match; returns (rows, summary) in deterministic order."""
     prop = parse_property(cfg.property_descriptor)
+    rules_of = {n: GameRules(n=n, prop=prop) for n in cfg.n_values}  # every n checked up front
     rows = []
     for n in cfg.n_values:
         for trial in range(cfg.trials):
             seed = match_seed(cfg.master_seed, n, trial)
             avoider, enforcer = match_players(cfg.avoider, cfg.enforcer, seed)
-            rules = GameRules(n=n, prop=prop)
             transcript = play_match(
-                avoider, enforcer, rules, max_rounds=cfg.max_rounds, seed=seed
+                avoider, enforcer, rules_of[n], max_rounds=cfg.max_rounds, seed=seed
             )
             lower, upper_main = property_bounds(prop, n)
             violations = margin_violation_fraction(
-                transcript.final_claims, n, cfg.eps, cfg.monitor_pairs, seed ^ 0xA5A5
+                replay(transcript, prop), cfg.eps, cfg.monitor_pairs, seed ^ 0xA5A5
             )
             rows.append(
                 SweepRow(
                     n=n,
                     trial=trial,
                     seed=seed,
-                    hit_round=transcript.t if transcript.result == "hit" else -1,
+                    hit_round=transcript.t,
                     lower=lower,
                     upper_main=upper_main,
                     violations=violations,

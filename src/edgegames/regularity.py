@@ -36,6 +36,16 @@ def least_size_above(x) -> int:
     return max(1, math.floor(x) + 1)
 
 
+def _disjoint_union(masks) -> Optional[int]:
+    """The union of the vertex masks, or None if two of them meet."""
+    union = 0
+    for mask in masks:
+        if mask & union:
+            return None
+        union |= mask
+    return union
+
+
 @dataclass
 class RegularityReport:
     """Outcome of an unbiasedness or regular-pair check."""
@@ -169,6 +179,8 @@ def is_unbiased(G: Graph, S: int, T: int, eps):
 def check_p1(G: Graph, eps):
     """(ok, min_degree): ok iff min degree >= (1/2 - eps) * n."""
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     mindeg = G.min_degree()
     return Fraction(mindeg) >= (Fraction(1, 2) - eps) * G.n, mindeg
 
@@ -196,6 +208,8 @@ def check_p2(
     eps; see check_p2's callers).
     """
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     n = G.n
     half = Fraction(1, 2)
     min_size = least_size_above(eps * n)
@@ -261,6 +275,8 @@ def is_regular_pair(
     the minimum qualifying size.
     """
     alpha = Fraction(alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     if A & B:
         raise ValueError("A and B overlap")
     if (A | B) >> G.n:
@@ -351,13 +367,10 @@ def find_induced_embedding(G: Graph, H: Graph, parts) -> Optional[tuple]:
     """
     if len(parts) != H.n:
         raise ValueError("need exactly %d parts" % H.n)
-    acc = 0
-    for P in parts:
-        if P == 0:
-            raise ValueError("empty part")
-        if P & acc:
-            raise ValueError("parts overlap")
-        acc |= P
+    if 0 in parts:
+        raise ValueError("empty part")
+    if _disjoint_union(parts) is None:
+        raise ValueError("parts overlap")
     return embed(G, H, induced=True, domains=parts)
 
 
@@ -376,14 +389,10 @@ def round_robin_partition(n: int, parts: int):
 
 
 def is_equipartition(masks, ground: int) -> bool:
-    acc = 0
-    sizes = []
-    for m in masks:
-        if m & acc:
-            return False
-        acc |= m
-        sizes.append(m.bit_count())
-    return acc == ground and max(sizes) - min(sizes) <= 1
+    if _disjoint_union(masks) != ground:
+        return False
+    sizes = [m.bit_count() for m in masks]
+    return max(sizes) - min(sizes) <= 1
 
 
 @dataclass
@@ -421,11 +430,9 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
     for U, V in zip(inner, outer):
         if U & ~V:
             raise ValueError("inner part not contained in its outer part")
-    acc = 0
-    for U in inner:
-        if U & acc:
-            raise ValueError("inner parts overlap")
-        acc |= U
+    union = _disjoint_union(inner)
+    if union is None:
+        raise ValueError("inner parts overlap")
     L = next(iter(sizes))
 
     failures = []
@@ -444,7 +451,6 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
     e_between = sum(
         edges_between(G, inner[i], inner[j]) for i in range(ell) for j in range(i + 1, ell)
     )
-    union = acc
     e_U = sum((G.adj[u] & union).bit_count() for u in bits(union)) // 2
     eG = G.edge_count()
     rhs = Fraction(eG * ell * ell * L * L, n * n) - 3 * E * ell * ell * L * L

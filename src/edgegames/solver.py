@@ -46,7 +46,7 @@ class SolveResult:
     value: str  # "exact" | "never" | "unknown"
     t: Optional[int]  # hitting round when value == "exact"
     nodes: int
-    best_move: Optional[tuple]  # an optimal first move, when known
+    best_move: Optional[int]  # the edge id of an optimal first move, when known
 
 
 @functools.lru_cache(maxsize=8)
@@ -149,19 +149,17 @@ def solve_tau(
         val, eid = search.best()
     except BudgetExhausted:
         return SolveResult("unknown", None, search.nodes, None)
-    move = search.pairs[eid]
     if val == NEVER:
-        return SolveResult("never", None, search.nodes, move)
-    return SolveResult("exact", int(val), search.nodes, move)
+        return SolveResult("never", None, search.nodes, eid)
+    return SolveResult("exact", int(val), search.nodes, eid)
 
 
 def best_move(
     state: GameState, player: int, budget: Optional[int] = None, symmetry: bool = True
-):
-    """A move achieving the minimax value for `player` at `state`; ties break
-    to the minimum edge id. Raises ValueError if it is not `player`'s turn, the
-    budget is negative or the builder's graph already has the property."""
+) -> int:
+    """The edge id of a minimax-optimal move for `player` at `state`, ties to
+    the minimum id. Raises ValueError if it is not `player`'s turn, the budget
+    is negative or the builder's graph already has the property."""
     if state.whose_turn() != player:
         raise ValueError("not this player's turn")
-    search = _Search(state.rules, budget, symmetry, state.claims)
-    return search.pairs[search.best()[1]]
+    return _Search(state.rules, budget, symmetry, state.claims).best()[1]

@@ -9,8 +9,10 @@ first-available). Descriptor DSL for the CLI:
     random[:<seed>]  uniform over unclaimed edges
     first            lowest edge id
 
-`parse_strategy(descriptor, seed)` returns a fresh per-match instance: a
-bare `random` draws from `seed`, and `random:<s>` keeps its own `s`.
+`next_move(state, player)` returns the edge id to claim, the engine's one
+move format. `parse_strategy(descriptor, seed)` returns a fresh per-match
+instance: a bare `random` draws from `seed`, and `random:<s>` keeps its
+own `s`.
 `match_players` gives the two sides of one match their seeds.
 """
 
@@ -24,14 +26,14 @@ from typing import Optional
 import numpy as np
 
 from .engine import GameState, UNCLAIMED, _incidence
-from .graphs import edge_of
+from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wraps it
 
 
 class Strategy:
     descriptor = "?"
     last_note: Optional[str] = None
 
-    def next_move(self, state: GameState, player: int):
+    def next_move(self, state: GameState, player: int) -> int:  # the edge id to claim
         raise NotImplementedError
 
 
@@ -42,7 +44,7 @@ class FirstAvailableStrategy(Strategy):
         eid = state.claims.find(UNCLAIMED)
         if eid < 0:
             raise RuntimeError("no moves left")
-        return edge_of(eid, state.n)
+        return eid
 
 
 class RandomStrategy(Strategy):
@@ -69,7 +71,7 @@ class RandomStrategy(Strategy):
         self._seen = len(log)
         if not free:
             raise RuntimeError("no moves left")
-        return edge_of(free[self._rng.randrange(len(free))], state.n)
+        return free[self._rng.randrange(len(free))]
 
 
 class TuranAvoiderStrategy(Strategy):
@@ -98,12 +100,12 @@ class TuranAvoiderStrategy(Strategy):
         free_cross = cross[state.codes[cross] == UNCLAIMED]
         if len(free_cross):
             self.last_note = None
-            return edge_of(int(free_cross[0]), state.n)
+            return int(free_cross[0])
         eid = state.claims.find(UNCLAIMED)
         if eid < 0:
             raise RuntimeError("no moves left")
         self.last_note = "fallback"
-        return edge_of(eid, state.n)
+        return eid
 
 
 _CLAIMED = np.iinfo(np.int64).min  # JumbleG key of a claimed edge
@@ -161,7 +163,7 @@ class JumbleGStrategy(Strategy):
         key = diff.take(ws)[:, None] + diff
         np.putmask(key, claimed.take(ids), _CLAIMED)
         self._key[ids] = key
-        return edge_of(int(self._key.argmax()), state.n)
+        return int(self._key.argmax())
 
 
 def default_monitor_eps(n: int) -> float:

@@ -27,11 +27,10 @@ from edgegames import (
     is_regular_pair,
     mask_of,
     play_match,
+    replay,
     solve_tau,
     turan_number,
 )
-from edgegames.engine import OPPONENT
-from edgegames.graphs import Graph, edge_pairs
 from edgegames.harness import margin_violation_fraction, match_seed
 from edgegames.regularity import (
     ConstantSchedule,
@@ -163,12 +162,8 @@ def test_enforcer_pseudo_randomness():
             rules,
             seed=seed,
         )
-        adj = [0] * n
-        for eid, (u, v) in enumerate(edge_pairs(n)):
-            if tr.final_claims[eid] == OPPONENT:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        G_enf = Graph(n, tuple(adj))
+        board = replay(tr, rules.prop)
+        G_enf = board.opponent_graph()
         if check_p1(G_enf, eps)[0]:
             p1_passes += 1
         rep = check_p2(
@@ -176,9 +171,7 @@ def test_enforcer_pseudo_randomness():
         )
         if rep.passed:
             p2_passes += 1
-        margin_bad += margin_violation_fraction(
-            tr.final_claims, n, eps, 200, seed ^ 0x5A5A
-        )
+        margin_bad += margin_violation_fraction(board, eps, 200, seed ^ 0x5A5A)
     margin_fraction = margin_bad / games
     elapsed = time.perf_counter() - t0
     print(

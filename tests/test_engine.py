@@ -10,6 +10,7 @@ from edgegames import (
     AVOIDER_ENFORCER,
     BUILDER,
     MAKER_BREAKER,
+    MAX_N,
     OPPONENT,
     FirstAvailableStrategy,
     GameRules,
@@ -26,12 +27,13 @@ from edgegames import (
     graph_from_edges,
     graph_from_name,
     parse_property,
+    parse_strategy,
     path_graph,
     play_match,
     replay,
 )
 from edgegames.engine import Board, PropertyDetector, _incidence
-from edgegames.graphs import Graph, edge_index, edge_pairs, num_edges
+from edgegames.graphs import Graph, edge_index, edge_of, edge_pairs, num_edges
 
 
 def triangle_prop():
@@ -163,6 +165,9 @@ def test_empty_family_rejected():
 def test_rules_validation():
     with pytest.raises(ValueError):
         rules(1)
+    with pytest.raises(ValueError, match="n <= %d" % MAX_N):
+        rules(MAX_N + 1)
+    assert rules(MAX_N).n == MAX_N  # the rules alone build no board
     with pytest.raises(ValueError):
         GameRules(n=4, prop=HasEdgeProperty(), convention="chooser-picker")
     with pytest.raises(ValueError):
@@ -179,42 +184,42 @@ def test_role_names():
 
 
 def test_turn_alternation_builder_first():
-    state = GameState(rules(3))
+    state = GameState(rules(3))  # edge ids 0, 1, 2 are (0,1), (0,2), (1,2)
     assert state.whose_turn() == BUILDER
-    apply_move(state, BUILDER, (0, 1))
+    apply_move(state, BUILDER, 0)
     assert state.whose_turn() == OPPONENT
-    apply_move(state, OPPONENT, (0, 2))
+    apply_move(state, OPPONENT, 1)
     assert state.whose_turn() == BUILDER
-    apply_move(state, BUILDER, (1, 2))
+    apply_move(state, BUILDER, 2)
     assert state.whose_turn() is None  # board exhausted (odd board, 3 edges)
 
 
 def test_turn_alternation_opponent_first():
     state = GameState(rules(3, first_mover=OPPONENT))
     assert state.whose_turn() == OPPONENT
-    apply_move(state, OPPONENT, (0, 1))
+    apply_move(state, OPPONENT, 0)
     assert state.whose_turn() == BUILDER
 
 
 def test_illegal_moves():
-    state = GameState(rules(4))
-    apply_move(state, BUILDER, (0, 1))
+    state = GameState(rules(4))  # m = 6
+    apply_move(state, BUILDER, 0)
     with pytest.raises(IllegalMoveError):
-        apply_move(state, BUILDER, (0, 2))  # out of turn
+        apply_move(state, BUILDER, 1)  # out of turn
+    with pytest.raises(IllegalMoveError, match=r"edge \(0,1\) already claimed"):
+        apply_move(state, OPPONENT, 0)
+    for bad in (6, -1, (0, 2), 1.0, None):  # off the board, or not an id at all
+        with pytest.raises(ValueError, match=r"a move is an int edge id in range\(6\)"):
+            apply_move(state, OPPONENT, bad)
     with pytest.raises(IllegalMoveError):
-        apply_move(state, OPPONENT, (0, 1))  # already claimed
-    with pytest.raises(ValueError):
-        apply_move(state, OPPONENT, (2, 2))  # malformed edge
-    with pytest.raises(ValueError):
-        apply_move(state, OPPONENT, (0, 9))  # off the board
-    with pytest.raises(IllegalMoveError):
-        apply_move(state, 7, (0, 2))  # unknown player
+        apply_move(state, 7, 1)  # unknown player
+    assert state.log.tolist() == [0] and state.unclaimed == 5
 
 
 def test_state_bookkeeping():
     state = GameState(rules(4))
-    apply_move(state, BUILDER, (0, 1))
-    apply_move(state, OPPONENT, (2, 3))
+    apply_move(state, BUILDER, edge_index(0, 1, 4))
+    apply_move(state, OPPONENT, edge_index(2, 3, 4))
     assert state.round == 1
     assert state.counts == {BUILDER: 1, OPPONENT: 1}
     assert state.unclaimed == num_edges(4) - 2
@@ -226,14 +231,14 @@ def test_state_bookkeeping():
 
 def test_apply_move_logs_claims_in_order():
     state = GameState(rules(4, first_mover=OPPONENT))
-    apply_move(state, OPPONENT, (2, 3))
-    apply_move(state, BUILDER, (0, 1))
+    apply_move(state, OPPONENT, 5)
+    apply_move(state, BUILDER, 0)
     with pytest.raises(IllegalMoveError):
-        apply_move(state, OPPONENT, (0, 1))  # taken: nothing is logged
+        apply_move(state, OPPONENT, 0)  # taken: nothing is logged
     with pytest.raises(IllegalMoveError):
-        apply_move(state, BUILDER, (0, 2))  # out of turn
-    apply_move(state, OPPONENT, (1, 3))
-    assert state.log.tolist() == [edge_index(2, 3, 4), edge_index(0, 1, 4), edge_index(1, 3, 4)]
+        apply_move(state, BUILDER, 1)  # out of turn
+    apply_move(state, OPPONENT, 4)
+    assert state.log.tolist() == [5, 0, 4]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -252,9 +257,9 @@ def test_state_graphs_equal_validated_graphs(n, data):
     # the state builds its graphs without re-validating symmetry; they must be
     # the same values, with the same hash, as fully validated graphs
     state = GameState(rules(n))
-    order = data.draw(st.permutations(edge_pairs(n)))
-    for edge in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
-        apply_move(state, state.whose_turn(), edge)
+    order = data.draw(st.permutations(range(num_edges(n))))
+    for eid in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
+        apply_move(state, state.whose_turn(), eid)
     for player, G in ((BUILDER, state.builder_graph()), (OPPONENT, state.opponent_graph())):
         validated = Graph(n, tuple(state.adj[player]))
         assert G == validated and hash(G) == hash(validated)
@@ -302,7 +307,7 @@ def test_board_claim_undo_matches_rebuild(n, first, data):
 def test_has_edge_hits_round_one():
     tr = play_match(FirstAvailableStrategy(), FirstAvailableStrategy(), rules(5))
     assert tr.result == "hit" and tr.t == 1
-    assert len(tr.moves) == 1
+    assert tr.log.tolist() == [0]
 
 
 def test_property_checked_only_after_builder_moves():
@@ -326,7 +331,7 @@ def test_never_outcome_exhausts_board():
         rules(2, prop=triangle_prop()),
     )
     assert tr.result == "never" and tr.t == -1
-    assert len(tr.moves) == 1  # builder took the only edge
+    assert tr.log.tolist() == [0]  # builder took the only edge
 
 
 def test_max_rounds_cap():
@@ -337,8 +342,7 @@ def test_max_rounds_cap():
         max_rounds=2,
     )
     assert tr.result == "capped" and tr.t == -1
-    builder_moves = [m for m in tr.moves if m[1] == "avoider"]
-    assert len(builder_moves) <= 2
+    assert len(tr.log[::2]) == 2  # the builder moves first
     assert json.loads(tr.to_jsonl().strip().split("\n")[-1]) == {
         "type": "outcome", "result": "capped", "t": -1
     }
@@ -376,7 +380,8 @@ def test_hit_round_is_builder_move_count():
         rules(4, prop=triangle_prop()),
     )
     assert tr.result == "hit" and tr.t == 3
-    assert tr.moves[-1][1] == "avoider"
+    assert len(tr.log) == 5  # odd: the builder, who moved first, moved last
+    assert json.loads(tr.to_jsonl().split("\n")[-3])["role"] == "avoider"
 
 
 def test_transcript_jsonl_roundtrip():
@@ -406,12 +411,70 @@ def test_transcript_jsonl_roundtrip():
         assert 0 <= rec["u"] < rec["v"] < 5
 
 
+class _Recorder:
+    """Plays `strat` and records, per move, the player, the returned id and
+    the strategy's note, plus the live board."""
+
+    def __init__(self, strat, record):
+        self.strat, self.record = strat, record
+        self.descriptor = strat.descriptor
+
+    def next_move(self, state, player):
+        self.state = state
+        eid = self.strat.next_move(state, player)
+        self.last_note = self.strat.last_note
+        self.record.append((player, eid, self.last_note))
+        return eid
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.sampled_from([AVOIDER_ENFORCER, MAKER_BREAKER]),
+    st.sampled_from([BUILDER, OPPONENT]),
+    st.sampled_from(["turan:1", "turan:2", "random", "first", "jumbleg:1/10"]),
+    st.sampled_from(["turan:1", "turan:2", "random", "first", "jumbleg:1/5"]),
+    st.sampled_from(["never", "subgraph:K3", "nc:2", "edge"]),
+    st.one_of(st.none(), st.integers(1, 12)),
+    st.integers(0, 2**31),
+)
+def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop, cap, seed):
+    # the JSONL move records derived from the claim log equal what the
+    # strategies returned, in order; rounds count each player's own moves,
+    # and pairs come from the closed-form edge_of
+    prop = "nc:%d" % n if prop == "never" else prop  # n-colourable: the board fills
+    record = []
+    builder = _Recorder(parse_strategy(a, seed), record)
+    opponent = _Recorder(parse_strategy(b, seed + 1), record)
+    r = GameRules(n=n, prop=parse_property(prop), convention=convention, first_mover=first)
+    tr = play_match(builder, opponent, r, max_rounds=cap, seed=seed)
+    moves = [json.loads(line) for line in tr.to_jsonl().splitlines()[1:-1]]
+    made = {BUILDER: 0, OPPONENT: 0}
+    expected = []
+    for player, eid, note in record:
+        made[player] += 1
+        u, v = edge_of(eid, n)
+        rec = {"type": "move", "round": made[player], "role": r.role_name(player), "u": u, "v": v}
+        if note:
+            rec["note"] = note
+        expected.append(rec)
+    assert moves == expected
+    live = next(s.state for s in (builder, opponent) if hasattr(s, "state"))
+    assert replay(tr, r.prop).claims == live.claims
+
+
 def test_replay_reproduces_final_claims():
-    tr = play_match(
-        RandomStrategy(1), RandomStrategy(2), rules(6, prop=triangle_prop())
-    )
-    state = replay(tr, triangle_prop())
-    assert tuple(int(c) for c in state.claims) == tr.final_claims
+    class Keeper(RandomStrategy):  # keeps the live board
+        def next_move(self, state, player):
+            self.state = state
+            return super().next_move(state, player)
+
+    for first in (BUILDER, OPPONENT):
+        builder = Keeper(1)
+        tr = play_match(builder, RandomStrategy(2), rules(6, triangle_prop(), first_mover=first))
+        state = replay(tr, triangle_prop())
+        assert state.claims == builder.state.claims
+        assert state.log == tr.log and state.adj == builder.state.adj
 
 
 def test_illegal_strategy_is_diagnosed():
@@ -419,12 +482,19 @@ def test_illegal_strategy_is_diagnosed():
         descriptor = "cheat"
         last_note = None
 
-        def next_move(self, state, player):
-            return (0, 1)  # repeats the same move
+        def __init__(self, moves):
+            self.moves = iter(moves)
 
-    with pytest.raises(IllegalMoveError) as err:
-        play_match(Cheater(), FirstAvailableStrategy(), rules(4, prop=triangle_prop()))
-    assert "cheat" in str(err.value)
+        def next_move(self, state, player):
+            return next(self.moves)
+
+    for moves, why in (
+        ([0, 0], r"edge \(0,1\) already claimed"),  # a repeated id
+        ([6], r"in range\(6\), not 6"),  # off the board
+        ([(0, 2)], r"in range\(6\), not \(0, 2\)"),  # a pair is not a move
+    ):
+        with pytest.raises(IllegalMoveError, match="strategy 'cheat' returned illegal move .*" + why):
+            play_match(Cheater(moves), FirstAvailableStrategy(), rules(4, prop=triangle_prop()))
 
 
 def test_maker_breaker_labels_in_transcript():
@@ -433,5 +503,5 @@ def test_maker_breaker_labels_in_transcript():
         FirstAvailableStrategy(),
         rules(4, convention=MAKER_BREAKER),
     )
-    assert tr.first_mover == "maker"
-    assert tr.moves[0][1] == "maker"
+    assert tr.first_mover == BUILDER
+    assert json.loads(tr.to_jsonl().split("\n")[1])["role"] == "maker"

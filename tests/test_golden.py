@@ -20,6 +20,11 @@ GOLDEN = [
         "dc8084fa9faeb47f771efd00e1f18cd78b49f5c99ffe2e2ef67c1aa813782539",
     ),
     (
+        # odd board: the first mover's fallback move is the last one
+        "play --n 7 --avoider turan:2 --enforcer random --property nc:7 --seed 5",
+        "b339fbafed24418863ec7e59cdca6b03a4fe24d71083950142d62fe5be0a906d",
+    ),
+    (
         "sweep --n 8,10,12 --trials 3 --avoider random --enforcer jumbleg:1/5 "
         "--property nc:3 --eps 0.15 --seed 4",
         "d4de24bf409445ee59a9d645a574366eea379744124127b8663c41aa7a9e6740",
@@ -33,7 +38,7 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "argv, digest", GOLDEN, ids=["play-c5", "play-nc", "sweep-nc", "sweep-c5"]
+    "argv, digest", GOLDEN, ids=["play-c5", "play-nc", "play-fallback", "sweep-nc", "sweep-c5"]
 )
 def test_cli_stdout_digest(capsys, argv, digest):
     assert main(argv.split()) == 0

@@ -26,6 +26,7 @@ from edgegames import (
     turan_number,
 )
 from edgegames.cli import main
+from edgegames.engine import Board
 from edgegames.graphs import bits, edge_index, num_edges
 from edgegames.harness import (
     CSV_COLUMNS,
@@ -116,8 +117,8 @@ def test_monitor_set_size():
 @given(st.data())
 def test_margin_violation_fraction_matches_per_pair_bound(data):
     # the monitor compares integer margins with floor(bound) from one
-    # jumbleg_margin call; the reference counts edges from the claim codes
-    # and asks jumbleg_margin about every pair, with the same draws
+    # jumbleg_margin call on a board; the reference counts edges from the
+    # claim codes and asks jumbleg_margin about every pair, with the same draws
     n = data.draw(st.integers(min_value=2, max_value=12))
     m = num_edges(n)
     claims = data.draw(st.lists(st.sampled_from([0, 1, 1, 1, 2]), min_size=m, max_size=m))
@@ -130,7 +131,11 @@ def test_margin_violation_fraction_matches_per_pair_bound(data):
         S, T = _random_disjoint_pair(rng, n, size, size)
         cross = [claims[edge_index(min(u, v), max(u, v), n)] for u in bits(S) for v in bits(T)]
         bad += not jumbleg_margin(cross.count(1), cross.count(2), size, size, eps)[2]
-    assert margin_violation_fraction(tuple(claims), n, eps, pairs, seed) == Fraction(bad, pairs)
+    board = Board(n)
+    for eid, c in enumerate(claims):
+        if c:
+            board.claim(eid, c)
+    assert margin_violation_fraction(board, eps, pairs, seed) == Fraction(bad, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +440,18 @@ def test_cli_validation_exit_code_2(capsys):
                      "--inner-size", size]) == 2
     assert main(["sweep", "--n", "6", "--eps", "-1"]) == 2
     assert main(["solve", "--n", "4", "--budget", "-5"]) == 2
+    assert main(["verify", "p1", "--graph", "K6", "--eps", "-1"]) == 2
+    assert main(["verify", "p2", "--graph", "C8", "--eps", "-1"]) == 2
+    assert main(["verify", "regular-pair", "--graph", "K6", "--A", "0,1,2", "--B", "3,4,5",
+                 "--alpha", "-1"]) == 2
+    # boards above MAX_N are refused before any is built
+    assert main(["play", "--n", "100000"]) == 2
+    assert main(["sweep", "--n", "6,100000"]) == 2
     # the boundary values stay valid
     assert main(["sweep", "--n", "6", "--eps", "0"]) == 0
     assert main(["solve", "--n", "4", "--budget", "0"]) == 0
+    assert main(["verify", "p1", "--graph", "K6", "--eps", "0"]) == 0
+    assert main(["verify", "p2", "--graph", "C8", "--eps", "0"]) == 0
     capsys.readouterr()  # swallow the error prints
 
 

@@ -285,12 +285,10 @@ def test_best_move_avoids_immediate_loss():
     # safe alternative with equal value exists -- here every alternative is
     # "never" on n=4, while (1,2) is an immediate hit.
     state = GameState(triangle_rules(4))
-    apply_move(state, BUILDER, (0, 1))
-    apply_move(state, OPPONENT, (2, 3))
-    apply_move(state, BUILDER, (0, 2))
-    apply_move(state, OPPONENT, (0, 3))
+    for player, (u, v) in zip([BUILDER, OPPONENT] * 2, [(0, 1), (2, 3), (0, 2), (0, 3)]):
+        apply_move(state, player, edge_index(u, v, 4))
     mv = best_move(state, BUILDER)
-    assert mv != (1, 2)
+    assert mv != edge_index(1, 2, 4)
     # and the game value from here is never
     apply_move(state, BUILDER, mv)
 
@@ -299,7 +297,7 @@ def test_best_move_enforcer_minimizes():
     # n=5 triangle game value is 5 with optimal play; after the builder's
     # first move the enforcer's reply must preserve value <= 5
     state = GameState(triangle_rules(5))
-    apply_move(state, BUILDER, (0, 1))
+    apply_move(state, BUILDER, edge_index(0, 1, 5))
     mv = best_move(state, OPPONENT)
     apply_move(state, OPPONENT, mv)
     # finish the game: builder plays optimally from here on
@@ -307,7 +305,7 @@ def test_best_move_enforcer_minimizes():
         player = state.whose_turn()
         m = best_move(state, player)
         apply_move(state, player, m)
-        if player == BUILDER and state.rules.prop.hit_after_state(state, *m):
+        if player == BUILDER and state.rules.prop.hit_after_state(state, m):
             break
     assert state.counts[BUILDER] <= 5
 
@@ -318,7 +316,7 @@ def test_property_already_held_at_start_is_rejected():
         solve_tau(GameRules(n=4, prop=SubgraphProperty([complete_graph(1)], "subgraph:K1")))
     state = GameState(triangle_rules(5))
     for move in [(0, 1), (3, 4), (0, 2), (2, 4), (1, 2), (1, 4)]:
-        apply_move(state, state.whose_turn(), move)  # builder now holds 0-1-2
+        apply_move(state, state.whose_turn(), edge_index(*move, 5))  # builder now holds 0-1-2
     with pytest.raises(ValueError):
         best_move(state, BUILDER)
 

@@ -25,6 +25,7 @@ from edgegames import (
     is_k_colorable,
     parse_strategy,
     play_match,
+    replay,
 )
 from edgegames.graphs import edge_index, edge_of
 from edgegames.strategies import Strategy, default_monitor_eps, match_players
@@ -45,9 +46,9 @@ def triangle_rules(n):
 def test_first_available_order():
     state = fresh_state(4)
     s = FirstAvailableStrategy()
-    assert s.next_move(state, BUILDER) == (0, 1)
-    apply_move(state, BUILDER, (0, 1))
-    assert s.next_move(state, OPPONENT) == (0, 2)
+    assert s.next_move(state, BUILDER) == 0  # (0,1)
+    apply_move(state, BUILDER, 0)
+    assert s.next_move(state, OPPONENT) == 1  # (0,2)
 
 
 def test_random_strategy_seeded_reproducible():
@@ -82,8 +83,7 @@ def test_random_moves_are_legal():
     s = RandomStrategy(3)
     state = fresh_state(6)
     for player in (BUILDER, OPPONENT) * 7:
-        u, v = s.next_move(state, player)
-        apply_move(state, player, (u, v))  # raises if illegal
+        apply_move(state, player, s.next_move(state, player))  # raises if illegal
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_random_moves_are_legal():
 def test_turan_claims_cross_cluster_edges():
     s = TuranAvoiderStrategy(2)
     state = fresh_state(6)
-    u, v = s.next_move(state, BUILDER)
+    u, v = edge_of(s.next_move(state, BUILDER), 6)
     assert u % 2 != v % 2
     assert s.last_note is None
 
@@ -112,18 +112,18 @@ def test_turan_graph_stays_colorable_through_cross_phase():
     while state.whose_turn() is not None and seen_cross < cross_total:
         player = state.whose_turn()
         strat = s if player == BUILDER else opp
-        u, v = strat.next_move(state, player)
+        eid = strat.next_move(state, player)
+        u, v = edge_of(eid, 6)
         if u % 2 != v % 2:
             seen_cross += 1
-        apply_move(state, player, (u, v))
+        apply_move(state, player, eid)
         assert is_k_colorable(state.builder_graph(), 2)
 
 
 def test_turan_fallback_note():
     s = TuranAvoiderStrategy(1)  # no cross edges at all: immediate fallback
     state = fresh_state(4)
-    move = s.next_move(state, BUILDER)
-    assert move == (0, 1)
+    assert s.next_move(state, BUILDER) == 0
     assert s.last_note == "fallback"
 
 
@@ -141,8 +141,9 @@ def test_turan_avoider_never_builds_triangle_unassisted():
         triangle_rules(8),
     )
     if tr.result == "hit":
+        # the avoider moves first, so its moves are the even indices
         fallback_round = next(
-            (r for r, role, _, _, note in tr.moves if note == "fallback"), None
+            (i // 2 + 1 for i, note in sorted(tr.notes.items()) if note == "fallback"), None
         )
         assert fallback_round is not None and tr.t >= fallback_round
 
@@ -153,18 +154,19 @@ def test_turan_avoider_never_builds_triangle_unassisted():
 
 def oracle_jumbleg_move(state, player):
     """Reference implementation: scan edges in id order, strict maximization."""
-    best_key, best_edge = None, None
+    best_key, best_eid = None, None
     n = state.n
     other = BUILDER if player == OPPONENT else OPPONENT
     deg = {p: [state.adj[p][w].bit_count() for w in range(n)] for p in (BUILDER, OPPONENT)}
     for u in range(n):
         for v in range(u + 1, n):
-            if state.claims[edge_index(u, v, n)] != 0:
+            eid = edge_index(u, v, n)
+            if state.claims[eid] != 0:
                 continue
             key = deg[other][u] - deg[player][u] + deg[other][v] - deg[player][v]
             if best_key is None or key > best_key:
-                best_key, best_edge = key, (u, v)
-    return best_edge
+                best_key, best_eid = key, eid
+    return best_eid
 
 
 def test_jumbleg_matches_reference_scan():
@@ -188,7 +190,7 @@ def test_jumbleg_matches_reference_scan():
 def pick_free(state, rng):
     """RandomStrategy's pick, read afresh from the board: the reference."""
     free = np.flatnonzero(state.codes == 0)
-    return edge_of(int(free[rng.randrange(len(free))]), state.n)
+    return int(free[rng.randrange(len(free))])
 
 
 class _Checked(Strategy):
@@ -247,7 +249,7 @@ def test_incremental_strategies_match_from_scratch_oracles(seed, games):
         assert tr.result == "never"
         state = next(s.state for s in (builder, opponent) if hasattr(s, "state"))
         assert state.unclaimed == 0
-        assert state.log.tolist() == [edge_index(u, v, n) for _, _, u, v, _ in tr.moves]
+        assert replay(tr, rules.prop).claims == state.claims
 
 
 def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
@@ -267,22 +269,12 @@ def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
 def test_jumbleg_balances_builder_degrees():
     # greedy enforcer vs random avoider keeps its own degrees near the
     # avoider's: max degree gap stays small on a full board
-    from edgegames import NotKColorableProperty
-    from edgegames.graphs import edge_pairs
-
     # nc:12 can never fire on 12 vertices, so the board always fills up
     rules = GameRules(n=12, prop=NotKColorableProperty(12))
     tr = play_match(RandomStrategy(5), JumbleGStrategy(Fraction(1, 10)), rules)
     assert tr.result == "never"
-    degA, degE = [0] * 12, [0] * 12
-    for eid, (u, v) in enumerate(edge_pairs(12)):
-        if tr.final_claims[eid] == BUILDER:
-            degA[u] += 1
-            degA[v] += 1
-        elif tr.final_claims[eid] == OPPONENT:
-            degE[u] += 1
-            degE[v] += 1
-    gaps = [abs(a - e) for a, e in zip(degA, degE)]
+    board = replay(tr, rules.prop)
+    gaps = [abs(a.bit_count() - e.bit_count()) for a, e in zip(board.adj[BUILDER], board.adj[OPPONENT])]
     assert max(gaps) <= 4
 
 
