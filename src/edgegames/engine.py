@@ -322,25 +322,31 @@ class Transcript:
     def to_jsonl(self) -> str:
         names = _ROLE_NAMES[self.convention]
         roles = (names[self.first_mover], names[BUILDER + OPPONENT - self.first_mover])
-        records = [
-            {
-                "type": "header",
-                "n": self.n,
-                "convention": self.convention,
-                "first_mover": roles[0],
-                "property": self.property_descriptor,
-                "seed": self.seed,
-            }
+        header = {
+            "type": "header",
+            "n": self.n,
+            "convention": self.convention,
+            "first_mover": roles[0],
+            "property": self.property_descriptor,
+            "seed": self.seed,
+        }
+        # a move without a note, in the sorted-key layout _encode gives it
+        plain = [
+            '{"role": %s, "round": %%d, "type": "move", "u": %%d, "v": %%d}' % _encode(role)
+            for role in roles
         ]
+        lines = [_encode(header)]
         pairs = _pairs(self.n)
         for i, eid in enumerate(self.log):
             u, v = pairs[eid]
-            rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1], "u": u, "v": v}
             if i in self.notes:
-                rec["note"] = self.notes[i]
-            records.append(rec)
-        records.append({"type": "outcome", "result": self.result, "t": self.t})
-        return "\n".join(map(_encode, records)) + "\n"
+                rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1], "u": u, "v": v,
+                       "note": self.notes[i]}
+                lines.append(_encode(rec))
+            else:
+                lines.append(plain[i & 1] % (i // 2 + 1, u, v))
+        lines.append(_encode({"type": "outcome", "result": self.result, "t": self.t}))
+        return "\n".join(lines) + "\n"
 
 
 def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:

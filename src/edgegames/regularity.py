@@ -26,7 +26,7 @@ import numpy as np
 from .graphs import Graph, bits, density, edges_between, embed, mask_of
 
 
-P2_EXACT_LIMIT = 16  # exact P2 scans 4^n cells
+P2_EXACT_LIMIT = 16  # exact P2 scans about 3^n cells
 PAIR_EXACT_LIMIT = 24  # exact regular-pair scans 2^|A| * 2^|B| cells
 _BLOCK_CELLS = 1 << 16  # pairs per row block of the exact scan
 
@@ -96,19 +96,16 @@ def _subset_sums(M):
     return S
 
 
-def _exact_scan(
-    G: Graph, A_list, B_list, xs, ys, c: Fraction, fails, disjoint: bool = False
-) -> RegularityReport:
+def _exact_scan(G: Graph, A_list, B_list, xs, ys, c: Fraction, fails) -> RegularityReport:
     """Worst |e(X,Y)/(|X||Y|) - c| over every row X in xs and column Y in ys.
 
     xs and ys are subset indices (bitmasks over the positions of A_list and
-    B_list) in the caller's scan order; the witness is the first worst pair
-    in row-major order. With `disjoint`, pairs with X & Y != 0 are skipped
-    and not counted. Rows go in blocks of about _BLOCK_CELLS pairs, so no
-    2^|A| x 2^|B| matrix is held. A float ratio with an exact integer
-    numerator locates each block's maximum (equal ratios are equal
-    deviations, and distinct ones stay apart at these sizes); the reported
-    deviation is an exact Fraction.
+    B_list, which are disjoint) in the caller's scan order; the witness is
+    the first worst pair in row-major order. Rows go in blocks of about
+    _BLOCK_CELLS pairs, so no 2^|A| x 2^|B| matrix is held. A float ratio
+    with an exact integer numerator locates each block's maximum (equal
+    ratios are equal deviations, and distinct ones stay apart at these
+    sizes); the reported deviation is an exact Fraction.
     """
     M = np.array(
         [[G.adj[u] >> v & 1 for v in B_list] for u in A_list], dtype=np.int64
@@ -120,7 +117,6 @@ def _exact_scan(
     p, q = c.numerator, c.denominator
     worst = Fraction(0)
     witness = None
-    count = 0
     step = max(1, _BLOCK_CELLS // max(1, len(ys)))
     for lo in range(0, len(xs), step):
         X = xs[lo : lo + step]
@@ -128,16 +124,7 @@ def _exact_scan(
         dev_num = np.take(_subset_sums(R[X]), ys, axis=1) * q  # q e(X_i, Y_j)
         dev_num -= p * sizes
         np.abs(dev_num, out=dev_num)  # deviation = dev_num / (|X||Y| q)
-        ratio = dev_num / sizes
-        if disjoint:
-            overlap = (X[:, None] & ys) != 0
-            np.putmask(ratio, overlap, -1.0)
-            count += ratio.size - int(np.count_nonzero(overlap))
-        else:
-            count += ratio.size
-        i, j = divmod(int(np.argmax(ratio)), len(ys))
-        if ratio[i, j] < 0:
-            continue
+        i, j = divmod(int(np.argmax(dev_num / sizes)), len(ys))
         dev = Fraction(int(dev_num[i, j]), int(sizes[i, j]) * q)
         if dev > worst:
             worst = dev
@@ -145,7 +132,63 @@ def _exact_scan(
                 mask_of(A_list[k] for k in bits(int(X[i]))),
                 mask_of(B_list[k] for k in bits(int(ys[j]))),
             )
-    return _report("exact", worst, count, witness, fails)
+    return _report("exact", worst, len(xs) * len(ys), witness, fails)
+
+
+def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
+    """Worst |e(S,T)/(|S||T|) - 1/2| over disjoint S, T of sizes >= min_size.
+
+    The witness is the first worst pair in (|S|, sorted S, |T|, sorted T)
+    order. A pair (S, T) and its mirror (T, S) deviate equally, so the first
+    worst pair has T after S, hence |T| >= |S|: only rows S with |S| <= n/2
+    and columns T with |T| >= |S| are scanned. For a row S, the subset sums
+    of |N(c) & S| over the vertices c outside S give e(S, T) for every T
+    outside S at once, about 3^n cells over all rows. Rows of one size go in
+    blocks of about _BLOCK_CELLS cells, and the columns in (|T|, sorted T)
+    order, so a block's first float maximum is its first worst pair (as in
+    _exact_scan). `samples` counts every ordered qualifying pair.
+    """
+    n = G.n
+    adj = np.array(
+        [[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.int64
+    ).reshape(n, n)
+    worst = Fraction(0)
+    witness = None
+    for s in range(min_size, n // 2 + 1):
+        k = n - s
+        rows = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), s)), dtype=np.intp
+        ).reshape(-1, s)
+        inside = np.zeros((len(rows), n), dtype=np.int64)
+        np.put_along_axis(inside, rows, 1, axis=1)
+        outside = np.nonzero(inside == 0)[1].reshape(len(rows), k)  # ascending per row
+        # T as a bitmask over the positions of `outside`, in (|T|, sorted T) order
+        cols = np.array(
+            [mask_of(T) for t in range(s, k + 1) for T in itertools.combinations(range(k), t)],
+            dtype=np.intp,
+        )
+        sizes = s * np.repeat(np.arange(s, k + 1), [math.comb(k, t) for t in range(s, k + 1)])
+        step = max(1, _BLOCK_CELLS >> k)
+        for lo in range(0, len(rows), step):
+            block = inside[lo : lo + step]
+            W = np.take_along_axis(block @ adj, outside[lo : lo + step], axis=1)
+            dev_num = np.take(_subset_sums(W), cols, axis=1)  # e(S_i, T_j)
+            dev_num *= 2
+            dev_num -= sizes
+            np.abs(dev_num, out=dev_num)  # deviation = dev_num / (2|S||T|)
+            i, j = divmod(int(np.argmax(dev_num / sizes)), len(cols))
+            dev = Fraction(int(dev_num[i, j]), 2 * int(sizes[j]))
+            if dev > worst:
+                worst = dev
+                out = outside[lo + i].tolist()
+                T = mask_of(out[p] for p in bits(int(cols[j])))
+                witness = (mask_of(rows[lo + i].tolist()), T)
+    samples = sum(
+        math.comb(n, s) * math.comb(n - s, t)
+        for s in range(min_size, n + 1)
+        for t in range(min_size, n - s + 1)
+    )
+    return _report("exact", worst, samples, witness, fails)
 
 
 def _sampled_scan(G: Graph, draw, c: Fraction, fails, trials: int, seed: int) -> RegularityReport:
@@ -200,12 +243,14 @@ def check_p2(
 ) -> RegularityReport:
     """Every disjoint pair S,T with |S|,|T| > eps*n must be eps-unbiased.
 
-    Exact mode scans all qualifying pairs (n <= P2_EXACT_LIMIT) in the order
-    (|S|, sorted S, |T|, sorted T). Sampled mode draws `trials` random
-    disjoint pairs; by default both sets have the minimum qualifying size
-    floor(eps*n)+1, overridable via `set_size` (small qualifying sets
-    fluctuate binomially, so larger sizes give a sharper signal at moderate
-    eps; see check_p2's callers).
+    Exact mode covers all qualifying pairs (n <= P2_EXACT_LIMIT): it scans
+    the disjoint pairs with |T| >= |S| (see _p2_exact_scan), counts every
+    ordered pair in `samples`, and names the first worst pair in the order
+    (|S|, sorted S, |T|, sorted T); it takes no `set_size`. Sampled mode
+    draws `trials` random disjoint pairs; by default both sets have the
+    minimum qualifying size floor(eps*n)+1, overridable via `set_size`
+    (small qualifying sets fluctuate binomially, so larger sizes give a
+    sharper signal at moderate eps; see check_p2's callers).
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -218,12 +263,9 @@ def check_p2(
     if mode == "exact":
         if n > P2_EXACT_LIMIT:
             raise ValueError("exact P2 limited to n <= %d" % P2_EXACT_LIMIT)
-        order = [
-            mask_of(S)
-            for size in range(min_size, n - min_size + 1)
-            for S in itertools.combinations(range(n), size)
-        ]
-        return _exact_scan(G, range(n), range(n), order, order, half, fails, disjoint=True)
+        if set_size is not None:
+            raise ValueError("set_size applies to sampled mode only")
+        return _p2_exact_scan(G, min_size, fails)
 
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")

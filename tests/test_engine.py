@@ -1,6 +1,8 @@
 """Game engine: detectors, turn order, move legality, transcripts, replay."""
 
 import json
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from edgegames import (
     play_match,
     replay,
 )
-from edgegames.engine import Board, PropertyDetector, _incidence
+from edgegames.engine import Board, PropertyDetector, Transcript, _encode, _incidence
 from edgegames.graphs import Graph, edge_index, edge_of, edge_pairs, num_edges
 
 
@@ -461,6 +463,34 @@ def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop,
     assert moves == expected
     live = next(s.state for s in (builder, opponent) if hasattr(s, "state"))
     assert replay(tr, r.prop).claims == live.claims
+
+
+def test_to_jsonl_bytes_match_sorted_key_encoder():
+    # to_jsonl fills a template for moves without a note; every line must be
+    # the bytes the sorted-key JSON encoder gives the full record
+    roles = {AVOIDER_ENFORCER: ("avoider", "enforcer"), MAKER_BREAKER: ("maker", "breaker")}
+    rng = random.Random(11)
+    n = 9
+    for convention in (AVOIDER_ENFORCER, MAKER_BREAKER):
+        for first in (BUILDER, OPPONENT):
+            for note_share in (0, 0.3, 1):
+                log = rng.sample(range(num_edges(n)), rng.randrange(num_edges(n) + 1))
+                notes = {i: rng.choice(["fallback", 'a "quoted" note']) for i in range(len(log))
+                         if rng.random() < note_share}
+                seed = rng.choice([None, 0, 12345])
+                tr = Transcript(n, convention, first, "subgraph:K3", seed, array("i", log), notes,
+                                "hit" if log else "never", len(log) // 2 if log else -1)
+                names = roles[convention] if first == BUILDER else roles[convention][::-1]
+                records = [{"type": "header", "n": n, "convention": convention,
+                            "first_mover": names[0], "property": "subgraph:K3", "seed": seed}]
+                for i, eid in enumerate(log):
+                    u, v = edge_of(eid, n)
+                    rec = {"type": "move", "round": i // 2 + 1, "role": names[i % 2], "u": u, "v": v}
+                    if i in notes:
+                        rec["note"] = notes[i]
+                    records.append(rec)
+                records.append({"type": "outcome", "result": tr.result, "t": tr.t})
+                assert tr.to_jsonl() == "\n".join(map(_encode, records)) + "\n"
 
 
 def test_replay_reproduces_final_claims():

@@ -442,6 +442,9 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["solve", "--n", "4", "--budget", "-5"]) == 2
     assert main(["verify", "p1", "--graph", "K6", "--eps", "-1"]) == 2
     assert main(["verify", "p2", "--graph", "C8", "--eps", "-1"]) == 2
+    # --set-size sizes the sampled pairs; exact mode covers every size
+    assert main(["verify", "p2", "--graph", "C8", "--eps", "1/10", "--mode", "exact",
+                 "--set-size", "3"]) == 2
     assert main(["verify", "regular-pair", "--graph", "K6", "--A", "0,1,2", "--B", "3,4,5",
                  "--alpha", "-1"]) == 2
     # boards above MAX_N are refused before any is built

@@ -5,10 +5,13 @@ independently of the bitmask/numpy implementations under test.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgegames import (
     ConstantSchedule,
@@ -125,6 +128,55 @@ def test_p2_exact_matches_oracle(monkeypatch):
                 assert (rep.witness_S, rep.witness_T) == want, (trial, eps, block_cells)
             if eps == HALF:
                 assert count == 0 and rep.passed and rep.witness_S is None
+
+
+@st.composite
+def p2_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    # below 1/2, so pairs can fail by less than the largest deviation
+    return n, edges, draw(st.fractions(0, Fraction(9, 20), max_denominator=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p2_cases())
+# in the witness row S = {0, 3}, T = {1, 5} ties with T = {2, 4}, which comes
+# later in (|T|, sorted T) order but earlier as a bitmask of the vertices
+# outside S
+@example((6, [(0, 1), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)], Fraction(3, 10)))
+def test_p2_exact_matches_oracle_any_graph(case):
+    n, edges, eps = case
+    G = graph_from_edges(n, edges)
+    worst, count, first = oracle_p2(G, eps)
+    want = first if worst > eps else (None, None)
+    with pytest.MonkeyPatch.context() as mp:
+        for block_cells in BLOCK_SIZES:
+            mp.setattr(regularity, "_BLOCK_CELLS", block_cells)
+            rep = check_p2(G, eps, mode="exact")
+            assert (rep.deviation, rep.samples) == (worst, count), block_cells
+            assert rep.passed == (worst <= eps)
+            assert (rep.witness_S, rep.witness_T) == want, block_cells
+
+
+def test_p2_exact_k16_pin():
+    # every pair of K16 deviates by 1/2; at eps = 1/10 both sets need 2 vertices
+    n, f = 16, math.factorial
+    count = sum(
+        f(n) // (f(s) * f(t) * f(n - s - t))
+        for s in range(2, n + 1)
+        for t in range(2, n - s + 1)
+    )
+    assert count == 41_867_346
+    rep = check_p2(complete_graph(n), Fraction(1, 10), mode="exact")
+    assert rep.to_json() == {
+        "passed": False,
+        "mode": "exact",
+        "deviation_num": 1,
+        "deviation_den": 2,
+        "samples": count,
+        "witness_S": [0, 1],
+        "witness_T": [2, 3],
+    }
 
 
 def test_p2_witness_is_a_violation():
