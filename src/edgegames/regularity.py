@@ -23,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, density, edges_between, embed, mask_of
+from .graphs import Graph, bits, density, edges_between, embed, graph_from_edges, mask_of
 
 
-P2_EXACT_LIMIT = 16  # exact P2 scans about 3^n cells
-PAIR_EXACT_LIMIT = 24  # exact regular-pair scans 2^|A| * 2^|B| cells
-_BLOCK_CELLS = 1 << 16  # pairs per row block of the exact scan
+P2_EXACT_LIMIT = 16  # exact P2 sorts one weight row per S with |S| <= n/2, about 2^(n-1)
+PAIR_EXACT_LIMIT = 24  # exact regular-pair sorts one weight row per subset of the smaller side
 
 
 def least_size_above(x) -> int:
@@ -70,7 +69,7 @@ class RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# The two scans behind every unbiasedness and regularity check
+# The scans behind every unbiasedness and regularity check
 # ---------------------------------------------------------------------------
 
 def _report(mode: str, worst: Fraction, samples: int, witness, fails) -> RegularityReport:
@@ -88,51 +87,70 @@ def _report(mode: str, worst: Fraction, samples: int, witness, fails) -> Regular
     )
 
 
-def _subset_sums(M):
-    """Column k of the result is the sum of the columns of M picked by the bits of k."""
-    S = np.zeros((M.shape[0], 1 << M.shape[1]), dtype=np.int64)
-    for j in range(M.shape[1]):
-        S[:, 1 << j : 2 << j] = S[:, : 1 << j] + M[:, j, None]
-    return S
+def _worst_cells(W, sizes, least: int, c: Fraction):
+    """The worst |e(R,C)/(|R||C|) - c| over the rows R of W and the sets C of
+    at least `least` columns, where W[r, j] = |N(c_j) & R_r| and sizes[r] = |R_r|.
 
-
-def _exact_scan(G: Graph, A_list, B_list, xs, ys, c: Fraction, fails) -> RegularityReport:
-    """Worst |e(X,Y)/(|X||Y|) - c| over every row X in xs and column Y in ys.
-
-    xs and ys are subset indices (bitmasks over the positions of A_list and
-    B_list, which are disjoint) in the caller's scan order; the witness is
-    the first worst pair in row-major order. Rows go in blocks of about
-    _BLOCK_CELLS pairs, so no 2^|A| x 2^|B| matrix is held. A float ratio
-    with an exact integer numerator locates each block's maximum (equal
-    ratios are equal deviations, and distinct ones stay apart at these
-    sizes); the reported deviation is an exact Fraction.
+    e(R,C) sums the row's weights over C, and the deviation is convex in it,
+    so over |C| = t only the sets at the bottom-t or top-t sum reach the
+    peak; one sort and one cumsum per row give both sums for every t.
+    Returns the exact Fraction `worst` and hit[direction, row, t - least],
+    which marks the cells at it (direction 0 bottom, 1 top; None if there is
+    no cell). Equal float ratios of exact integers are equal deviations, and
+    distinct ones stay apart at these sizes.
     """
-    M = np.array(
-        [[G.adj[u] >> v & 1 for v in B_list] for u in A_list], dtype=np.int64
-    ).reshape(len(A_list), len(B_list))
-    R = _subset_sums(M.T).T  # R[X, j] = e(X, {B_j})
-    xcard = np.array([X.bit_count() for X in xs], dtype=np.int64)
-    ycard = np.array([Y.bit_count() for Y in ys], dtype=np.int64)
-    xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    p, q = c.numerator, c.denominator
-    worst = Fraction(0)
+    k = W.shape[1]
+    if least > k or not len(W):
+        return Fraction(0), None
+    sums = np.zeros((len(W), k + 1))  # float64, exact at these sizes
+    np.cumsum(np.sort(W, axis=1), axis=1, out=sums[:, 1:])  # sums[:, t] = bottom-t sum
+    size = sizes[:, None] * np.arange(least, k + 1)  # |R| t
+    dev = np.stack([sums[:, least:], sums[:, k, None] - sums[:, k - least :: -1]])  # e(R, C)
+    dev *= c.denominator
+    dev -= c.numerator * size
+    np.abs(dev, out=dev)
+    dev /= size  # q times the deviation
+    hit = dev == dev.max()
+    d, r, j = np.unravel_index(np.argmax(dev), dev.shape)
+    e = sums[r, least + j] if d == 0 else sums[r, k] - sums[r, k - least - j]
+    return abs(Fraction(int(e), int(size[r, j])) - c), hit
+
+
+def _earliest_sets(W, least: int):
+    """masks[direction, row, t - least]: the earliest column set of size t at
+    the bottom-t (0) or top-t (1) sum of each row of W, as a bitmask over the
+    column positions. It is the first t entries of a stable argsort: the
+    columns strictly past the threshold weight, then the lowest tied ones.
+    Among the sets at that sum it is first in combinations order and the
+    smallest bitmask."""
+    orders = np.stack([np.argsort(w, axis=1, kind="stable") for w in (W, -W)])
+    return np.cumsum(1 << orders, axis=2)[..., least - 1 :]
+
+
+def _pair_exact_scan(G: Graph, a_list, b_list, x_size: int, y_size: int, c: Fraction, fails):
+    """Exact is_regular_pair. The witness is the least (X index, Y index)
+    among the worst pairs, an index being the bitmask over the positions of
+    a side. The rows of _worst_cells are the subsets of the smaller side (A
+    on a tie), at most 2^12 of them under PAIR_EXACT_LIMIT."""
+    swap = len(b_list) < len(a_list)
+    rows, cols = (b_list, a_list) if swap else (a_list, b_list)
+    row_size, col_size = (y_size, x_size) if swap else (x_size, y_size)
+    inc = (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows)) & 1).astype(np.int8)
+    inc = inc[inc.sum(axis=1) >= row_size]  # row subsets, in ascending index order
+    W = inc @ np.array([[G.adj[u] >> v & 1 for v in cols] for u in rows], dtype=np.int8)
+    worst, hit = _worst_cells(W, inc.sum(axis=1), col_size, c)
     witness = None
-    step = max(1, _BLOCK_CELLS // max(1, len(ys)))
-    for lo in range(0, len(xs), step):
-        X = xs[lo : lo + step]
-        sizes = xcard[lo : lo + step, None] * ycard  # |X||Y|
-        dev_num = np.take(_subset_sums(R[X]), ys, axis=1) * q  # q e(X_i, Y_j)
-        dev_num -= p * sizes
-        np.abs(dev_num, out=dev_num)  # deviation = dev_num / (|X||Y| q)
-        i, j = divmod(int(np.argmax(dev_num / sizes)), len(ys))
-        dev = Fraction(int(dev_num[i, j]), int(sizes[i, j]) * q)
-        if dev > worst:
-            worst = dev
-            witness = (
-                mask_of(A_list[k] for k in bits(int(X[i]))),
-                mask_of(B_list[k] for k in bits(int(ys[j]))),
-            )
-    return _report("exact", worst, len(xs) * len(ys), witness, fails)
+    if worst:
+        # rows with a worst cell; with A as rows the first one holds the witness
+        hr = np.flatnonzero(hit.any(axis=(0, 2)))[: None if swap else 1]
+        none = 1 << len(cols)  # above every column mask
+        key = np.where(hit[:, hr], _earliest_sets(W[hr], col_size), none).min(axis=(0, 2))
+        i = int(np.argmin(key))  # with B as rows, the least X and then the least Y
+        R = mask_of(rows[k] for k in np.flatnonzero(inc[hr[i]]).tolist())
+        C = mask_of(cols[k] for k in bits(int(key[i])))
+        witness = (C, R) if swap else (R, C)
+    samples = len(inc) * sum(math.comb(len(cols), t) for t in range(col_size, len(cols) + 1))
+    return _report("exact", worst, samples, witness, fails)
 
 
 def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
@@ -141,48 +159,29 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
     The witness is the first worst pair in (|S|, sorted S, |T|, sorted T)
     order. A pair (S, T) and its mirror (T, S) deviate equally, so the first
     worst pair has T after S, hence |T| >= |S|: only rows S with |S| <= n/2
-    and columns T with |T| >= |S| are scanned. For a row S, the subset sums
-    of |N(c) & S| over the vertices c outside S give e(S, T) for every T
-    outside S at once, about 3^n cells over all rows. Rows of one size go in
-    blocks of about _BLOCK_CELLS cells, and the columns in (|T|, sorted T)
-    order, so a block's first float maximum is its first worst pair (as in
-    _exact_scan). `samples` counts every ordered qualifying pair.
+    and sets T with |T| >= |S| are scanned. The rows of one size go to
+    _worst_cells in combinations order, with the vertices outside S as
+    columns. `samples` counts every ordered qualifying pair.
     """
     n = G.n
-    adj = np.array(
-        [[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.int64
-    ).reshape(n, n)
-    worst = Fraction(0)
-    witness = None
+    adj = np.array([[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.int8)
+    worst, witness = Fraction(0), None
     for s in range(min_size, n // 2 + 1):
-        k = n - s
         rows = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(n), s)), dtype=np.intp
         ).reshape(-1, s)
-        inside = np.zeros((len(rows), n), dtype=np.int64)
+        inside = np.zeros((len(rows), n), dtype=np.int8)  # a weight is at most |S|
         np.put_along_axis(inside, rows, 1, axis=1)
-        outside = np.nonzero(inside == 0)[1].reshape(len(rows), k)  # ascending per row
-        # T as a bitmask over the positions of `outside`, in (|T|, sorted T) order
-        cols = np.array(
-            [mask_of(T) for t in range(s, k + 1) for T in itertools.combinations(range(k), t)],
-            dtype=np.intp,
-        )
-        sizes = s * np.repeat(np.arange(s, k + 1), [math.comb(k, t) for t in range(s, k + 1)])
-        step = max(1, _BLOCK_CELLS >> k)
-        for lo in range(0, len(rows), step):
-            block = inside[lo : lo + step]
-            W = np.take_along_axis(block @ adj, outside[lo : lo + step], axis=1)
-            dev_num = np.take(_subset_sums(W), cols, axis=1)  # e(S_i, T_j)
-            dev_num *= 2
-            dev_num -= sizes
-            np.abs(dev_num, out=dev_num)  # deviation = dev_num / (2|S||T|)
-            i, j = divmod(int(np.argmax(dev_num / sizes)), len(cols))
-            dev = Fraction(int(dev_num[i, j]), 2 * int(sizes[j]))
-            if dev > worst:
-                worst = dev
-                out = outside[lo + i].tolist()
-                T = mask_of(out[p] for p in bits(int(cols[j])))
-                witness = (mask_of(rows[lo + i].tolist()), T)
+        W = (inside @ adj)[inside == 0].reshape(len(rows), n - s)  # columns ascending per row
+        dev, hit = _worst_cells(W, np.full(len(W), s), s, Fraction(1, 2))
+        if dev > worst:
+            worst = dev
+            r = int(np.argmax(hit.any(axis=(0, 2))))  # the first worst row
+            j = int(np.argmax(hit[:, r].any(axis=0)))  # its smallest worst |T|
+            sets = _earliest_sets(W[r, None], s)[:, 0, j][hit[:, r, j]]
+            T = min(sets.tolist(), key=lambda m: list(bits(m)))  # the earlier in (sorted T) order
+            outside = np.flatnonzero(inside[r] == 0)
+            witness = (mask_of(rows[r].tolist()), mask_of(outside[list(bits(T))].tolist()))
     samples = sum(
         math.comb(n, s) * math.comb(n - s, t)
         for s in range(min_size, n + 1)
@@ -243,10 +242,10 @@ def check_p2(
 ) -> RegularityReport:
     """Every disjoint pair S,T with |S|,|T| > eps*n must be eps-unbiased.
 
-    Exact mode covers all qualifying pairs (n <= P2_EXACT_LIMIT): it scans
-    the disjoint pairs with |T| >= |S| (see _p2_exact_scan), counts every
-    ordered pair in `samples`, and names the first worst pair in the order
-    (|S|, sorted S, |T|, sorted T); it takes no `set_size`. Sampled mode
+    Exact mode covers all qualifying pairs (n <= P2_EXACT_LIMIT) with one
+    sorted weight row per S, |S| <= n/2 (see _p2_exact_scan). It counts every
+    ordered pair in `samples`, names the first worst pair in the order
+    (|S|, sorted S, |T|, sorted T), and takes no `set_size`. Sampled mode
     draws `trials` random disjoint pairs; by default both sets have the
     minimum qualifying size floor(eps*n)+1, overridable via `set_size`
     (small qualifying sets fluctuate binomially, so larger sizes give a
@@ -312,9 +311,10 @@ def is_regular_pair(
     """alpha-regularity of (A,B): |d(A,B) - d(X,Y)| < alpha for all X sub A,
     Y sub B with |X| > alpha|A| and |Y| > alpha|B|.
 
-    Exact mode scans every qualifying sub-pair (|A|+|B| <= PAIR_EXACT_LIMIT)
-    in ascending subset-index order; sampled mode draws qualifying subsets at
-    the minimum qualifying size.
+    Exact mode covers every qualifying sub-pair (|A|+|B| <= PAIR_EXACT_LIMIT)
+    with one sorted weight row per subset of the smaller side (see
+    _pair_exact_scan); sampled mode draws qualifying subsets at the minimum
+    qualifying size.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -334,9 +334,7 @@ def is_regular_pair(
     if mode == "exact":
         if a + b > PAIR_EXACT_LIMIT:
             raise ValueError("exact regular-pair limited to |A|+|B| <= %d" % PAIR_EXACT_LIMIT)
-        xs = [X for X in range(1 << a) if X.bit_count() >= x_size]
-        ys = [Y for Y in range(1 << b) if Y.bit_count() >= y_size]
-        return _exact_scan(G, a_list, b_list, xs, ys, d, fails)
+        return _pair_exact_scan(G, a_list, b_list, x_size, y_size, d, fails)
 
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
@@ -375,6 +373,8 @@ def verify_slicing(
     alpha'-regular (exact mode) with density inside (d - alpha, d + alpha).
     Returns (violations, trials).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     alpha = Fraction(alpha)
     a_list, b_list = sorted(bits(A)), sorted(bits(B))
     L0 = len(a_list)
@@ -520,8 +520,6 @@ def cluster_graph(G: Graph, parts, threshold) -> Graph:
         for j in range(i + 1, ell)
         if density(G, parts[i], parts[j]) >= threshold
     ]
-    from .graphs import graph_from_edges
-
     return graph_from_edges(ell, edges)
 
 

@@ -166,14 +166,6 @@ class JumbleGStrategy(Strategy):
         return int(self._key.argmax())
 
 
-def default_monitor_eps(n: int) -> float:
-    """Reporting eps: min(0.1, theorem threshold); the threshold itself is
-    vacuous (> 1/2) at desk scale."""
-    from .regularity import jumbleg_eps_threshold
-
-    return min(0.1, jumbleg_eps_threshold(n))
-
-
 def parse_strategy(descriptor: str, seed: Optional[int] = None) -> Strategy:
     """A fresh instance for one match; a bare `random` draws from `seed`."""
     if descriptor == "first":

@@ -435,6 +435,10 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["verify", "slicing", "--graph", "Kpartite:6,6", "--alpha", "1/3",
                  "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11",
                  "--L0", "12", "--Li", "3", "--Lj", "3"]) == 2  # L0 is |A| = 6
+    for trials in ("0", "-5"):
+        assert main(["verify", "slicing", "--graph", "Kpartite:6,6", "--alpha", "1/3",
+                     "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11", "--Li", "3", "--Lj", "3",
+                     "--trials", trials]) == 2
     for size in ("0", "-1"):
         assert main(["verify", "density-lemma", "--graph", "C12", "--parts", "3",
                      "--inner-size", size]) == 2

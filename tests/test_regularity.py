@@ -36,7 +36,6 @@ from edgegames import (
     validate_constants,
     verify_slicing,
 )
-from edgegames import regularity
 from edgegames.regularity import is_equipartition
 
 HALF = Fraction(1, 2)
@@ -107,11 +106,7 @@ def test_p2_exact_empty_graph():
     assert check_p2(empty_graph(6), Fraction(9, 10), mode="exact").passed
 
 
-# the exact scan works in row blocks; 64 cells puts one or two rows in each
-BLOCK_SIZES = (regularity._BLOCK_CELLS, 64)
-
-
-def test_p2_exact_matches_oracle(monkeypatch):
+def test_p2_exact_matches_oracle():
     rng = random.Random(7)
     for trial in range(6):
         G = random_graph(7, 0.5, rng)
@@ -119,13 +114,11 @@ def test_p2_exact_matches_oracle(monkeypatch):
         for eps in (Fraction(1, 7), Fraction(1, 4), Fraction(2, 5), HALF):
             worst, count, first = oracle_p2(G, eps)
             want = first if worst > eps else (None, None)
-            for block_cells in BLOCK_SIZES:
-                monkeypatch.setattr(regularity, "_BLOCK_CELLS", block_cells)
-                rep = check_p2(G, eps, mode="exact")
-                assert rep.deviation == worst, (trial, eps, block_cells)
-                assert rep.samples == count, (trial, eps, block_cells)
-                assert rep.passed == (worst <= eps)
-                assert (rep.witness_S, rep.witness_T) == want, (trial, eps, block_cells)
+            rep = check_p2(G, eps, mode="exact")
+            assert rep.deviation == worst, (trial, eps)
+            assert rep.samples == count, (trial, eps)
+            assert rep.passed == (worst <= eps)
+            assert (rep.witness_S, rep.witness_T) == want, (trial, eps)
             if eps == HALF:
                 assert count == 0 and rep.passed and rep.witness_S is None
 
@@ -149,13 +142,10 @@ def test_p2_exact_matches_oracle_any_graph(case):
     G = graph_from_edges(n, edges)
     worst, count, first = oracle_p2(G, eps)
     want = first if worst > eps else (None, None)
-    with pytest.MonkeyPatch.context() as mp:
-        for block_cells in BLOCK_SIZES:
-            mp.setattr(regularity, "_BLOCK_CELLS", block_cells)
-            rep = check_p2(G, eps, mode="exact")
-            assert (rep.deviation, rep.samples) == (worst, count), block_cells
-            assert rep.passed == (worst <= eps)
-            assert (rep.witness_S, rep.witness_T) == want, block_cells
+    rep = check_p2(G, eps, mode="exact")
+    assert (rep.deviation, rep.samples) == (worst, count)
+    assert rep.passed == (worst <= eps)
+    assert (rep.witness_S, rep.witness_T) == want
 
 
 def test_p2_exact_k16_pin():
@@ -254,22 +244,28 @@ def test_jumbleg_eps_threshold():
 # ---------------------------------------------------------------------------
 
 def oracle_regular_pair(G, A_verts, B_verts, alpha):
-    """(worst density deviation, sub-pair count) over qualifying sub-pairs,
-    by full enumeration."""
+    """(worst density deviation, sub-pair count, first pair at the worst
+    deviation) over qualifying sub-pairs, by full enumeration in (X index,
+    Y index) order, an index being the bitmask over the positions of the
+    sorted side."""
+    A_verts, B_verts = sorted(A_verts), sorted(B_verts)
     a, b = len(A_verts), len(B_verts)
     d = density(G, mask_of(A_verts), mask_of(B_verts))
-    worst, count = Fraction(0), 0
-    for xs in range(1, a + 1):
-        if Fraction(xs) <= alpha * a:
+    subsets = lambda side, index: [v for i, v in enumerate(side) if index >> i & 1]
+    worst, count, first = Fraction(0), 0, None
+    for xi in range(1, 1 << a):
+        X = subsets(A_verts, xi)
+        if Fraction(len(X)) <= alpha * a:
             continue
-        for X in itertools.combinations(A_verts, xs):
-            for ys in range(1, b + 1):
-                if Fraction(ys) <= alpha * b:
-                    continue
-                for Y in itertools.combinations(B_verts, ys):
-                    count += 1
-                    worst = max(worst, abs(d - density(G, mask_of(X), mask_of(Y))))
-    return worst, count
+        for yi in range(1, 1 << b):
+            Y = subsets(B_verts, yi)
+            if Fraction(len(Y)) <= alpha * b:
+                continue
+            count += 1
+            dev = abs(d - density(G, mask_of(X), mask_of(Y)))
+            if dev > worst:
+                worst, first = dev, (mask_of(X), mask_of(Y))
+    return worst, count, first
 
 
 def test_regular_pair_complete_bipartite():
@@ -293,19 +289,69 @@ def test_regular_pair_half_graph_witness():
     assert dev == rep.deviation
 
 
-def test_regular_pair_matches_oracle(monkeypatch):
+def test_regular_pair_matches_oracle():
     rng = random.Random(21)
     for trial in range(8):
         A_verts, B_verts = list(range(4)), list(range(4, 9))
         G = random_bipartite(A_verts, B_verts, 0.5, rng, 9)
         for alpha in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            worst, count = oracle_regular_pair(G, A_verts, B_verts, alpha)
-            for block_cells in BLOCK_SIZES:
-                monkeypatch.setattr(regularity, "_BLOCK_CELLS", block_cells)
-                rep = is_regular_pair(G, mask_of(A_verts), mask_of(B_verts), alpha)
-                assert rep.deviation == worst, (trial, alpha, block_cells)
-                assert rep.samples == count, (trial, alpha, block_cells)
-                assert rep.passed == (worst < alpha)  # strict threshold
+            worst, count, first = oracle_regular_pair(G, A_verts, B_verts, alpha)
+            want = first if worst >= alpha and worst else (None, None)
+            rep = is_regular_pair(G, mask_of(A_verts), mask_of(B_verts), alpha)
+            assert rep.deviation == worst, (trial, alpha)
+            assert rep.samples == count, (trial, alpha)
+            assert rep.passed == (worst < alpha)  # strict threshold
+            assert (rep.witness_S, rep.witness_T) == want, (trial, alpha)
+
+
+@st.composite
+def pair_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    # each vertex goes to A, to B or to neither, so the sides interleave and
+    # either one may be the smaller (the exact scan enumerates the smaller)
+    side = draw(
+        st.lists(st.sampled_from("AB-"), min_size=n, max_size=n).filter(
+            lambda s: "A" in s and "B" in s
+        )
+    )
+    A_verts = [v for v in range(n) if side[v] == "A"]
+    B_verts = [v for v in range(n) if side[v] == "B"]
+    return n, edges, A_verts, B_verts, draw(st.fractions(0, Fraction(2, 3), max_denominator=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_cases())
+def test_regular_pair_matches_oracle_any_graph(case):
+    n, edges, A_verts, B_verts, alpha = case
+    G = graph_from_edges(n, edges)
+    worst, count, first = oracle_regular_pair(G, A_verts, B_verts, alpha)
+    want = first if worst >= alpha and worst else (None, None)
+    rep = is_regular_pair(G, mask_of(A_verts), mask_of(B_verts), alpha)
+    assert (rep.deviation, rep.samples) == (worst, count)
+    assert rep.passed == (worst < alpha)
+    assert (rep.witness_S, rep.witness_T) == want
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_regular_pair_cap_corners(swap):
+    # 23 + 1 vertices, at the exact cap: the 23-vertex side has 2^23 subsets,
+    # but the scan enumerates only the subsets of the one-vertex side.
+    # d = 12/23, and every X of odd vertices has density 0 to {23}.
+    G = graph_from_edges(24, [(u, 23) for u in range(0, 23, 2)])
+    big, small = list(range(23)), [23]
+    A, B = (small, big) if swap else (big, small)
+    rep = is_regular_pair(G, mask_of(A), mask_of(B), Fraction(1, 10))
+    X, Y = ([23], [1, 3, 5]) if swap else ([1, 3, 5], [23])
+    assert rep.to_json() == {
+        "passed": False,
+        "mode": "exact",
+        "deviation_num": 12,
+        "deviation_den": 23,
+        "samples": 2**23 - 1 - 23 - 253,  # subsets of 3 or more of the 23
+        "witness_S": X,
+        "witness_T": Y,
+    }
 
 
 def test_regular_pair_strictness():
@@ -407,6 +453,14 @@ def test_verify_slicing_rejects_irregular_source():
         verify_slicing(
             G, mask_of(range(5)), mask_of(range(5, 10)), Fraction(1, 3), 3, 3
         )
+
+
+def test_verify_slicing_rejects_trials_below_one():
+    G = circulant_bipartite(6, 2)
+    A, B = mask_of(range(6)), mask_of(range(6, 12))
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials"):
+            verify_slicing(G, A, B, Fraction(1, 3), 3, 3, trials=trials)
 
 
 def test_verify_slicing_rejects_small_slices():

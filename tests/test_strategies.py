@@ -28,7 +28,7 @@ from edgegames import (
     replay,
 )
 from edgegames.graphs import edge_index, edge_of
-from edgegames.strategies import Strategy, default_monitor_eps, match_players
+from edgegames.strategies import Strategy, match_players
 
 
 def fresh_state(n):
@@ -284,12 +284,6 @@ def test_jumbleg_eps_domain():
     with pytest.raises(ValueError):
         JumbleGStrategy(0)
     JumbleGStrategy(Fraction(49, 100))
-
-
-def test_default_monitor_eps():
-    assert default_monitor_eps(100) == pytest.approx(0.1)
-    # tiny boards: the analytic threshold exceeds 0.1 and is the wrong cap
-    assert default_monitor_eps(10**7) < 0.1
 
 
 # ---------------------------------------------------------------------------
