@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--out", default=None)
     play.set_defaults(func=cmd_play)
 
-    solve = sub.add_parser("solve", help="exact game value by minimax")
+    solve = sub.add_parser(
+        "solve", help="exact game value by alpha-beta, memoized up to vertex relabelling for n <= 7"
+    )
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--property", default="edge")
     solve.add_argument("--budget", type=int, default=None)

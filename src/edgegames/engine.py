@@ -33,6 +33,7 @@ import numpy as np
 # The detectors call the kernel by these names: bench/spans.py wraps them here.
 from .graphs import (
     Graph,
+    _is_bipartite,
     _trusted_graph,
     contains_induced,
     contains_subgraph,
@@ -151,6 +152,10 @@ class NotKColorableProperty(PropertyDetector):
         self.descriptor = "nc:%d" % k
 
     def holds(self, G: Graph) -> bool:
+        if self.k == 1:
+            return any(G.adj)
+        if self.k == 2:
+            return not _is_bipartite(G)
         return not is_k_colorable(G, self.k)
 
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:

@@ -1,19 +1,25 @@
 """Exact game values for tiny boards.
 
-Full minimax over the claim tree: the builder (Avoider) maximizes the hitting
-round, the opponent (Enforcer) minimizes it, and "never" (board exhausted
-without the property) sits above every finite round in the order. Hitting is
-evaluated immediately after each builder move, exactly like the engine.
+Fail-soft alpha-beta over the claim tree: the builder (Avoider) maximizes
+the hitting round, the opponent (Enforcer) minimizes it, and "never" (board
+exhausted without the property) sits above every finite round in the order.
+Hitting is evaluated immediately after each builder move, exactly like the
+engine. Children are tried in edge-id order and the root searches the full
+window, so the move returned is the lowest-id optimal one. `nodes` counts
+the positions valued below the root, memo hits and full boards included; a
+builder move that hits is a leaf and costs no node.
 
-With symmetry on (n <= 7), positions are memoized up to vertex relabelling.
-The key of a claim map is the smallest base-3 number, over all n!
-vertex permutations, that the relabelled claim string spells. The search
-is an engine `Board` that keeps one such number per permutation in a
-vector, updated by the board's own claim and undo: claiming edge e for a
-player adds claims[e] times e's weight row to it, and undoing the claim
-subtracts it again, so a node costs one n!-wide add and one min instead of
-n! relabellings. The claim map alone determines whose turn it is and the
-round, so nothing else enters the key.
+With symmetry on (n <= 7), positions are memoized up to vertex relabelling
+as proven bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A
+lookup answers at once when they are exact or outside the window, else
+searches the window they narrow and tightens them. The key of a claim map
+is the smallest base-3 number, over all n! vertex permutations, that the
+relabelled claim string spells. The search is an engine `Board` that keeps
+one such number per permutation in a vector, updated by the board's own
+claim and undo: claiming edge e for a player adds claims[e] times e's
+weight row to it, and undoing the claim subtracts it again, so a node costs
+one n!-wide add and one min instead of n! relabellings. The claim map alone
+determines whose turn it is and the round, so nothing else enters the key.
 
 Assumes a detector whose property is absent at the start (checked with
 the full `holds`), so its incremental hit checks are sound.
@@ -76,7 +82,7 @@ def canonical_claims(claims, n: int) -> bytes:
 
 
 class _Search(Board):
-    """Minimax from a start position, given as one claim code per edge id."""
+    """Alpha-beta from a start position, given as one claim code per edge id."""
 
     def __init__(self, rules: GameRules, budget: Optional[int], symmetry: bool, start=()):
         if budget is not None and budget < 0:
@@ -95,9 +101,11 @@ class _Search(Board):
             self.key = self.codes @ W
         require_absent(self.prop, self.n, self.adj[BUILDER])
 
-    def best(self):
+    def best(self, alpha=-NEVER, beta=NEVER):
         """(value, first optimal edge id) for the player to move at the
-        current position, which must have an unclaimed edge."""
+        current position, which must have an unclaimed edge. Fail-soft: a
+        value <= alpha is only an upper bound on the true one, a value >=
+        beta only a lower bound, and the edge id is then not meaningful."""
         turn = self.whose_turn()
         builder = turn == BUILDER
         n, claims, pairs, counts = self.n, self.claims, self.pairs, self.counts
@@ -112,32 +120,48 @@ class _Search(Board):
             if builder and hit(n, adj, *pairs[eid]):
                 val = counts[BUILDER]
             else:
-                val = value()
+                val = value(alpha, beta)
             undo(eid, turn)
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
+                if builder:
+                    alpha = max(alpha, best)
+                else:
+                    beta = min(beta, best)
+                if alpha >= beta:
+                    break
         return best, move
 
-    def _value(self):
-        """Value of the position just reached; one search node."""
+    def _value(self, alpha, beta):
+        """Fail-soft value of the position just reached within the window
+        (alpha, beta); one search node."""
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExhausted()
         if self.unclaimed == 0:
             return NEVER
         if self.key is None:
-            return self.best()[0]
+            return self.best(alpha, beta)[0]
         key = int(self.key.min())
-        val = self.memo.get(key)
-        if val is None:
-            val = self.memo[key] = self.best()[0]
+        lo, hi = self.memo.get(key, (-NEVER, NEVER))
+        if lo == hi or lo >= beta:
+            return lo
+        if hi <= alpha:
+            return hi
+        alpha, beta = max(alpha, lo), min(beta, hi)
+        val = self.best(alpha, beta)[0]
+        if val > alpha:  # not a fail-low: a lower bound, or exact
+            lo = val
+        if val < beta:  # not a fail-high: an upper bound, or exact
+            hi = val
+        self.memo[key] = (lo, hi)
         return val
 
 
 def solve_tau(
     rules: GameRules, budget: Optional[int] = None, symmetry: bool = True
 ) -> SolveResult:
-    """Exact minimax value of the game from the empty board.
+    """Exact minimax value of the game from the empty board, by alpha-beta.
 
     Returns Exact(t) as value="exact", t=t; value="never" if the builder can
     exhaust the board without the property; value="unknown" when the node

@@ -4,6 +4,7 @@ import json
 import random
 from array import array
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,22 @@ def test_nc_detector():
     assert not NotKColorableProperty(3).holds(complete_graph(3))
     with pytest.raises(ValueError):
         NotKColorableProperty(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nc1_nc2_holds_matches_networkx(data):
+    # nc:1 answers "has an edge" and nc:2 a BFS 2-colouring, not the
+    # colouring search; networkx is the independent oracle
+    n = data.draw(st.integers(min_value=0, max_value=9))
+    pairs = edge_pairs(n)
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    H = networkx.Graph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from(edges)
+    G = graph_from_edges(n, edges)
+    assert NotKColorableProperty(2).holds(G) == (not networkx.is_bipartite(H))
+    assert NotKColorableProperty(1).holds(G) == (H.number_of_edges() > 0)
 
 
 def test_empty_family_rejected():

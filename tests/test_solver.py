@@ -1,10 +1,11 @@
-"""Exact solver: minimax values, symmetry memoization, budgets, best_move.
+"""Exact solver: alpha-beta values, the bound-tagged symmetric memo,
+budgets, best_move.
 
-The oracle is a deliberately plain no-memo, no-symmetry recursion over the
-claim tree with its own bitmask hit checks -- slower but structurally
-independent of the solver's canonicalization and undo machinery. The
-canonical key has its own oracle: the minimum relabelled claim string over
-all vertex permutations, built edge by edge.
+The oracle is a deliberately plain no-memo, no-symmetry, no-pruning
+recursion over the claim tree with its own bitmask hit checks -- slower but
+structurally independent of the solver's windows, canonicalization and undo
+machinery. The canonical key has its own oracle: the minimum relabelled
+claim string over all vertex permutations, built edge by edge.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from edgegames import (
     parse_property,
     solve_tau,
 )
+from edgegames.engine import UNCLAIMED
 from edgegames.solver import NEVER, _Search, canonical_claims
 from edgegames.graphs import edge_index, edge_pairs, num_edges
 from test_engine import FullRecomputeInduced
@@ -62,14 +64,21 @@ def _has_odd_cycle(adj, n):
     return False
 
 
-def oracle_value(n, hit, first=BUILDER):
-    """Plain minimax: `hit(adj, u, v)` checks the builder's graph after a
+def oracle_value(n, hit, first=BUILDER, start=()):
+    """Plain minimax from `start`, one claim code per edge id (the empty
+    board by default): `hit(adj, u, v)` checks the builder's graph after a
     builder move on (u, v). Returns the game value (rounds or inf)."""
     pairs = edge_pairs(n)
     m = num_edges(n)
-    claims = [0] * m
+    claims = list(start) or [0] * m
     adj = [0] * n
-    counts = [0, 0, 0]
+    counts = [0, 0, 0]  # by claim code; counts[0] is unused
+    for eid, c in enumerate(claims):
+        counts[c] += 1
+        if c == BUILDER:
+            u, v = pairs[eid]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
     def turn():
         second = OPPONENT if first == BUILDER else BUILDER
@@ -112,6 +121,20 @@ def odd_cycle_hit(adj, u, v):
 
 def edge_hit(adj, u, v):
     return True
+
+
+def c4_hit(adj, u, v):
+    # some two vertices share two neighbours
+    n = len(adj)
+    return any(bin(adj[x] & adj[y]).count("1") >= 2 for x in range(n) for y in range(x))
+
+
+ORACLE_HITS = {
+    "edge": edge_hit,
+    "subgraph:K3": triangle_hit,
+    "nc:2": odd_cycle_hit,
+    "subgraph:C4": c4_hit,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +184,9 @@ def test_opponent_first_matches_oracle():
 @pytest.mark.parametrize(
     "n, prop, value, nodes",
     [
-        (5, "subgraph:K3", 5, 542),
-        (6, "subgraph:K3", 7, 15_299),
-        (6, "nc:2", 7, 14_273),
+        (5, "subgraph:K3", 5, 330),
+        (6, "subgraph:K3", 7, 3_701),
+        (6, "nc:2", 7, 3_554),
     ],
 )
 def test_pinned_values_and_node_counts(n, prop, value, nodes):
@@ -178,6 +201,61 @@ def test_induced_anchored_solve_matches_full_recompute(name):
         a = solve_tau(GameRules(n=n, prop=InducedSubgraphProperty([F])))
         b = solve_tau(GameRules(n=n, prop=FullRecomputeInduced([F])))
         assert (a.value, a.t, a.nodes) == (b.value, b.t, b.nodes)
+
+
+@pytest.mark.parametrize("first", [BUILDER, OPPONENT])
+@pytest.mark.parametrize("prop", sorted(ORACLE_HITS))
+def test_memo_bounds_are_sound(prop, first):
+    # every memo entry (lo, hi) must bracket the oracle value of the position
+    # its key spells: base 3, edge 0 the most significant digit
+    hit = ORACLE_HITS[prop]
+    for n in (4, 5):
+        search = _Search(GameRules(n=n, prop=parse_property(prop), first_mover=first), None, True)
+        search.best()
+        m = search.m
+        for key, (lo, hi) in search.memo.items():
+            claims = [key // 3 ** (m - 1 - eid) % 3 for eid in range(m)]
+            assert lo <= oracle_value(n, hit, first, claims) <= hi, (n, claims, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_best_move_is_lowest_id_oracle_optimal(data):
+    # a random position reached without a hit, then each legal move valued
+    # by the oracle: best_move must name the lowest-id optimal one
+    n = 5
+    prop = data.draw(st.sampled_from(sorted(ORACLE_HITS)))
+    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+    hit = ORACLE_HITS[prop]
+    state = GameState(GameRules(n=n, prop=parse_property(prop), first_mover=first))
+
+    def hits(eid):
+        adj = list(state.adj[BUILDER])
+        u, v = state.pairs[eid]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        return hit(adj, u, v)
+
+    for _ in range(data.draw(st.integers(min_value=2, max_value=8))):
+        player = state.whose_turn()
+        free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
+        safe = [e for e in free if player == OPPONENT or not hits(e)]
+        if not safe:
+            break
+        apply_move(state, player, data.draw(st.sampled_from(safe)))
+    player = state.whose_turn()
+    values = {}
+    for eid in range(state.m):
+        if state.claims[eid] != UNCLAIMED:
+            continue
+        if player == BUILDER and hits(eid):
+            values[eid] = state.counts[BUILDER] + 1
+        else:
+            child = list(state.claims)
+            child[eid] = player
+            values[eid] = oracle_value(n, hit, first, child)
+    target = (max if player == BUILDER else min)(values.values())
+    assert best_move(state, player) == min(e for e, v in values.items() if v == target)
 
 
 def test_symmetry_off_agrees():
