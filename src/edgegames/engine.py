@@ -32,15 +32,16 @@ import numpy as np
 
 # The detectors call the kernel by these names: bench/spans.py wraps them here.
 from .graphs import (
+    ColouringCertificate,
     Graph,
-    _is_bipartite,
     _trusted_graph,
     contains_induced,
     contains_subgraph,
     contains_subgraph_with_edge,
     edge_pairs,
     greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
-    is_k_colorable,
+    is_k_colorable,  # noqa: F401 -- unused here, but bench/spans.py wraps it
+    k_coloring,
     chromatic_number,
 )
 
@@ -121,6 +122,8 @@ class SubgraphProperty(PropertyDetector):
         self.f = designated.n
         self.descriptor = descriptor or ("induced" if self.induced else "subgraph") + ":<family>"
         self._triangle_only = all(F.n == 3 and F.edge_count() == 3 for F in self.members)
+        # a (k-1)-colouring of the builder's graph proves every member absent
+        self._cert = ColouringCertificate(self.k - 1) if self.k >= 3 else None
 
     def holds(self, G: Graph) -> bool:
         find = contains_induced if self.induced else contains_subgraph
@@ -131,6 +134,8 @@ class SubgraphProperty(PropertyDetector):
         # is then the image of an F-edge, so the anchored search finds it
         if self._triangle_only:
             return bool(adj[u] & adj[v])
+        if self._cert is not None and self._cert.proves(adj):
+            return False
         G = _trusted_graph(n, adj)
         return any(
             contains_subgraph_with_edge(G, F, u, v, induced=self.induced) is not None
@@ -145,22 +150,35 @@ class InducedSubgraphProperty(SubgraphProperty):
 
 
 class NotKColorableProperty(PropertyDetector):
+    """The builder's graph is not k-colourable. The k-colouring that last
+    proved it colourable is kept across calls; only when it broke and
+    recolouring (exact for k <= 2) fails does the exact search run, and a
+    colouring it finds is kept in turn."""
+
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self.descriptor = "nc:%d" % k
+        self._cert = ColouringCertificate(k)
 
     def holds(self, G: Graph) -> bool:
-        if self.k == 1:
-            return any(G.adj)
-        if self.k == 2:
-            return not _is_bipartite(G)
-        return not is_k_colorable(G, self.k)
+        return not self._colourable(G.n, G.adj)
 
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
+        return not self._colourable(n, adj)
+
+    def _colourable(self, n: int, adj) -> bool:
         # every graph on n vertices is n-colorable
-        return self.k < n and self.holds(_trusted_graph(n, adj))
+        if self.k >= n or self._cert.proves(adj):
+            return True
+        if self.k <= 2:
+            return False
+        colours = k_coloring(_trusted_graph(n, adj), self.k)
+        if colours is None:
+            return False
+        self._cert.keep(colours)
+        return True
 
 
 # ---------------------------------------------------------------------------

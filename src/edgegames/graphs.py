@@ -213,9 +213,11 @@ def _embed_order(F: Graph, first: tuple) -> tuple:
     return tuple(order)
 
 
-def _is_bipartite(G: Graph) -> bool:
-    """BFS 2-colouring on the masks, one whole frontier per step."""
-    unseen = (1 << G.n) - 1
+def _two_colouring(adj) -> Optional[list]:
+    """BFS 2-colouring on the masks, one whole frontier per step: the two
+    colour classes, or None on an odd cycle."""
+    classes = [0, 0]
+    unseen = (1 << len(adj)) - 1
     while unseen:
         frontier = side = unseen & -unseen  # side: the frontier's colour class
         other = 0
@@ -223,18 +225,111 @@ def _is_bipartite(G: Graph) -> bool:
             unseen &= ~frontier
             reach = 0
             for w in bits(frontier):
-                reach |= G.adj[w]
+                reach |= adj[w]
             if reach & side:
-                return False
+                return None
             frontier = reach & unseen
             side, other = other | frontier, side
-    return True
+        classes[0] |= side
+        classes[1] |= other
+    return classes
+
+
+def _dsatur(adj, k: int) -> Optional[list]:
+    """DSATUR (Brelaz 1979) capped at k colours: the next vertex is the
+    uncoloured one whose neighbours show the most colours, ties to the
+    higher degree, then the lower label; it takes its lowest free colour.
+    The k colour classes, or None once a vertex sees all k colours, which
+    does not prove that the graph needs more than k."""
+    n = len(adj)
+    classes = [0] * k
+    seen = [0] * n  # the colours on each vertex's coloured neighbours, as bits
+    rank = [a.bit_count() for a in adj]  # n * (colours seen) + degree
+    left = list(range(n))
+    every = (1 << k) - 1
+    while left:
+        w = max(left, key=rank.__getitem__)
+        free = every & ~seen[w]
+        if not free:
+            return None
+        c = free & -free
+        classes[c.bit_length() - 1] |= 1 << w
+        for x in bits(adj[w]):
+            if not seen[x] & c:
+                seen[x] |= c
+                rank[x] += n
+        left.remove(w)
+    return classes
+
+
+def _own_classes(classes, n: int) -> tuple:
+    """The class mask of each vertex 0..n-1, from disjoint class masks."""
+    own = [0] * n
+    for C in classes:
+        for w in bits(C):
+            own[w] = C
+    return tuple(own)
+
+
+def _colouring(adj, k: int) -> Optional[tuple]:
+    """A proper colouring with at most k colours of the graph on the
+    adjacency masks `adj`, as the class mask of each vertex, or None when
+    none was found: exact for k <= 2 (k = 2 by BFS), and by DSATUR for
+    k >= 3, which can miss a colouring."""
+    n = len(adj)
+    if k == 1:
+        classes = None if any(adj) else [(1 << n) - 1]
+    else:
+        classes = _two_colouring(adj) if k == 2 else _dsatur(adj, k)
+    return None if classes is None else _own_classes(classes, n)
+
+
+class ColouringCertificate:
+    """A proper colouring with at most k colours kept across calls; it
+    proves absent every graph of chromatic number above k.
+
+    `proves(adj)` re-verifies the kept colouring against the current masks,
+    one mask AND per vertex. That assumes nothing about what changed since
+    the last call, so it is sound on any graph, in play and in the solver.
+    Only when the colouring broke does `_colouring` run. The last graph it
+    failed on is kept too, and a graph that contains it is not recoloured:
+    in play the builder's graph only grows, so a board that fails once
+    skips recolouring for the rest of its match, and in the solver, which
+    undoes moves, the skip holds at the failed position and above it.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.own = None  # the class mask of each vertex
+        self.failed = None  # the masks of the last graph that failed
+
+    def proves(self, adj) -> bool:
+        own, failed = self.own, self.failed
+        if own is not None and len(own) == len(adj) and not any(map(int.__and__, adj, own)):
+            return True
+        if failed is not None and len(failed) == len(adj) and all(
+            f & a == f for f, a in zip(failed, adj)
+        ):
+            return False
+        own = _colouring(adj, self.k)
+        if own is None:
+            self.failed = tuple(adj)
+            return False
+        self.own = own
+        return True
+
+    def keep(self, colours) -> None:
+        """Keep a proper colouring given as one colour per vertex."""
+        classes = [0] * self.k
+        for w, c in enumerate(colours):
+            classes[c] |= 1 << w
+        self.own = _own_classes(classes, len(colours))
 
 
 def _certified_free(G: Graph, F: Graph) -> bool:
     """True when G has a proper (chi(F)-1)-colouring, so it holds no copy of F."""
-    k = _pattern_chi(F)
-    return k >= 3 and (_is_bipartite(G) or (k >= 4 and max(greedy_coloring(G)) + 1 < k))
+    k = _pattern_chi(F) - 1
+    return k >= 2 and _colouring(G.adj, k) is not None
 
 
 def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optional[tuple]:
@@ -243,15 +338,19 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
 
     `domains[i]` restricts F-vertex i to a mask of G-vertices (the transversal
     case); `anchor=(u, v)` asks for a copy through the G-edge uv, pre-placing
-    u, v on each F-edge in both orientations. No search runs when G is
-    certifiably (chi(F)-1)-colourable. Otherwise each F-vertex, in
+    u, v on each F-edge in both orientations. Unanchored, no search runs
+    when G is certifiably (chi(F)-1)-colourable; the anchored search is the
+    detectors' per-move check, and they keep their certificate across moves
+    (`ColouringCertificate`) and ask it first. Otherwise each F-vertex, in
     connectivity order, draws its candidates from one mask: its domain minus
     the used vertices, ANDed with the adjacency of each placed F-neighbour
     and, for induced search, minus that of each placed F-non-neighbour.
     """
     if F.n == 0:
         return ()
-    if F.n > G.n or _certified_free(G, F) or (anchor and not G.has_edge(*anchor)):
+    if F.n > G.n or (anchor and not G.has_edge(*anchor)):
+        return None
+    if anchor is None and _certified_free(G, F):
         return None
     adj = G.adj
     if domains is None:  # degree pruning for non-induced search: deg_G >= deg_F
@@ -307,12 +406,12 @@ def contains_subgraph_with_edge(
     """A copy of F in G (induced when `induced`) whose image uses the edge
     (u,v), or None.
 
-    The kernel pre-places u and v on each F-edge and searches the rest; the
-    colouring certificate answers None at once when G is (chi(F)-1)-colourable
-    (on a bipartite G for any non-bipartite F, say). Sound as a full
-    containment check only when G minus that edge holds no such copy (the
-    in-game incremental case): a new copy contains u and v, so uv is the
-    image of an F-edge even in an induced copy.
+    The kernel pre-places u and v on each F-edge and searches the rest, with
+    no colouring certificate: the detectors that call it keep their own
+    across moves. Sound as a full containment check only when G minus that
+    edge holds no such copy (the in-game incremental case): a new copy
+    contains u and v, so uv is the image of an F-edge even in an induced
+    copy.
     """
     return embed(G, F, induced=induced, anchor=(u, v))
 

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .engine import (
+    BUILDER,
+    OPPONENT,
     Board,
     GameRules,
     HasEdgeProperty,
@@ -26,6 +30,7 @@ from .engine import (
     NotKColorableProperty,
     PropertyDetector,
     SubgraphProperty,
+    _incidence,
     play_match,
     replay,
 )
@@ -35,10 +40,14 @@ from .graphs import (
     nc_theorem_bounds,
     turan_bounds,
 )
-from .regularity import _random_disjoint_pair, jumbleg_margin, least_size_above
+from .regularity import jumbleg_margin, least_size_above
 from .strategies import match_players
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
+
+# a claim code's sign in the monitor's e_B - e_M
+_SIGN = np.array([0, 0, 0], dtype=np.int8)
+_SIGN[BUILDER], _SIGN[OPPONENT] = 1, -1
 
 
 def parse_property(descriptor: str) -> PropertyDetector:
@@ -105,6 +114,8 @@ class SweepConfig:
         self.eps = Fraction(self.eps)
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
+        if self.monitor_pairs < 1:
+            raise ValueError("monitor_pairs must be >= 1")
 
 
 @dataclass
@@ -131,20 +142,22 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
 
 def margin_violation_fraction(board: Board, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
-    on the board, read as builder B and opponent M."""
-    from .graphs import edges_between  # looked up per call: bench/spans.py wraps it
+    on the board, read as builder B and opponent M.
 
-    G_b, G_m = board.builder_graph(), board.opponent_graph()
-    size = monitor_set_size(board.n, eps)
+    The pairs are drawn as `_random_disjoint_pair` draws them, and every
+    pair's e_B - e_M is summed at once from one signed n x n matrix: +1
+    where the builder holds the edge, -1 where the opponent does."""
+    n = board.n
+    size = monitor_set_size(n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(pairs):
-        S, T = _random_disjoint_pair(rng, board.n, size, size)
-        if edges_between(G_b, S, T) - edges_between(G_m, S, T) > limit:
-            bad += 1
-    return Fraction(bad, pairs)
+    picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
+    sign = np.zeros(board.m + 1, dtype=np.int8)  # slot m: the diagonal of _incidence
+    sign[:-1] = _SIGN.take(board.codes)
+    signed = sign[_incidence(n)]
+    margins = signed[picks[:, :size, None], picks[:, None, size:]].sum(axis=(1, 2))
+    return Fraction(int((margins > limit).sum()), pairs)
 
 
 def run_sweep(cfg: SweepConfig):

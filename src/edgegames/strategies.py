@@ -80,6 +80,11 @@ class TuranAvoiderStrategy(Strategy):
     While in the cross phase the claimed graph respects the cluster partition
     and so stays (parts)-colorable. Once cross edges run out it falls back to
     the lowest unclaimed edge id and flags the move for the transcript.
+
+    The lowest free cross id only grows while a match goes on, so it keeps a
+    pointer into the sorted cross ids of the board it last played on and
+    moves it past claimed ones; any other board, or a shorter log, starts
+    it afresh.
     """
 
     def __init__(self, parts: int):
@@ -87,20 +92,26 @@ class TuranAvoiderStrategy(Strategy):
             raise ValueError("parts must be >= 1")
         self.parts = parts
         self.descriptor = "turan:%d" % parts
-        self._cross_ids = {}  # n -> ndarray of cross-cluster edge ids
+        self._cross_ids = {}  # n -> sorted list of cross-cluster edge ids
+        self._board, self._seen, self._at = None, 0, 0
 
     def _cross(self, n: int):
         if n not in self._cross_ids:
             u_idx, v_idx = np.triu_indices(n, 1)  # edge ids in order
-            self._cross_ids[n] = np.flatnonzero(u_idx % self.parts != v_idx % self.parts)
+            self._cross_ids[n] = np.flatnonzero(u_idx % self.parts != v_idx % self.parts).tolist()
         return self._cross_ids[n]
 
     def next_move(self, state, player):
-        cross = self._cross(state.n)
-        free_cross = cross[state.codes[cross] == UNCLAIMED]
-        if len(free_cross):
+        cross, claims, at = self._cross(state.n), state.claims, self._at
+        if state is not self._board or len(state.log) < self._seen:
+            self._board, at = state, 0
+        self._seen = len(state.log)
+        while at < len(cross) and claims[cross[at]] != UNCLAIMED:
+            at += 1
+        self._at = at
+        if at < len(cross):
             self.last_note = None
-            return int(free_cross[0])
+            return cross[at]
         eid = state.claims.find(UNCLAIMED)
         if eid < 0:
             raise RuntimeError("no moves left")

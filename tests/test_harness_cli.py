@@ -5,6 +5,7 @@ exercised exactly as a shell user would see them.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from edgegames import (
 )
 from edgegames.cli import main
 from edgegames.engine import Board
-from edgegames.graphs import bits, edge_index, num_edges
+from edgegames.graphs import bits, edge_index, edges_between, num_edges
 from edgegames.harness import (
     CSV_COLUMNS,
     margin_violation_fraction,
@@ -138,6 +139,39 @@ def test_margin_violation_fraction_matches_per_pair_bound(data):
     assert margin_violation_fraction(board, eps, pairs, seed) == Fraction(bad, pairs)
 
 
+def per_pair_violation_fraction(board, eps, pairs, seed):
+    """The monitor as two edges_between bit loops per drawn pair."""
+    G_b, G_m = board.builder_graph(), board.opponent_graph()
+    size = monitor_set_size(board.n, eps)
+    limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(pairs):
+        S, T = _random_disjoint_pair(rng, board.n, size, size)
+        bad += edges_between(G_b, S, T) - edges_between(G_m, S, T) > limit
+    return Fraction(bad, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_margin_violation_fraction_matches_edges_between(data):
+    # the one-pass monitor against the per-pair formula it replaced, on
+    # random boards, seeds and pair counts
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    board = Board(n)
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    bias = data.draw(st.sampled_from([(1, 1, 1), (1, 4, 1), (3, 1, 1), (1, 1, 4)]))
+    for eid in range(board.m):
+        c = rng.choices([0, 1, 2], weights=bias)[0]
+        if c:
+            board.claim(eid, c)
+    eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)]))
+    pairs = data.draw(st.integers(min_value=1, max_value=60))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    got = margin_violation_fraction(board, eps, pairs, seed)
+    assert got == per_pair_violation_fraction(board, eps, pairs, seed)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -206,6 +240,13 @@ def test_sweep_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError):
         small_config(max_rounds=0)
+
+
+@pytest.mark.parametrize("pairs", [0, -1])
+def test_sweep_config_rejects_monitor_pairs_below_one(pairs):
+    # a sweep with no monitor pairs would play every match, then divide by 0
+    with pytest.raises(ValueError, match="monitor_pairs"):
+        small_config(monitor_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

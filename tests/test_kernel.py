@@ -6,20 +6,30 @@ validity; the colouring certificate is checked not to hide a copy, on
 bipartite (and 3-partite) graphs and after an odd edge is added.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx import Graph as NxGraph
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from edgegames import (
+    BUILDER,
+    OPPONENT,
+    InducedSubgraphProperty,
+    NotKColorableProperty,
+    SubgraphProperty,
     chromatic_number,
     contains_induced,
     contains_subgraph,
     find_induced_embedding,
     graph_from_edges,
+    graph_from_name,
     mask_of,
 )
+import edgegames.graphs as kernel
+from edgegames.engine import Board
 from edgegames.graphs import contains_subgraph_with_edge
+from test_graphs import brute_force_colorable
 from test_regularity import oracle_embedding
 
 
@@ -211,3 +221,107 @@ def test_certificate_on_tripartite(Gc, F, data):
     parts_verts = data.draw(transversal_parts(G, F.n)) if F.n <= G.n else []
     assert all_entry_points(G, F, u, v, parts_verts) == (None, None, None, None)
     check_entry_points_against_oracles(G, F, u, v, parts_verts)
+
+
+# (f) the certificate the detectors keep across claims and undos
+CERTIFIED_FAMILIES = [
+    ("subgraph", ["C5"]),
+    ("subgraph", ["K4"]),
+    ("subgraph", ["K5"]),
+    ("induced", ["C5", "K4"]),
+]
+
+
+def has_copy(G, members, induced):
+    if induced:
+        return any(GraphMatcher(to_nx(G), to_nx(F)).subgraph_is_isomorphic() for F in members)
+    return any(monomorphic(G, F) for F in members)
+
+
+def claim_or_undo(board, data, claimed):
+    """One solver-like step on `board`: undo a random claim, or claim a
+    random free edge for a random player. The edge and its player, or None
+    after an undo."""
+    if claimed and data.draw(st.integers(0, 3)) == 0:
+        eid, player = claimed.pop(data.draw(st.integers(0, len(claimed) - 1)))
+        board.undo(eid, player)
+        return None
+    free = [e for e in range(board.m) if board.claims[e] == 0]
+    eid = data.draw(st.sampled_from(free))
+    player = data.draw(st.sampled_from([BUILDER, BUILDER, OPPONENT]))
+    board.claim(eid, player)
+    claimed.append((eid, player))
+    return eid, player
+
+
+@pytest.mark.parametrize("kind, names", CERTIFIED_FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kept_certificate_never_certifies_a_copy(kind, names, data):
+    # random claims and undos, as the solver makes them, on one board; the
+    # detector's certificate is asked after every step and must not prove a
+    # graph free that holds a copy (networkx VF2), and the detector's check
+    # after a builder claim, made when the graph before it had no copy,
+    # must find exactly the new copies
+    members = [graph_from_name(x) for x in names]
+    induced = kind == "induced"
+    det = (InducedSubgraphProperty if induced else SubgraphProperty)(members)
+    n = data.draw(st.integers(min_value=5, max_value=9))
+    board, claimed = Board(n), []
+    before = False
+    for _ in range(data.draw(st.integers(min_value=1, max_value=45))):
+        if board.unclaimed == 0:
+            break
+        step = claim_or_undo(board, data, claimed)
+        G = board.builder_graph()
+        now = has_copy(G, members, induced)
+        if det._cert.proves(board.adj[BUILDER]):
+            assert not now
+        if step is not None and step[1] == BUILDER and not before:
+            u, v = board.pairs[step[0]]
+            assert det.hit_after_masks(n, board.adj[BUILDER], u, v) == now
+        before = now
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kept_nc_colouring_matches_brute_force(k, data):
+    # the same steps for nc:k: the kept colouring, and the detector's answer
+    # with it, against every colour assignment
+    det = NotKColorableProperty(k)
+    n = data.draw(st.integers(min_value=k + 1, max_value=7))
+    board, claimed = Board(n), []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        if board.unclaimed == 0:
+            break
+        claim_or_undo(board, data, claimed)
+        G = board.builder_graph()
+        colourable = brute_force_colorable(G, k)
+        if det._cert.proves(board.adj[BUILDER]):
+            assert colourable
+        assert det.holds(G) == (not colourable)
+
+
+def test_certificate_survives_moves_and_remembers_failure(monkeypatch):
+    # a colouring that stays proper is kept as it is; a graph that could not
+    # be coloured is not recoloured while the graph contains it, and is
+    # again once an undo leaves it
+    calls = []
+    real = kernel._colouring
+    monkeypatch.setattr(kernel, "_colouring", lambda adj, k: calls.append(k) or real(adj, k))
+    cert = kernel.ColouringCertificate(2)
+    adj = list(graph_from_edges(6, [(0, 1), (1, 2)]).adj)
+    assert cert.proves(adj) and len(calls) == 1
+    kept = cert.own
+    for u, v in [(1, 3), (1, 4), (1, 5)]:  # a star at 1 keeps the classes {1}, the rest
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        assert cert.proves(adj) and cert.own is kept
+    assert len(calls) == 1
+    odd = list(graph_from_edges(6, [(0, 1), (1, 2), (0, 2)]).adj)
+    assert not cert.proves(odd) and len(calls) == 2
+    odd[3] |= 1 << 4
+    odd[4] |= 1 << 3
+    assert not cert.proves(odd) and len(calls) == 2  # contains the failed triangle
+    assert cert.proves(list(graph_from_edges(6, [(0, 2), (2, 3)]).adj)) and len(calls) == 3

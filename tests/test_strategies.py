@@ -266,6 +266,47 @@ def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
         assert rand.next_move(state, player) == pick_free(state, oracle_rng)
 
 
+def oracle_turan_move(parts):
+    """TuranAvoiderStrategy's pick, gathered afresh from the board."""
+
+    def pick(state, player):
+        u, v = np.triu_indices(state.n, 1)  # edge ids in order
+        free = np.flatnonzero((u % parts != v % parts) & (state.codes == 0))
+        return int(free[0]) if len(free) else state.claims.find(0)
+
+    return pick
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.lists(
+        st.tuples(st.integers(2, 12), st.sampled_from([BUILDER, OPPONENT]), st.integers(0, 8)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 6),
+)
+def test_turan_pointer_matches_from_scratch_gather(seed, parts, games, back):
+    # one instance plays every game, on both sides of the first one, and may
+    # first be called on a board that already has moves; then moves are
+    # undone on the last board, so its log gets shorter
+    turan, warm = TuranAvoiderStrategy(parts), random.Random(seed)
+    oracle = oracle_turan_move(parts)
+    for n, first, start in games:
+        player = _Checked(turan, oracle, start, warm)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        tr = play_match(player, player, rules)
+        assert tr.result == "never"
+    state = player.state
+    for _ in range(min(back, len(state.log))):
+        eid = state.log.pop()
+        state.undo(eid, state.claims[eid])
+        if state.whose_turn() is not None:
+            assert turan.next_move(state, state.whose_turn()) == oracle(state, None)
+
+
 def test_jumbleg_balances_builder_degrees():
     # greedy enforcer vs random avoider keeps its own degrees near the
     # avoider's: max degree gap stays small on a full board
