@@ -41,7 +41,6 @@ from .graphs import (
     edge_pairs,
     greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     is_k_colorable,  # noqa: F401 -- unused here, but bench/spans.py wraps it
-    k_coloring,
     chromatic_number,
 )
 
@@ -150,17 +149,17 @@ class InducedSubgraphProperty(SubgraphProperty):
 
 
 class NotKColorableProperty(PropertyDetector):
-    """The builder's graph is not k-colourable. The k-colouring that last
-    proved it colourable is kept across calls; only when it broke and
-    recolouring (exact for k <= 2) fails does the exact search run, and a
-    colouring it finds is kept in turn."""
+    """The builder's graph is not k-colourable. Its certificate recolours
+    exactly (DSATUR with backtracking for k >= 3): the k-colouring that
+    last proved the graph colourable is kept across calls, and a graph that
+    contains one the exact search failed on is not k-colourable either."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self.descriptor = "nc:%d" % k
-        self._cert = ColouringCertificate(k)
+        self._cert = ColouringCertificate(k, exact=True)
 
     def holds(self, G: Graph) -> bool:
         return not self._colourable(G.n, G.adj)
@@ -170,15 +169,7 @@ class NotKColorableProperty(PropertyDetector):
 
     def _colourable(self, n: int, adj) -> bool:
         # every graph on n vertices is n-colorable
-        if self.k >= n or self._cert.proves(adj):
-            return True
-        if self.k <= 2:
-            return False
-        colours = k_coloring(_trusted_graph(n, adj), self.k)
-        if colours is None:
-            return False
-        self._cert.keep(colours)
-        return True
+        return self.k >= n or self._cert.proves(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ All densities are exact `Fraction`s; no floats enter any threshold comparison.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -235,53 +236,72 @@ def _two_colouring(adj) -> Optional[list]:
     return classes
 
 
-def _dsatur(adj, k: int) -> Optional[list]:
-    """DSATUR (Brelaz 1979) capped at k colours: the next vertex is the
-    uncoloured one whose neighbours show the most colours, ties to the
-    higher degree, then the lower label; it takes its lowest free colour.
-    The k colour classes, or None once a vertex sees all k colours, which
-    does not prove that the graph needs more than k."""
+def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
+    """The k colour classes of a proper colouring of the graph on the
+    adjacency masks `adj`, or None when none was found.
+
+    k = 1 is the edge test and k = 2 the BFS, both exact. For k >= 3 it runs
+    DSATUR (Brelaz 1979): the next vertex is the uncoloured one whose
+    neighbours show the most colours, ties to the higher degree, then the
+    lower label, and it takes its lowest free colour, so at most one new
+    colour per step. Alone, that first descent stops once a vertex sees all
+    k colours, which does not prove that the graph needs more. With `exact`
+    it then backtracks, on an explicit stack, to the latest vertex with
+    another free colour (still at most one new colour), so None proves that
+    no k-colouring exists.
+    """
     n = len(adj)
+    if k == 1:
+        return None if any(adj) else [(1 << n) - 1]
+    if k == 2:
+        return _two_colouring(adj)
     classes = [0] * k
     seen = [0] * n  # the colours on each vertex's coloured neighbours, as bits
+    near = [0] * k  # the vertices that see each colour, as masks
     rank = [a.bit_count() for a in adj]  # n * (colours seen) + degree
-    left = list(range(n))
+    left = list(range(n))  # the uncoloured vertices, ascending
     every = (1 << k) - 1
+    used = 0  # the colours in use are 0..used-1
+    # per coloured vertex: its colour bit, the free colours not yet tried,
+    # and the neighbours that first saw that colour through it
+    stack = []
     while left:
         w = max(left, key=rank.__getitem__)
-        free = every & ~seen[w]
-        if not free:
-            return None
-        c = free & -free
-        classes[c.bit_length() - 1] |= 1 << w
-        for x in bits(adj[w]):
-            if not seen[x] & c:
-                seen[x] |= c
-                rank[x] += n
+        untried = every & ~seen[w] & ((2 << used) - 1)
+        while not untried:
+            if not exact or not stack:
+                return None
+            w, c, untried, newly = stack.pop()
+            i = c.bit_length() - 1
+            classes[i] ^= 1 << w
+            if not classes[i]:  # w brought colour i in, and all after it are undone
+                used = i
+            near[i] ^= newly
+            for x in bits(newly):
+                seen[x] ^= c
+                rank[x] -= n
+            bisect.insort(left, w)
+        c = untried & -untried
+        i = c.bit_length() - 1
+        classes[i] |= 1 << w
+        used = max(used, i + 1)
+        newly = adj[w] & ~near[i]
+        near[i] |= newly
+        for x in bits(newly):
+            seen[x] |= c
+            rank[x] += n
         left.remove(w)
+        stack.append((w, c, untried ^ c, newly))
     return classes
 
 
-def _own_classes(classes, n: int) -> tuple:
-    """The class mask of each vertex 0..n-1, from disjoint class masks."""
-    own = [0] * n
-    for C in classes:
+def _colours(classes, n: int) -> list:
+    """The colour of each vertex 0..n-1, from disjoint classes covering them."""
+    colours = [0] * n
+    for c, C in enumerate(classes):
         for w in bits(C):
-            own[w] = C
-    return tuple(own)
-
-
-def _colouring(adj, k: int) -> Optional[tuple]:
-    """A proper colouring with at most k colours of the graph on the
-    adjacency masks `adj`, as the class mask of each vertex, or None when
-    none was found: exact for k <= 2 (k = 2 by BFS), and by DSATUR for
-    k >= 3, which can miss a colouring."""
-    n = len(adj)
-    if k == 1:
-        classes = None if any(adj) else [(1 << n) - 1]
-    else:
-        classes = _two_colouring(adj) if k == 2 else _dsatur(adj, k)
-    return None if classes is None else _own_classes(classes, n)
+            colours[w] = c
+    return colours
 
 
 class ColouringCertificate:
@@ -291,15 +311,18 @@ class ColouringCertificate:
     `proves(adj)` re-verifies the kept colouring against the current masks,
     one mask AND per vertex. That assumes nothing about what changed since
     the last call, so it is sound on any graph, in play and in the solver.
-    Only when the colouring broke does `_colouring` run. The last graph it
-    failed on is kept too, and a graph that contains it is not recoloured:
-    in play the builder's graph only grows, so a board that fails once
-    skips recolouring for the rest of its match, and in the solver, which
-    undoes moves, the skip holds at the failed position and above it.
+    Only when the colouring broke does `_colouring` run, exact when
+    `exact`. The last graph it failed on is kept too, and a graph that
+    contains it is not recoloured: in play the builder's graph only grows,
+    so a board that fails once skips recolouring for the rest of its match,
+    and in the solver, which undoes moves, the skip holds at the failed
+    position and above it. With `exact` that skip is exact too, since a
+    graph that contains a non-k-colourable one is not k-colourable.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, exact: bool = False):
         self.k = k
+        self.exact = exact
         self.own = None  # the class mask of each vertex
         self.failed = None  # the masks of the last graph that failed
 
@@ -311,19 +334,16 @@ class ColouringCertificate:
             f & a == f for f, a in zip(failed, adj)
         ):
             return False
-        own = _colouring(adj, self.k)
-        if own is None:
+        classes = _colouring(adj, self.k, self.exact)
+        if classes is None:
             self.failed = tuple(adj)
             return False
+        own = [0] * len(adj)
+        for C in classes:
+            for w in bits(C):
+                own[w] = C
         self.own = own
         return True
-
-    def keep(self, colours) -> None:
-        """Keep a proper colouring given as one colour per vertex."""
-        classes = [0] * self.k
-        for w, c in enumerate(colours):
-            classes[c] |= 1 << w
-        self.own = _own_classes(classes, len(colours))
 
 
 def _certified_free(G: Graph, F: Graph) -> bool:
@@ -421,48 +441,18 @@ def contains_subgraph_with_edge(
 # ---------------------------------------------------------------------------
 
 def greedy_coloring(G: Graph) -> list:
-    """Greedy coloring in degree-descending order; an upper-bound witness."""
-    colors = [-1] * G.n
-    for u in sorted(range(G.n), key=G.degree, reverse=True):
-        taken = {colors[v] for v in bits(G.adj[u]) if colors[v] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[u] = c
-    return colors
+    """DSATUR's first descent with no cap on colours, one colour per
+    vertex; an upper-bound witness."""
+    return _colours(_colouring(G.adj, G.n), G.n)
 
 
 def k_coloring(G: Graph, k: int) -> Optional[list]:
-    """A proper coloring with at most k colors, or None (exact branch and bound)."""
+    """A proper coloring with at most k colors, one per vertex, or None
+    (exact: `_colouring` with backtracking)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if G.n == 0:
-        return []
-    greedy = greedy_coloring(G)
-    if max(greedy) + 1 <= k:
-        return greedy
-    order = sorted(range(G.n), key=G.degree, reverse=True)
-    colors = [-1] * G.n
-
-    def backtrack(pos: int, used: int):
-        if pos == G.n:
-            return True
-        u = order[pos]
-        # symmetry break: allow at most one brand-new color
-        limit = min(k, used + 1)
-        taken = {colors[v] for v in bits(G.adj[u]) if colors[v] >= 0}
-        for c in range(limit):
-            if c in taken:
-                continue
-            colors[u] = c
-            if backtrack(pos + 1, max(used, c + 1)):
-                return True
-            colors[u] = -1
-        return False
-
-    if backtrack(0, 0):
-        return list(colors)
-    return None
+    classes = _colouring(G.adj, k, exact=True)
+    return None if classes is None else _colours(classes, G.n)
 
 
 def is_k_colorable(G: Graph, k: int) -> bool:
@@ -472,9 +462,7 @@ def is_k_colorable(G: Graph, k: int) -> bool:
 def chromatic_number(G: Graph) -> int:
     if G.n == 0:
         return 0
-    for k in itertools.count(1):
-        if is_k_colorable(G, k):
-            return k
+    return next(k for k in itertools.count(1) if is_k_colorable(G, k))
 
 
 # ---------------------------------------------------------------------------

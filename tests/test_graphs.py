@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edgegames.graphs as graphs
 from edgegames import (
     Graph,
     chromatic_number,
@@ -293,6 +294,94 @@ def test_chromatic_number_examples():
     assert chromatic_number(cycle_graph(5)) == 3
     assert chromatic_number(complete_graph(4)) == 4
     assert chromatic_number(empty_graph(3)) == 1
+
+
+def brute_force_chi(G):
+    """The fewest independent sets that cover V(G), by a DP over every
+    vertex subset S and every independent subset of S holding its lowest
+    vertex."""
+    full = 1 << G.n
+    independent = [
+        all(not S >> u & 1 or not G.adj[u] & S for u in range(G.n)) for S in range(full)
+    ]
+    best = [0] + [G.n] * (full - 1)
+    for S in range(1, full):
+        low, T = S & -S, S
+        while T:
+            if T & low and independent[T]:
+                best[S] = min(best[S], best[S ^ T] + 1)
+            T = (T - 1) & S
+    return best[-1]
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, x in zip(pairs, keep) if x < p])
+
+
+def assert_proper_classes(G, classes, k):
+    """At most k disjoint independent classes that cover V(G)."""
+    assert len(classes) <= k
+    assert sum(C.bit_count() for C in classes) == G.n
+    cover = 0
+    for C in classes:
+        cover |= C
+        assert not any(G.adj[w] & C for w in range(G.n) if C >> w & 1)
+    assert cover == (1 << G.n) - 1
+
+
+# Graphs whose first DSATUR descent misses a colouring that exists, so
+# the exact search must backtrack; random graphs this small rarely do.
+FIRST_DESCENT_MISSES = [
+    (graph_from_edges(8, [(0, 1), (0, 5), (0, 7), (1, 2), (1, 5), (1, 6), (2, 3), (2, 6),
+                          (3, 5), (3, 7), (6, 7)]), 3),
+    (graph_from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3),
+                          (2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (4, 7),
+                          (5, 7), (6, 7)]), 4),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=5))
+@example(*FIRST_DESCENT_MISSES[0])
+@example(*FIRST_DESCENT_MISSES[1])
+def test_colouring_kernel_against_brute_force(G, k):
+    # exact: None exactly when no k-colouring exists; the first descent
+    # alone may miss one but never returns an improper colouring
+    chi = brute_force_chi(G)
+    exact = graphs._colouring(G.adj, k, exact=True)
+    assert (exact is None) == (chi > k)
+    if exact is not None:
+        assert_proper_classes(G, exact, k)
+    first = graphs._colouring(G.adj, k)
+    if first is not None:
+        assert_proper_classes(G, first, k)
+    assert chromatic_number(G) == chi
+    witness = k_coloring(G, k)
+    assert (witness is None) == (chi > k)
+    if witness is not None:
+        assert all(0 <= c < k for c in witness)
+        assert all(witness[u] != witness[v] for u, v in G.edges())
+
+
+@pytest.mark.parametrize("G, k", FIRST_DESCENT_MISSES)
+def test_exact_colouring_backtracks_past_a_failed_first_descent(G, k):
+    assert graphs._colouring(G.adj, k) is None
+    assert_proper_classes(G, graphs._colouring(G.adj, k, exact=True), k)
+
+
+def test_colouring_past_the_recursion_limit():
+    # a crown graph (K_{4,4} minus a perfect matching, sides interleaved so
+    # that a degree-order greedy needs 4 colours) padded with isolated
+    # vertices to 1100: a backtracker recursing once per vertex died here
+    G = graph_from_edges(1100, [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j])
+    assert is_k_colorable(G, 2)
+    assert chromatic_number(G) == 2
+    assert chromatic_number(cycle_graph(1101)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,17 @@ def test_cli_bounds_text_and_json(tmp_path, capsys):
     assert payload["lower"] == turan_number(10, 2) // 2
 
 
+def test_cli_play_long_cycle_pattern(capsys):
+    # chi(C1101) tries a 2-colouring of 1101 vertices, which a backtracker
+    # recursing once per vertex could not finish (RecursionError, no exit
+    # code); the builder's graph stays bipartite, so the match is capped
+    code = main(["play", "--n", "1200", "--avoider", "first", "--enforcer", "first",
+                 "--property", "subgraph:C1101", "--max-rounds", "3"])
+    assert code == 0
+    outcome = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert outcome == {"type": "outcome", "result": "capped", "t": -1}
+
+
 def test_cli_validation_exit_code_2(capsys):
     assert main(["play", "--n", "1"]) == 2
     assert main(["play", "--n", "6", "--avoider", "nope"]) == 2

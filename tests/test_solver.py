@@ -194,6 +194,14 @@ def test_pinned_values_and_node_counts(n, prop, value, nodes):
     assert (res.value, res.t, res.nodes) == ("exact", value, nodes)
 
 
+def test_nc3_exact_recolouring_under_claim_and_undo():
+    # nc:3 recolours exactly, with backtracking, whenever its kept colouring
+    # breaks, and remembers the last graph that failed across undos; the
+    # value and the node count pin that down
+    res = solve_tau(GameRules(n=6, prop=parse_property("nc:3")))
+    assert (res.value, res.t, res.nodes) == ("never", None, 1_423)
+
+
 @pytest.mark.parametrize("name", ["P3", "P4", "C4", "Kpartite:1,2", "K3"])
 def test_induced_anchored_solve_matches_full_recompute(name):
     F = graph_from_name(name)
