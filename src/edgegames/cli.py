@@ -35,7 +35,7 @@ from .regularity import (
     validate_constants,
     verify_slicing,
 )
-from .solver import BudgetExhausted, solve_tau
+from .solver import solve_tau
 from .strategies import match_players
 
 
@@ -68,7 +68,7 @@ def cmd_solve(args) -> int:
     prop = parse_property(args.property)
     rules = GameRules(n=args.n, prop=prop)
     start = time.perf_counter()
-    result = solve_tau(rules, budget=args.budget, symmetry=not args.no_symmetry)
+    result = solve_tau(rules, budget=args.budget)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     payload = {
         "n": args.n,
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--property", default="edge")
     solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--no-symmetry", action="store_true")
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=cmd_solve)
 
@@ -291,9 +290,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExhausted:
-        print("error: node budget exhausted", file=sys.stderr)
-        return 3
     except (ValueError, IllegalMoveError, OSError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

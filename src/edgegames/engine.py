@@ -117,8 +117,6 @@ class SubgraphProperty(PropertyDetector):
         if not self.members:
             raise ValueError("empty family")
         self.k = min(chromatic_number(F) for F in self.members)
-        designated = next(F for F in self.members if chromatic_number(F) == self.k)
-        self.f = designated.n
         self.descriptor = descriptor or ("induced" if self.induced else "subgraph") + ":<family>"
         self._triangle_only = all(F.n == 3 and F.edge_count() == 3 for F in self.members)
         # a (k-1)-colouring of the builder's graph proves every member absent
@@ -224,9 +222,7 @@ class Board:
 
     `claims` holds one claim code per edge id (fast scalar reads) and `codes`
     is a zero-copy int8 numpy view of the same buffer (vector reads). `adj`
-    holds both players' adjacency masks. The exact solver also sets `key` to
-    `codes @ W` and `rows` to the weight rows per player; while `key` is set,
-    claim and undo keep it equal to `codes @ W`.
+    holds both players' adjacency masks.
     """
 
     def __init__(self, n: int, first_mover: int = BUILDER):
@@ -239,7 +235,6 @@ class Board:
         self.adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
         self.counts = {BUILDER: 0, OPPONENT: 0}
         self.unclaimed = self.m
-        self.key = self.rows = None
 
     def claim(self, eid: int, player: int) -> None:
         self.claims[eid] = player
@@ -249,8 +244,6 @@ class Board:
         adj[v] |= 1 << u
         self.counts[player] += 1
         self.unclaimed -= 1
-        if self.key is not None:
-            self.key += self.rows[player][eid]
 
     def undo(self, eid: int, player: int) -> None:
         self.claims[eid] = UNCLAIMED
@@ -260,8 +253,6 @@ class Board:
         adj[v] ^= 1 << u
         self.counts[player] -= 1
         self.unclaimed += 1
-        if self.key is not None:
-            self.key -= self.rows[player][eid]
 
     @property
     def round(self) -> int:

@@ -379,22 +379,32 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
     image = [-1] * F.n
 
     def extend(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return True
-        fv = order[pos]
-        cand = domains[fv] & ~used
-        for w in order[:pos]:
-            if F.adj[fv] >> w & 1:
-                cand &= adj[image[w]]
-            elif induced:
-                cand &= ~adj[image[w]]
-        while cand:
-            low = cand & -cand
-            image[fv] = low.bit_length() - 1
-            if extend(pos + 1, used | low):
-                return True
-            cand ^= low
-        return False
+        """Place order[pos:] depth first, lowest candidate first. The
+        untried candidates of each placed vertex wait on an explicit stack,
+        so a pattern of any size stays within the recursion limit."""
+        start, stack, cand = pos, [], None
+        while pos < len(order):
+            fv = order[pos]
+            if cand is None:  # fv's candidates, on arrival from the vertex before it
+                cand = domains[fv] & ~used
+                for w in order[:pos]:
+                    if F.adj[fv] >> w & 1:
+                        cand &= adj[image[w]]
+                    elif induced:
+                        cand &= ~adj[image[w]]
+            if cand:
+                low = cand & -cand
+                image[fv] = low.bit_length() - 1
+                stack.append(cand ^ low)
+                used |= low
+                pos, cand = pos + 1, None
+            elif pos == start:
+                return False
+            else:  # back to the vertex before fv, at its next candidate
+                pos -= 1
+                used ^= 1 << image[order[pos]]
+                cand = stack.pop()
+        return True
 
     if anchor is None:
         starts = [((), ())]
@@ -496,29 +506,13 @@ def turan_graph(n: int, k: int) -> Graph:
 def turan_bounds(n: int, k: int):
     """(floor(t(n,k-1)/2), (k-2)/(k-1) * n^2/4) for k >= 2: the lower bound and
     the leading term of the upper bound for a family of minimum chromatic
-    number k. Every bound in the package is this formula.
+    number k; the game of non-k-colourability takes k + 1. Every bound in the
+    package is this formula. The upper value is the leading term only; any
+    o(n^2) slack is a reporting parameter of the caller.
     """
     if k < 2:
         raise ValueError("bounds need k >= 2")
     return turan_number(n, k - 1) // 2, Fraction(k - 2, k - 1) * n * n / 4
-
-
-def theorem_bounds(n: int, k: int):
-    """Family-variant bounds: (floor(t(n,k-1)/2), (k-2)/(k-1) * n^2/4).
-
-    The upper value is the leading term only; any o(n^2) slack is a reporting
-    parameter of the caller, not computed here.
-    """
-    if k < 3:
-        raise ValueError("family variant needs k >= 3")
-    return turan_bounds(n, k)
-
-
-def nc_theorem_bounds(n: int, k: int):
-    """Non-k-colorability bounds: (floor(t(n,k)/2), (k-1)/k * n^2/4)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return turan_bounds(n, k + 1)
 
 
 # ---------------------------------------------------------------------------

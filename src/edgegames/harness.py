@@ -34,16 +34,12 @@ from .engine import (
     play_match,
     replay,
 )
-from .graphs import (
-    graph_from_name,
-    graph_from_text,
-    nc_theorem_bounds,
-    turan_bounds,
-)
+from .graphs import graph_from_name, graph_from_text, turan_bounds
 from .regularity import jumbleg_margin, least_size_above
 from .strategies import match_players
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
+MONITOR_PAIRS = 200  # (S, T) pairs the margin monitor samples per final board
 
 # a claim code's sign in the monitor's e_B - e_M
 _SIGN = np.array([0, 0, 0], dtype=np.int8)
@@ -82,7 +78,7 @@ def property_bounds(prop: PropertyDetector, n: int):
     family; non-k-colorability uses t(n,k) and (k-1)/k*n^2/4.
     """
     if isinstance(prop, NotKColorableProperty):
-        return nc_theorem_bounds(n, prop.k)
+        return turan_bounds(n, prop.k + 1)
     if isinstance(prop, SubgraphProperty):  # induced families included
         k = prop.k
     elif isinstance(prop, HasEdgeProperty):
@@ -101,7 +97,6 @@ class SweepConfig:
     property_descriptor: str
     master_seed: int = 0
     eps: Fraction = Fraction(1, 10)
-    monitor_pairs: int = 200
     max_rounds: Optional[int] = None
 
     def __post_init__(self):
@@ -114,8 +109,6 @@ class SweepConfig:
         self.eps = Fraction(self.eps)
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        if self.monitor_pairs < 1:
-            raise ValueError("monitor_pairs must be >= 1")
 
 
 @dataclass
@@ -174,7 +167,7 @@ def run_sweep(cfg: SweepConfig):
             )
             lower, upper_main = property_bounds(prop, n)
             violations = margin_violation_fraction(
-                replay(transcript, prop), cfg.eps, cfg.monitor_pairs, seed ^ 0xA5A5
+                replay(transcript, prop), cfg.eps, MONITOR_PAIRS, seed ^ 0xA5A5
             )
             rows.append(
                 SweepRow(
@@ -265,7 +258,7 @@ def report_bounds(n: int, k: int, variant: str = "family") -> dict:
     elif variant == "nc":
         if k < 1:
             raise ValueError("nc variant needs k >= 1")
-        lower, upper_main = nc_theorem_bounds(n, k)
+        lower, upper_main = turan_bounds(n, k + 1)
         if k == 1:
             flags.append("trivial game")
     else:

@@ -9,17 +9,18 @@ window, so the move returned is the lowest-id optimal one. `nodes` counts
 the positions valued below the root, memo hits and full boards included; a
 builder move that hits is a leaf and costs no node.
 
-With symmetry on (n <= 7), positions are memoized up to vertex relabelling
-as proven bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A
-lookup answers at once when they are exact or outside the window, else
-searches the window they narrow and tightens them. The key of a claim map
-is the smallest base-3 number, over all n! vertex permutations, that the
-relabelled claim string spells. The search is an engine `Board` that keeps
-one such number per permutation in a vector, updated by the board's own
-claim and undo: claiming edge e for a player adds claims[e] times e's
-weight row to it, and undoing the claim subtracts it again, so a node costs
-one n!-wide add and one min instead of n! relabellings. The claim map alone
-determines whose turn it is and the round, so nothing else enters the key.
+Positions are memoized up to vertex relabelling (so n <= 7) as proven
+bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A lookup
+answers at once when they are exact or outside the window, else searches
+the window they narrow and tightens them. The key of a claim map is the
+smallest base-3 number, over all n! vertex permutations, that the
+relabelled claim string spells. The search is an engine `Board` plus a
+vector of one such number per permutation: a child that the search goes on
+to value adds claims[e] times e's weight row to it, and subtracts the row
+again once valued, so a node costs one n!-wide add and one min instead of
+n! relabellings. A builder move that hits is a leaf and skips both. The
+claim map alone determines whose turn it is and the round, so nothing else
+enters the key.
 
 Assumes a detector whose property is absent at the start (checked with
 the full `holds`), so its incremental hit checks are sound.
@@ -82,9 +83,14 @@ def canonical_claims(claims, n: int) -> bytes:
 
 
 class _Search(Board):
-    """Alpha-beta from a start position, given as one claim code per edge id."""
+    """Alpha-beta from a start position, given as one claim code per edge id.
 
-    def __init__(self, rules: GameRules, budget: Optional[int], symmetry: bool, start=()):
+    `key` is `codes @ W` for the weight table W of the board's n, one entry
+    per vertex permutation, and `rows[player][e]` is player's code times
+    W[e]; `best` keeps the key in step with the children it values.
+    """
+
+    def __init__(self, rules: GameRules, budget: Optional[int], start=()):
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
         super().__init__(rules.n, rules.first_mover)
@@ -92,13 +98,12 @@ class _Search(Board):
         self.budget = budget
         self.nodes = 0
         self.memo = {}
-        W = _weights(self.n) if symmetry else None
+        W = _weights(self.n)
         for eid, c in enumerate(start):
             if c != UNCLAIMED:
                 self.claim(eid, c)
-        if W is not None:
-            self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
-            self.key = self.codes @ W
+        self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
+        self.key = self.codes @ W
         require_absent(self.prop, self.n, self.adj[BUILDER])
 
     def best(self, alpha=-NEVER, beta=NEVER):
@@ -112,6 +117,7 @@ class _Search(Board):
         adj = self.adj[BUILDER]
         hit = self.prop.hit_after_masks
         claim, undo, value = self.claim, self.undo, self._value
+        key, rows = self.key, self.rows[turn]
         best = move = None
         for eid in range(self.m):
             if claims[eid] != UNCLAIMED:
@@ -120,7 +126,9 @@ class _Search(Board):
             if builder and hit(n, adj, *pairs[eid]):
                 val = counts[BUILDER]
             else:
+                key += rows[eid]  # in place: _value reads self.key
                 val = value(alpha, beta)
+                key -= rows[eid]
             undo(eid, turn)
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
@@ -140,8 +148,6 @@ class _Search(Board):
             raise BudgetExhausted()
         if self.unclaimed == 0:
             return NEVER
-        if self.key is None:
-            return self.best(alpha, beta)[0]
         key = int(self.key.min())
         lo, hi = self.memo.get(key, (-NEVER, NEVER))
         if lo == hi or lo >= beta:
@@ -158,17 +164,15 @@ class _Search(Board):
         return val
 
 
-def solve_tau(
-    rules: GameRules, budget: Optional[int] = None, symmetry: bool = True
-) -> SolveResult:
+def solve_tau(rules: GameRules, budget: Optional[int] = None) -> SolveResult:
     """Exact minimax value of the game from the empty board, by alpha-beta.
 
     Returns Exact(t) as value="exact", t=t; value="never" if the builder can
     exhaust the board without the property; value="unknown" when the node
-    budget runs out. Raises ValueError if the budget is negative or the
-    property holds on the empty graph.
+    budget runs out. Raises ValueError if n > MAX_SYMMETRY_N, the budget is
+    negative or the property holds on the empty graph.
     """
-    search = _Search(rules, budget, symmetry)
+    search = _Search(rules, budget)
     try:
         val, eid = search.best()
     except BudgetExhausted:
@@ -178,12 +182,11 @@ def solve_tau(
     return SolveResult("exact", int(val), search.nodes, eid)
 
 
-def best_move(
-    state: GameState, player: int, budget: Optional[int] = None, symmetry: bool = True
-) -> int:
+def best_move(state: GameState, player: int, budget: Optional[int] = None) -> int:
     """The edge id of a minimax-optimal move for `player` at `state`, ties to
-    the minimum id. Raises ValueError if it is not `player`'s turn, the budget
-    is negative or the builder's graph already has the property."""
+    the minimum id. Raises ValueError if it is not `player`'s turn, n >
+    MAX_SYMMETRY_N, the budget is negative or the builder's graph already has
+    the property."""
     if state.whose_turn() != player:
         raise ValueError("not this player's turn")
-    return _Search(state.rules, budget, symmetry, state.claims).best()[1]
+    return _Search(state.rules, budget, state.claims).best()[1]

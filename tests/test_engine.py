@@ -59,7 +59,7 @@ def test_has_edge_detector():
 
 def test_subgraph_detector_triangle():
     p = triangle_prop()
-    assert p.k == 3 and p.f == 3
+    assert p.k == 3
     G = graph_from_edges(4, [(0, 1), (1, 2)])
     assert not p.holds(G)
     G2 = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
@@ -133,8 +133,7 @@ def test_induced_anchored_transcripts_match_full_recompute(name, n):
 
 def test_family_uses_min_chromatic_member():
     p = SubgraphProperty([complete_graph(4), cycle_graph(5)])
-    assert p.k == 3  # C5 is the designated member
-    assert p.f == 5
+    assert p.k == 3  # chi(C5) = 3 < chi(K4) = 4
 
 
 def test_induced_detector():

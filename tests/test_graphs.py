@@ -34,13 +34,12 @@ from edgegames import (
     is_k_colorable,
     k_coloring,
     mask_of,
-    nc_theorem_bounds,
     path_graph,
     petersen_graph,
-    theorem_bounds,
     turan_graph,
     turan_number,
 )
+from edgegames.graphs import contains_subgraph_with_edge, turan_bounds
 
 
 def random_graph(n, p, rng):
@@ -241,6 +240,18 @@ def test_induced_implies_subgraph(seed):
     F = random_graph(rng.randrange(2, 5), 0.5, rng)
     if contains_induced(G, F) is not None:
         assert contains_subgraph(G, F) is not None
+
+
+def test_embedding_past_the_recursion_limit():
+    # a matcher recursing once per pattern vertex died on a 1000-vertex path
+    P = path_graph(1000)
+    w = contains_subgraph(P, P)
+    assert w is not None
+    check_witness(P, P, w, induced=False)
+    w = contains_subgraph_with_edge(P, P, 0, 1)
+    assert w is not None
+    check_witness(P, P, w, induced=False)
+    assert any({w[a], w[b]} == {0, 1} for a, b in P.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +520,17 @@ def test_turan_rejects_k0():
 
 
 def test_theorem_bounds():
-    assert theorem_bounds(100, 3) == (1250, Fraction(1250))
-    assert theorem_bounds(4, 3)[0] == 2  # t(4,2) = 4
+    # a family of minimum chromatic number k
+    assert turan_bounds(100, 3) == (1250, Fraction(1250))
+    assert turan_bounds(4, 3)[0] == 2  # t(4,2) = 4
     with pytest.raises(ValueError):
-        theorem_bounds(10, 2)
+        turan_bounds(10, 1)
 
 
 def test_nc_theorem_bounds():
-    assert nc_theorem_bounds(100, 1) == (0, Fraction(0))
-    lower, upper = nc_theorem_bounds(100, 2)
+    # nc:k takes the family bound at k + 1
+    assert turan_bounds(100, 2) == (0, Fraction(0))  # nc:1
+    lower, upper = turan_bounds(100, 3)  # nc:2
     assert lower == 1250 and upper == 1250
 
 

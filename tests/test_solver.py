@@ -1,7 +1,7 @@
 """Exact solver: alpha-beta values, the bound-tagged symmetric memo,
 budgets, best_move.
 
-The oracle is a deliberately plain no-memo, no-symmetry, no-pruning
+The oracle is a deliberately plain no-memo, no-relabelling, no-pruning
 recursion over the claim tree with its own bitmask hit checks -- slower but
 structurally independent of the solver's windows, canonicalization and undo
 machinery. The canonical key has its own oracle: the minimum relabelled
@@ -32,7 +32,7 @@ from edgegames import (
     solve_tau,
 )
 from edgegames.engine import UNCLAIMED
-from edgegames.solver import NEVER, _Search, canonical_claims
+from edgegames.solver import NEVER, _Search, _weights, canonical_claims
 from edgegames.graphs import edge_index, edge_pairs, num_edges
 from test_engine import FullRecomputeInduced
 
@@ -218,7 +218,7 @@ def test_memo_bounds_are_sound(prop, first):
     # its key spells: base 3, edge 0 the most significant digit
     hit = ORACLE_HITS[prop]
     for n in (4, 5):
-        search = _Search(GameRules(n=n, prop=parse_property(prop), first_mover=first), None, True)
+        search = _Search(GameRules(n=n, prop=parse_property(prop), first_mover=first), None)
         search.best()
         m = search.m
         for key, (lo, hi) in search.memo.items():
@@ -266,14 +266,6 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
     assert best_move(state, player) == min(e for e, v in values.items() if v == target)
 
 
-def test_symmetry_off_agrees():
-    for n in (3, 4):
-        a = solve_tau(triangle_rules(n), symmetry=True)
-        b = solve_tau(triangle_rules(n), symmetry=False)
-        assert (a.value, a.t) == (b.value, b.t)
-        assert b.nodes >= a.nodes  # memoization can only prune
-
-
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
@@ -304,27 +296,43 @@ def test_canonical_key_matches_brute_force(data):
     expected = brute_canonical(claims, n)
     assert canonical_claims(claims, n) == expected
     # nc:n never holds on n vertices, so any claim map is a legal start
-    search = _Search(GameRules(n=n, prop=NotKColorableProperty(n)), None, True, claims)
+    search = _Search(GameRules(n=n, prop=NotKColorableProperty(n)), None, claims)
     assert int(search.key.min()) == base3(expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_incremental_key_through_claims_and_undos(data):
-    n = data.draw(st.integers(min_value=2, max_value=6))
-    search = _Search(GameRules(n=n, prop=NotKColorableProperty(n)), None, True)
-    played = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
-        free = [e for e in range(search.m) if search.claims[e] == 0]
-        if played and (not free or data.draw(st.booleans())):
-            search.undo(*played.pop())
-        else:
-            move = (data.draw(st.sampled_from(free)), data.draw(st.sampled_from([BUILDER, OPPONENT])))
-            search.claim(*move)
-            played.append(move)
-        expected = brute_canonical(search.claims, n)
-        assert int(search.key.min()) == base3(expected)
-        assert canonical_claims(search.claims, n) == expected
+    # the search adds a child's weight row before valuing it and subtracts
+    # it after, and a hitting builder move touches neither: at every valued
+    # position the key must spell the canonical claim map, and after the
+    # search it must be the start position's again
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2"])))
+    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+    state = GameState(GameRules(n=n, prop=prop, first_mover=first))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=num_edges(n) - 1))):
+        player = state.whose_turn()
+        free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
+        eid = data.draw(st.sampled_from(free))
+        apply_move(state, player, eid)
+        if player == BUILDER and prop.hit_after_state(state, eid):
+            state.undo(eid, player)
+            break
+    search = _Search(state.rules, None, state.claims)
+    valued = []
+
+    def value(alpha, beta, real=search._value):
+        valued.append((int(search.key.min()), bytes(search.claims)))
+        return real(alpha, beta)
+
+    search._value = value
+    search.best()
+    assert len(valued) == search.nodes
+    for key, claims in valued:
+        assert key == base3(brute_canonical(claims, n))
+    assert bytes(search.claims) == bytes(state.claims)
+    assert (search.key == search.codes @ _weights(n)).all()
 
 
 def test_canonical_claims_permutation_invariant():
@@ -352,7 +360,6 @@ def test_canonicalization_size_cap():
         canonical_claims(bytearray(num_edges(8)), 8)
     with pytest.raises(ValueError):
         solve_tau(triangle_rules(8))
-    solve_tau(triangle_rules(8), symmetry=False, budget=10)  # allowed without symmetry
 
 
 # ---------------------------------------------------------------------------
