@@ -51,7 +51,9 @@ UNCLAIMED = 0
 BUILDER = 1  # Avoider / Maker
 OPPONENT = 2  # Enforcer / Breaker
 
-MAX_N = 2000  # largest board: ~2 M edges; GameState plus _incidence peak near 300 MB
+# largest board: ~2 M edges. A full-board jumbleg match there peaks near 780 MB,
+# most of it the JSONL transcript; one capped at 5,000 rounds near 235 MB.
+MAX_N = 2000
 
 _ROLE_NAMES = {
     AVOIDER_ENFORCER: {BUILDER: "avoider", OPPONENT: "enforcer"},
@@ -207,8 +209,9 @@ def _incidence(n: int):
 
     `inc[w, x]` is the id of edge wx, and the diagonal `inc[w, w]` is m, one
     slot past the last edge id, so a row of `inc` lines up with a vertex
-    vector. It is intp, the dtype numpy indexes with, since JumbleG gathers
-    rows of it on every move.
+    vector. It is intp, the dtype numpy indexes with: the sweep's margin
+    monitor gathers its signed matrix through it, and the solver its
+    relabelled edge ids.
     """
     m = n * (n - 1) // 2
     inc = np.full((n, n), m, dtype=np.intp)
@@ -352,6 +355,15 @@ class Transcript:
                 lines.append(plain[i & 1] % (i // 2 + 1, u, v))
         lines.append(_encode({"type": "outcome", "result": self.result, "t": self.t}))
         return "\n".join(lines) + "\n"
+
+    def final_codes(self) -> np.ndarray:
+        """The final board's claim code per edge id, as an int8 array like
+        `Board.codes`, read straight off the log."""
+        codes = np.zeros(len(_pairs(self.n)), dtype=np.int8)
+        log = np.frombuffer(self.log, dtype=np.intc)  # array("i") holds C ints
+        codes[log[0::2]] = self.first_mover
+        codes[log[1::2]] = BUILDER + OPPONENT - self.first_mover
+        return codes
 
 
 def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:

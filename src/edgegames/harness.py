@@ -23,7 +23,6 @@ import numpy as np
 from .engine import (
     BUILDER,
     OPPONENT,
-    Board,
     GameRules,
     HasEdgeProperty,
     InducedSubgraphProperty,
@@ -32,7 +31,6 @@ from .engine import (
     SubgraphProperty,
     _incidence,
     play_match,
-    replay,
 )
 from .graphs import graph_from_name, graph_from_text, turan_bounds
 from .regularity import jumbleg_margin, least_size_above
@@ -133,21 +131,21 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
     return min(max(least_size_above(eps * n), -(-n // 4)), n // 2)
 
 
-def margin_violation_fraction(board: Board, eps: Fraction, pairs: int, seed: int) -> Fraction:
+def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
-    on the board, read as builder B and opponent M.
+    on the board on n vertices with these claim codes (`Board.codes`, or a
+    transcript's `final_codes()`), read as builder B and opponent M.
 
     The pairs are drawn as `_random_disjoint_pair` draws them, and every
     pair's e_B - e_M is summed at once from one signed n x n matrix: +1
     where the builder holds the edge, -1 where the opponent does."""
-    n = board.n
     size = monitor_set_size(n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
     rng = random.Random(seed)
     picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
-    sign = np.zeros(board.m + 1, dtype=np.int8)  # slot m: the diagonal of _incidence
-    sign[:-1] = _SIGN.take(board.codes)
+    sign = np.zeros(len(codes) + 1, dtype=np.int8)  # slot m: the diagonal of _incidence
+    sign[:-1] = _SIGN.take(codes)
     signed = sign[_incidence(n)]
     margins = signed[picks[:, :size, None], picks[:, None, size:]].sum(axis=(1, 2))
     return Fraction(int((margins > limit).sum()), pairs)
@@ -167,7 +165,7 @@ def run_sweep(cfg: SweepConfig):
             )
             lower, upper_main = property_bounds(prop, n)
             violations = margin_violation_fraction(
-                replay(transcript, prop), cfg.eps, MONITOR_PAIRS, seed ^ 0xA5A5
+                n, transcript.final_codes(), cfg.eps, MONITOR_PAIRS, seed ^ 0xA5A5
             )
             rows.append(
                 SweepRow(

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import GameState, UNCLAIMED, _incidence
+from .engine import GameState, UNCLAIMED
+from .graphs import edge_index
 from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wraps it
 
 
@@ -119,9 +120,6 @@ class TuranAvoiderStrategy(Strategy):
         return eid
 
 
-_CLAIMED = np.iinfo(np.int64).min  # JumbleG key of a claimed edge
-
-
 class JumbleGStrategy(Strategy):
     """Discrepancy-greedy pseudo-randomizer.
 
@@ -130,12 +128,19 @@ class JumbleGStrategy(Strategy):
     builder/opponent degrees; ties go to the minimum edge id. Deterministic,
     and a pure function of the claim map.
 
-    Keeps the per-edge key of the board and player it last played for, that
-    board's claimed flags and its per-vertex degree differences, read from
-    the board's masks. A move changes the degrees at its two endpoints only,
-    so each call recomputes just those vertices and the edges at them for
-    the board's new log entries; any other board or player is keyed afresh.
-    Claimed edges are keyed int64 min.
+    Keeps, for the board and player it last played for, each vertex's
+    difference `diff[w]` (the other player's degree minus its own), the mask
+    `free[w]` of its unclaimed partners, and `cls`, which maps each
+    difference to the mask of the vertices with it that still have an
+    unclaimed edge. A new log entry moves its two endpoints by one; any
+    other board or player, or a shorter log, is read afresh from the masks.
+
+    The move is the first hit of a downward search over the key S, from
+    twice the largest class value: the rows a that have a partner class
+    S - diff[a] with a vertex above a are scanned in increasing order for a
+    free partner b > a in that class. The first hit (a, b) has the largest
+    key and, among those, the smallest edge id, as an argmax over every edge
+    would pick. Each S tried costs one pass over the set bits of its rows.
     """
 
     def __init__(self, eps):
@@ -145,36 +150,59 @@ class JumbleGStrategy(Strategy):
         self.eps = eps
         self.descriptor = "jumbleg:%s" % eps
         self._board, self._player, self._seen = None, None, 0
-        self._key = self._claimed = self._diff = None
+        self._diff = self._free = self._cls = None
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
         # enforcer this is the spec'd (d_A(u)-d_E(u)) + (d_A(v)-d_E(v)) key
         if state.unclaimed == 0:
             raise RuntimeError("no moves left")
-        log, claimed = state.log, self._claimed
+        n, log = state.n, state.log
         if state is not self._board or player != self._player or len(log) < self._seen:
             self._board, self._player = state, player
-            # bool flags gather faster than the int8 codes; slot m, where the
-            # incidence table's diagonal points, counts as claimed
-            claimed = self._claimed = np.append(state.codes != UNCLAIMED, True)
-            self._key = np.empty(state.m + 1, dtype=np.int64)
-            self._diff = np.empty(state.n, dtype=np.int64)
-            touched = range(state.n)
+            other, mine = state.adj[3 - player], state.adj[player]  # BUILDER=1, OPPONENT=2
+            full = (1 << n) - 1
+            self._diff = [o.bit_count() - m.bit_count() for o, m in zip(other, mine)]
+            self._free = [full ^ (1 << w) ^ (other[w] | mine[w]) for w in range(n)]
+            self._cls = cls = {}
+            for w, (d, f) in enumerate(zip(self._diff, self._free)):
+                if f:
+                    cls[d] = cls.get(d, 0) | 1 << w
         else:
-            touched = set()
+            diff, free, cls = self._diff, self._free, self._cls
+            claims, pairs = state.claims, state.pairs
             for eid in log[self._seen:]:
-                claimed[eid] = True
-                touched.update(state.pairs[eid])
+                step = 1 if claims[eid] != player else -1
+                u, v = pairs[eid]
+                for w, x in (u, v), (v, u):
+                    # w had the free edge wx, so it sat in its class until now
+                    d, bit = diff[w], 1 << w
+                    if cls[d] == bit:
+                        del cls[d]
+                    else:
+                        cls[d] ^= bit
+                    free[w] ^= 1 << x
+                    diff[w] = d = d + step
+                    if free[w]:
+                        cls[d] = cls.get(d, 0) | bit
         self._seen = len(log)
-        ws, diff = list(touched), self._diff
-        other, mine = state.adj[3 - player], state.adj[player]  # BUILDER=1, OPPONENT=2
-        diff[ws] = [other[w].bit_count() - mine[w].bit_count() for w in ws]
-        ids = _incidence(state.n).take(ws, axis=0)  # the edges at each w
-        key = diff.take(ws)[:, None] + diff
-        np.putmask(key, claimed.take(ids), _CLAIMED)
-        self._key[ids] = key
-        return int(self._key.argmax())
+        diff, free, cls = self._diff, self._free, self._cls
+        # the differences on a board are nearly contiguous, so almost every S
+        # in this range is a sum of two of them; one that is not has no rows
+        for S in range(2 * max(cls), 2 * min(cls) - 1, -1):
+            rows = 0
+            for x, xs in cls.items():
+                ys = cls.get(S - x)
+                if ys:  # the rows below the top vertex of their partner class
+                    rows |= xs & (1 << ys.bit_length() - 1) - 1
+            while rows:
+                low = rows & -rows
+                a = low.bit_length() - 1
+                hit = (free[a] & cls[S - diff[a]]) >> (a + 1)
+                if hit:
+                    return edge_index(a, a + (hit & -hit).bit_length(), n)
+                rows ^= low
+        raise AssertionError("an unclaimed edge joins two vertices with free edges")
 
 
 def parse_strategy(descriptor: str, seed: Optional[int] = None) -> Strategy:

@@ -521,6 +521,19 @@ def test_replay_reproduces_final_claims():
         state = replay(tr, triangle_prop())
         assert state.claims == builder.state.claims
         assert state.log == tr.log and state.adj == builder.state.adj
+        assert tr.final_codes().tobytes() == state.claims
+
+
+def test_final_codes_read_the_log_on_odd_ended_and_stopped_boards():
+    # n = 5 has m = 10 edges, n = 6 an odd m = 15 the first mover ends;
+    # K3 stops a match early, and capped matches stop mid-board
+    for n in (2, 5, 6, 9):
+        for first in (BUILDER, OPPONENT):
+            for prop, cap in ((NotKColorableProperty(n), None), (triangle_prop(), None),
+                              (NotKColorableProperty(n), 2)):
+                r = rules(n, prop, first_mover=first)
+                tr = play_match(RandomStrategy(n), RandomStrategy(first), r, max_rounds=cap)
+                assert tr.final_codes().tobytes() == replay(tr, prop).claims
 
 
 def test_illegal_strategy_is_diagnosed():

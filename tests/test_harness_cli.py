@@ -136,7 +136,7 @@ def test_margin_violation_fraction_matches_per_pair_bound(data):
     for eid, c in enumerate(claims):
         if c:
             board.claim(eid, c)
-    assert margin_violation_fraction(board, eps, pairs, seed) == Fraction(bad, pairs)
+    assert margin_violation_fraction(board.n, board.codes, eps, pairs, seed) == Fraction(bad, pairs)
 
 
 def per_pair_violation_fraction(board, eps, pairs, seed):
@@ -168,7 +168,7 @@ def test_margin_violation_fraction_matches_edges_between(data):
     eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)]))
     pairs = data.draw(st.integers(min_value=1, max_value=60))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
-    got = margin_violation_fraction(board, eps, pairs, seed)
+    got = margin_violation_fraction(board.n, board.codes, eps, pairs, seed)
     assert got == per_pair_violation_fraction(board, eps, pairs, seed)
 
 

@@ -266,6 +266,37 @@ def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
         assert rand.next_move(state, player) == pick_free(state, oracle_rng)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.integers(2, 40),
+            st.sampled_from(["first", "turan:2", "random", "jumbleg"]),
+            st.sampled_from([BUILDER, OPPONENT]),
+            st.sampled_from([BUILDER, OPPONENT]),
+            st.integers(0, 40),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_jumbleg_search_matches_the_reference_scan_against_every_opponent(seed, games):
+    # whole games (nc:n never fires on n vertices) in which one JumbleG
+    # instance plays `side` against `other`, or both sides when `other` is
+    # jumbleg, and is first called once `start` edges are claimed; `first`
+    # and `turan:2` saturate low vertices and spread the differences wide,
+    # so classes empty out and hits fall below the top key
+    jumbleg, warm = JumbleGStrategy(Fraction(1, 10)), random.Random(seed)
+    for n, other, side, first, start in games:
+        checked = _Checked(jumbleg, oracle_jumbleg_move, start, warm)
+        rival = checked if other == "jumbleg" else parse_strategy(other, seed)
+        players = (checked, rival) if side == BUILDER else (rival, checked)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        tr = play_match(*players, rules)
+        assert tr.result == "never"
+
+
 def oracle_turan_move(parts):
     """TuranAvoiderStrategy's pick, gathered afresh from the board."""
 
