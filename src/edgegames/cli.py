@@ -60,7 +60,11 @@ def cmd_play(args) -> int:
     transcript = play_match(
         avoider, enforcer, rules, max_rounds=args.max_rounds, seed=args.seed
     )
-    _write(transcript.to_jsonl(), args.out)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            transcript.to_jsonl(fh)
+    else:
+        transcript.to_jsonl(sys.stdout)
     return 0
 
 

@@ -16,8 +16,10 @@ exact solver and the sweep monitor; its `claim` and `undo` are the only
 writers of claim codes, masks and counts.
 
 A move is an edge id, the index of (u, v) in `edge_pairs(n)`, from the
-strategy through `apply_move` to `GameState.log`, the match's record. Pairs
-appear only where a person reads them: transcript lines and error messages.
+strategy through `apply_move` to `GameState.log`, the match's record. Its
+endpoints are `us[eid]` and `vs[eid]`, two uint16 tables shared by every
+board on n vertices. Pairs appear only where a person reads them:
+transcript lines and error messages.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .graphs import (
     contains_induced,
     contains_subgraph,
     contains_subgraph_with_edge,
-    edge_pairs,
     greedy_coloring,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     is_k_colorable,  # noqa: F401 -- unused here, but bench/spans.py wraps it
     chromatic_number,
@@ -51,9 +52,11 @@ UNCLAIMED = 0
 BUILDER = 1  # Avoider / Maker
 OPPONENT = 2  # Enforcer / Breaker
 
-# largest board: ~2 M edges. A full-board jumbleg match there peaks near 780 MB,
-# most of it the JSONL transcript; one capped at 5,000 rounds near 235 MB.
+# largest board: ~2 M edges. A match there holds a few bytes per edge (claim
+# code, endpoint tables, log) and `play` streams its transcript, so a full-board
+# jumbleg match peaks near 55 MB.
 MAX_N = 2000
+assert MAX_N < 2**16  # the endpoint tables hold vertices as uint16
 
 _ROLE_NAMES = {
     AVOIDER_ENFORCER: {BUILDER: "avoider", OPPONENT: "enforcer"},
@@ -89,7 +92,7 @@ class PropertyDetector:
         return self.holds(_trusted_graph(n, adj))
 
     def hit_after_state(self, state: "GameState", eid: int) -> bool:
-        return self.hit_after_masks(state.n, state.adj[BUILDER], *state.pairs[eid])
+        return self.hit_after_masks(state.n, state.adj[BUILDER], state.us[eid], state.vs[eid])
 
 
 def require_absent(prop: PropertyDetector, n: int, adj) -> None:
@@ -198,9 +201,16 @@ class GameRules:
 
 
 @functools.lru_cache(maxsize=8)
-def _pairs(n: int) -> list:
-    """edge_pairs(n), shared by the boards on n vertices; never mutated."""
-    return edge_pairs(n)
+def _endpoints(n: int):
+    """(us, vs): uint16 arrays with (us[e], vs[e]) == edge_pairs(n)[e],
+    shared by the boards on n vertices and never mutated. An `array`, not
+    numpy, so that indexing hands back plain ints."""
+    ramp = array("H", range(n))
+    us, vs = array("H"), array("H")
+    for u in range(n - 1):
+        us.extend(array("H", [u]) * (n - 1 - u))
+        vs.extend(ramp[u + 1:])
+    return us, vs
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,15 +234,17 @@ class Board:
     """Who claimed which edge of K_n; `claim` and `undo` are its only writers.
 
     `claims` holds one claim code per edge id (fast scalar reads) and `codes`
-    is a zero-copy int8 numpy view of the same buffer (vector reads). `adj`
-    holds both players' adjacency masks.
+    is a zero-copy int8 numpy view of the same buffer (vector reads). Edge
+    eid joins `us[eid]` and `vs[eid]`, read-only uint16 tables shared by
+    the boards on n vertices. `adj` holds both players' adjacency masks.
+    A board holds no Python object per edge.
     """
 
     def __init__(self, n: int, first_mover: int = BUILDER):
         self.n = n
         self.first = first_mover
-        self.pairs = _pairs(n)
-        self.m = len(self.pairs)
+        self.us, self.vs = _endpoints(n)
+        self.m = len(self.us)
         self.claims = bytearray(self.m)
         self.codes = np.frombuffer(self.claims, dtype=np.int8)
         self.adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
@@ -241,7 +253,7 @@ class Board:
 
     def claim(self, eid: int, player: int) -> None:
         self.claims[eid] = player
-        u, v = self.pairs[eid]
+        u, v = self.us[eid], self.vs[eid]
         adj = self.adj[player]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -250,7 +262,7 @@ class Board:
 
     def undo(self, eid: int, player: int) -> None:
         self.claims[eid] = UNCLAIMED
-        u, v = self.pairs[eid]
+        u, v = self.us[eid], self.vs[eid]
         adj = self.adj[player]
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
@@ -291,10 +303,10 @@ class GameState(Board):
 def apply_move(state: GameState, player: int, eid: int) -> GameState:
     """Claim edge id `eid` for `player` in place and append it to `state.log`.
     Raises IllegalMoveError out of turn or on a claimed edge, and ValueError
-    on anything but an int in range(m)."""
+    on anything but an int in range(m); a bool is not an edge id."""
     if player not in (BUILDER, OPPONENT):
         raise IllegalMoveError("unknown player %r" % player)
-    if not isinstance(eid, int) or not 0 <= eid < state.m:
+    if not isinstance(eid, int) or isinstance(eid, bool) or not 0 <= eid < state.m:
         raise ValueError("a move is an int edge id in range(%d), not %r" % (state.m, eid))
     turn = state.whose_turn()
     if turn != player:
@@ -303,13 +315,14 @@ def apply_move(state: GameState, player: int, eid: int) -> GameState:
             % (state.rules.role_name(player), state.rules.role_name(turn) if turn else "nobody")
         )
     if state.claims[eid] != UNCLAIMED:
-        raise IllegalMoveError("edge (%d,%d) already claimed" % state.pairs[eid])
+        raise IllegalMoveError("edge (%d,%d) already claimed" % (state.us[eid], state.vs[eid]))
     state.claim(eid, player)
     state.log.append(eid)
     return state
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+_CHUNK = 4096  # move lines that to_jsonl formats per write
 
 
 @dataclass
@@ -327,7 +340,14 @@ class Transcript:
     result: str  # "hit" | "never" | "capped"
     t: int  # hitting round, -1 unless hit
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self, out=None) -> Optional[str]:
+        """The match as JSONL: a header line, a line per move and an outcome
+        line, each the sorted-key JSON encoding of its record. With a text
+        stream `out` the lines are written to it, at most _CHUNK move lines
+        per write, so the whole text is never held at once; without one it
+        is returned."""
+        parts = []
+        write = parts.append if out is None else out.write
         names = _ROLE_NAMES[self.convention]
         roles = (names[self.first_mover], names[BUILDER + OPPONENT - self.first_mover])
         header = {
@@ -338,28 +358,32 @@ class Transcript:
             "property": self.property_descriptor,
             "seed": self.seed,
         }
+        write(_encode(header) + "\n")
         # a move without a note, in the sorted-key layout _encode gives it
         plain = [
             '{"role": %s, "round": %%d, "type": "move", "u": %%d, "v": %%d}' % _encode(role)
             for role in roles
         ]
-        lines = [_encode(header)]
-        pairs = _pairs(self.n)
-        for i, eid in enumerate(self.log):
-            u, v = pairs[eid]
-            if i in self.notes:
-                rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1], "u": u, "v": v,
-                       "note": self.notes[i]}
-                lines.append(_encode(rec))
-            else:
-                lines.append(plain[i & 1] % (i // 2 + 1, u, v))
-        lines.append(_encode({"type": "outcome", "result": self.result, "t": self.t}))
-        return "\n".join(lines) + "\n"
+        us, vs = _endpoints(self.n)
+        log, notes = self.log, self.notes
+        for start in range(0, len(log), _CHUNK):
+            lines = []
+            for i, eid in enumerate(log[start:start + _CHUNK], start):
+                if i in notes:
+                    rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1],
+                           "u": us[eid], "v": vs[eid], "note": notes[i]}
+                    lines.append(_encode(rec))
+                else:
+                    lines.append(plain[i & 1] % (i // 2 + 1, us[eid], vs[eid]))
+            lines.append("")
+            write("\n".join(lines))
+        write(_encode({"type": "outcome", "result": self.result, "t": self.t}) + "\n")
+        return "".join(parts) if out is None else None
 
     def final_codes(self) -> np.ndarray:
         """The final board's claim code per edge id, as an int8 array like
         `Board.codes`, read straight off the log."""
-        codes = np.zeros(len(_pairs(self.n)), dtype=np.int8)
+        codes = np.zeros(self.n * (self.n - 1) // 2, dtype=np.int8)
         log = np.frombuffer(self.log, dtype=np.intc)  # array("i") holds C ints
         codes[log[0::2]] = self.first_mover
         codes[log[1::2]] = BUILDER + OPPONENT - self.first_mover

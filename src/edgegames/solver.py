@@ -113,7 +113,7 @@ class _Search(Board):
         beta only a lower bound, and the edge id is then not meaningful."""
         turn = self.whose_turn()
         builder = turn == BUILDER
-        n, claims, pairs, counts = self.n, self.claims, self.pairs, self.counts
+        n, claims, us, vs, counts = self.n, self.claims, self.us, self.vs, self.counts
         adj = self.adj[BUILDER]
         hit = self.prop.hit_after_masks
         claim, undo, value = self.claim, self.undo, self._value
@@ -123,7 +123,7 @@ class _Search(Board):
             if claims[eid] != UNCLAIMED:
                 continue
             claim(eid, turn)
-            if builder and hit(n, adj, *pairs[eid]):
+            if builder and hit(n, adj, us[eid], vs[eid]):
                 val = counts[BUILDER]
             else:
                 key += rows[eid]  # in place: _value reads self.key

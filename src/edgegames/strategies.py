@@ -19,6 +19,7 @@ own `s`.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
@@ -49,30 +50,72 @@ class FirstAvailableStrategy(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Uniform choice among unclaimed edges from a seeded stream.
+    """Uniform choice among unclaimed edges from a seeded stream: the k-th
+    smallest free edge id, for k = randrange(number of free edges).
 
-    Keeps the sorted free edge ids of the board it last played on, and drops
-    the ids the board's log gained since; any other board is read afresh.
+    Keeps, for the board it last played on, each row u's free partners
+    v > u as a sorted uint16 array, and a Fenwick tree (Fenwick 1994) over
+    the row lengths, padded to a power of two. A pick descends the tree to
+    the row that holds the k-th free id. Each id the board's log gained
+    since the last call is a bisect and a delete in its row, of at most
+    n - 1 entries, plus a decrement along the row's precomputed path of
+    tree slots. Any other board, or a shorter log, is read afresh from the
+    claim codes, with no list of m ints.
     """
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self.descriptor = "random" if seed is None else "random:%d" % seed
         self._rng = random.Random(seed)
-        self._board, self._seen, self._free = None, 0, []
+        self._board, self._seen = None, 0
+        self._rows = self._tree = self._steps = self._paths = self._base = None
+
+    def _load(self, state) -> None:
+        n = state.n
+        starts = [edge_index(u, u + 1, n) for u in range(n - 1)]  # first id of row u
+        free = state.codes == UNCLAIMED
+        counts = np.add.reduceat(free, starts, dtype=np.intp).tolist()
+        flat = array("H", np.frombuffer(state.vs, dtype=np.uint16)[free].tobytes())
+        self._rows, at = [], 0
+        for c in counts:
+            self._rows.append(flat[at:at + c])
+            at += c
+        size = 1 << (n - 2).bit_length()  # rows 0..n-2 in tree slots 1..size
+        self._steps = [size >> b for b in range(1, size.bit_length())]
+        self._tree, self._paths = [0] * (size + 1), []  # paths[u]: the slots that count row u
+        for u, c in enumerate(counts):
+            i, path = u + 1, []
+            while i <= size:
+                path.append(i)
+                self._tree[i] += c
+                i += i & -i
+            self._paths.append(path)
+        self._base = [s - u - 1 for u, s in enumerate(starts)]  # edge id of uv is base[u] + v
 
     def next_move(self, state, player):
-        log, free = state.log, self._free
+        log = state.log
         if state is not self._board or len(log) < self._seen:
             self._board = state
-            free = self._free = np.flatnonzero(state.codes == UNCLAIMED).tolist()
+            self._load(state)
         else:
+            us, vs, rows, tree, paths = state.us, state.vs, self._rows, self._tree, self._paths
             for eid in log[self._seen:]:
-                del free[bisect_left(free, eid)]
+                u = us[eid]
+                row = rows[u]
+                del row[bisect_left(row, vs[eid])]
+                for i in paths[u]:
+                    tree[i] -= 1
         self._seen = len(log)
-        if not free:
+        if not state.unclaimed:
             raise RuntimeError("no moves left")
-        return free[self._rng.randrange(len(free))]
+        k = self._rng.randrange(state.unclaimed)
+        tree, u = self._tree, 0
+        for step in self._steps:  # u ends at the row that holds the k-th free id
+            c = tree[u + step]
+            if c <= k:
+                u += step
+                k -= c
+        return self._base[u] + self._rows[u][k]
 
 
 class TuranAvoiderStrategy(Strategy):
@@ -93,17 +136,18 @@ class TuranAvoiderStrategy(Strategy):
             raise ValueError("parts must be >= 1")
         self.parts = parts
         self.descriptor = "turan:%d" % parts
-        self._cross_ids = {}  # n -> sorted list of cross-cluster edge ids
+        self._cross_ids = {}  # n -> sorted int32 array of cross-cluster edge ids
         self._board, self._seen, self._at = None, 0, 0
 
-    def _cross(self, n: int):
-        if n not in self._cross_ids:
-            u_idx, v_idx = np.triu_indices(n, 1)  # edge ids in order
-            self._cross_ids[n] = np.flatnonzero(u_idx % self.parts != v_idx % self.parts).tolist()
-        return self._cross_ids[n]
+    def _cross(self, state):
+        if state.n not in self._cross_ids:
+            us, vs = (np.frombuffer(t, dtype=np.uint16) for t in (state.us, state.vs))
+            cross = np.flatnonzero(us % self.parts != vs % self.parts).astype(np.intc)
+            self._cross_ids[state.n] = array("i", cross.tobytes())
+        return self._cross_ids[state.n]
 
     def next_move(self, state, player):
-        cross, claims, at = self._cross(state.n), state.claims, self._at
+        cross, claims, at = self._cross(state), state.claims, self._at
         if state is not self._board or len(state.log) < self._seen:
             self._board, at = state, 0
         self._seen = len(state.log)
@@ -170,10 +214,10 @@ class JumbleGStrategy(Strategy):
                     cls[d] = cls.get(d, 0) | 1 << w
         else:
             diff, free, cls = self._diff, self._free, self._cls
-            claims, pairs = state.claims, state.pairs
+            claims, us, vs = state.claims, state.us, state.vs
             for eid in log[self._seen:]:
                 step = 1 if claims[eid] != player else -1
-                u, v = pairs[eid]
+                u, v = us[eid], vs[eid]
                 for w, x in (u, v), (v, u):
                     # w had the free edge wx, so it sat in its class until now
                     d, bit = diff[w], 1 << w

@@ -35,7 +35,9 @@ from edgegames import (
     play_match,
     replay,
 )
-from edgegames.engine import Board, PropertyDetector, Transcript, _encode, _incidence
+from edgegames.engine import (
+    _CHUNK, Board, PropertyDetector, Transcript, _encode, _endpoints, _incidence,
+)
 from edgegames.graphs import Graph, edge_index, edge_of, edge_pairs, num_edges
 
 
@@ -226,7 +228,7 @@ def test_illegal_moves():
         apply_move(state, BUILDER, 1)  # out of turn
     with pytest.raises(IllegalMoveError, match=r"edge \(0,1\) already claimed"):
         apply_move(state, OPPONENT, 0)
-    for bad in (6, -1, (0, 2), 1.0, None):  # off the board, or not an id at all
+    for bad in (6, -1, (0, 2), 1.0, None, True, False):  # off the board, or not an id at all
         with pytest.raises(ValueError, match=r"a move is an int edge id in range\(6\)"):
             apply_move(state, OPPONENT, bad)
     with pytest.raises(IllegalMoveError):
@@ -481,10 +483,36 @@ def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop,
     assert replay(tr, r.prop).claims == live.claims
 
 
+def reference_jsonl(tr):
+    """The transcript's text, one sorted-key JSON record per line."""
+    roles = {AVOIDER_ENFORCER: ("avoider", "enforcer"), MAKER_BREAKER: ("maker", "breaker")}
+    names = roles[tr.convention] if tr.first_mover == BUILDER else roles[tr.convention][::-1]
+    records = [{"type": "header", "n": tr.n, "convention": tr.convention,
+                "first_mover": names[0], "property": tr.property_descriptor, "seed": tr.seed}]
+    for i, eid in enumerate(tr.log):
+        u, v = edge_of(eid, tr.n)
+        rec = {"type": "move", "round": i // 2 + 1, "role": names[i % 2], "u": u, "v": v}
+        if i in tr.notes:
+            rec["note"] = tr.notes[i]
+        records.append(rec)
+    records.append({"type": "outcome", "result": tr.result, "t": tr.t})
+    return "\n".join(map(_encode, records)) + "\n"
+
+
+class Sink:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
 def test_to_jsonl_bytes_match_sorted_key_encoder():
     # to_jsonl fills a template for moves without a note; every line must be
-    # the bytes the sorted-key JSON encoder gives the full record
-    roles = {AVOIDER_ENFORCER: ("avoider", "enforcer"), MAKER_BREAKER: ("maker", "breaker")}
+    # the bytes the sorted-key JSON encoder gives the full record, returned
+    # or streamed
     rng = random.Random(11)
     n = 9
     for convention in (AVOIDER_ENFORCER, MAKER_BREAKER):
@@ -496,17 +524,39 @@ def test_to_jsonl_bytes_match_sorted_key_encoder():
                 seed = rng.choice([None, 0, 12345])
                 tr = Transcript(n, convention, first, "subgraph:K3", seed, array("i", log), notes,
                                 "hit" if log else "never", len(log) // 2 if log else -1)
-                names = roles[convention] if first == BUILDER else roles[convention][::-1]
-                records = [{"type": "header", "n": n, "convention": convention,
-                            "first_mover": names[0], "property": "subgraph:K3", "seed": seed}]
-                for i, eid in enumerate(log):
-                    u, v = edge_of(eid, n)
-                    rec = {"type": "move", "round": i // 2 + 1, "role": names[i % 2], "u": u, "v": v}
-                    if i in notes:
-                        rec["note"] = notes[i]
-                    records.append(rec)
-                records.append({"type": "outcome", "result": tr.result, "t": tr.t})
-                assert tr.to_jsonl() == "\n".join(map(_encode, records)) + "\n"
+                sink = Sink()
+                assert tr.to_jsonl(sink) is None
+                assert tr.to_jsonl() == "".join(sink.writes) == reference_jsonl(tr)
+
+
+@pytest.mark.parametrize("moves", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, num_edges(150)])
+def test_to_jsonl_streams_bounded_chunks(moves):
+    # logs around and past one chunk, with notes on both sides of each chunk
+    # edge: the writes join to the returned text, and none holds more than
+    # one chunk of move lines
+    n = 150
+    log = random.Random(moves).sample(range(num_edges(n)), moves)
+    edges = [i for c in range(_CHUNK, moves + 1, _CHUNK) for i in (c - 1, c)]
+    notes = {i: "fallback" for i in [0, moves - 1, *edges] if i < moves}
+    tr = Transcript(n, AVOIDER_ENFORCER, OPPONENT, "nc:150", 7, array("i", log), notes, "never", -1)
+    sink = Sink()
+    tr.to_jsonl(sink)
+    assert "".join(sink.writes) == tr.to_jsonl() == reference_jsonl(tr)
+    assert len(sink.writes) == 2 + -(-moves // _CHUNK)
+    assert max(w.count("\n") for w in sink.writes) <= _CHUNK
+
+
+def test_endpoint_tables_match_edge_pairs():
+    for n in range(2, 65):
+        us, vs = Board(n).us, Board(n).vs
+        assert us.typecode == vs.typecode == "H"
+        assert list(zip(us, vs)) == edge_pairs(n)
+        assert [(us[e], vs[e]) for e in range(num_edges(n))] == [edge_of(e, n) for e in range(num_edges(n))]
+    us, vs = _endpoints(MAX_N)
+    m = num_edges(MAX_N)
+    assert len(us) == len(vs) == m
+    for eid in (*range(MAX_N + 1), *range(m - MAX_N - 1, m)):
+        assert (us[eid], vs[eid]) == edge_of(eid, MAX_N)
 
 
 def test_replay_reproduces_final_claims():

@@ -293,6 +293,18 @@ def test_cli_play_writes_transcript(tmp_path):
     assert json.loads(lines[-1])["type"] == "outcome"
 
 
+def test_cli_play_to_stdout_matches_out(tmp_path, capsys):
+    # a full board of 4,950 moves spans more than one streamed chunk
+    out = tmp_path / "match.jsonl"
+    argv = ["play", "--n", "100", "--avoider", "random", "--enforcer", "jumbleg:1/10",
+            "--property", "nc:100", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == out.read_text() and len(text.splitlines()) == 2 + num_edges(100)
+
+
 def test_cli_play_max_rounds_is_capped(tmp_path):
     out = tmp_path / "match.jsonl"
     code = main(

@@ -278,7 +278,7 @@ def test_kept_certificate_never_certifies_a_copy(kind, names, data):
         if det._cert.proves(board.adj[BUILDER]):
             assert not now
         if step is not None and step[1] == BUILDER and not before:
-            u, v = board.pairs[step[0]]
+            u, v = board.us[step[0]], board.vs[step[0]]
             assert det.hit_after_masks(n, board.adj[BUILDER], u, v) == now
         before = now
 

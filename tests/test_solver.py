@@ -239,7 +239,7 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
 
     def hits(eid):
         adj = list(state.adj[BUILDER])
-        u, v = state.pairs[eid]
+        u, v = state.us[eid], state.vs[eid]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         return hit(adj, u, v)

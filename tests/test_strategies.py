@@ -252,6 +252,40 @@ def test_incremental_strategies_match_from_scratch_oracles(seed, games):
         assert replay(tr, rules.prop).claims == state.claims
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([2, 3, 16, 17, 32, 33]) | st.integers(2, 40), min_size=1, max_size=3),
+)
+def test_random_pick_matches_the_free_id_oracle(seed, sizes):
+    # one instance plays on every board, in turns drawn from `steer`, and is
+    # checked against pick_free at each of its moves; `steer` also makes
+    # moves the instance does not see, so a call finds several new log
+    # entries or another board, and rewinds a board so its log gets shorter.
+    # With n - 1 rows, n = 2, 3, 16, 17, 32 and 33 put the Fenwick tree at
+    # one slot and at and just past its powers of two.
+    rand, oracle_rng, steer = RandomStrategy(seed), random.Random(seed), random.Random(seed ^ 1)
+    boards = [fresh_state(n) for n in sizes]
+    live = boards
+    while live:
+        state = steer.choice(live)
+        roll = steer.random()
+        if roll < 0.3:
+            apply_move(state, state.whose_turn(), pick_free(state, steer))
+        else:
+            if roll < 0.35:
+                for _ in range(min(steer.randint(1, 3), len(state.log))):
+                    eid = state.log.pop()
+                    state.undo(eid, state.claims[eid])
+            player = state.whose_turn()
+            eid = rand.next_move(state, player)
+            assert eid == pick_free(state, oracle_rng)
+            apply_move(state, player, eid)
+        live = [b for b in boards if b.unclaimed]
+    with pytest.raises(RuntimeError, match="no moves left"):
+        rand.next_move(boards[-1], BUILDER)
+
+
 def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
     # board B's log is already longer than what the instances saw on board
     # A, so only the board's identity tells them to read B afresh
