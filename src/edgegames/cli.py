@@ -50,7 +50,10 @@ def _write(text: str, out: str | None):
 def _vertex_mask(spec: str | None) -> int:
     if spec is None:
         raise ValueError("--A and --B are required")
-    return mask_of(int(x) for x in spec.split(","))
+    vertices = [int(x) for x in spec.split(",")]
+    if min(vertices) < 0:
+        raise ValueError("negative vertex %d in %r" % (min(vertices), spec))
+    return mask_of(vertices)
 
 
 def cmd_play(args) -> int:

@@ -84,6 +84,7 @@ class PropertyDetector:
     """
 
     descriptor = "?"
+    chi: Optional[int] = None  # least chromatic number of a graph with the property
 
     def holds(self, G: Graph) -> bool:
         raise NotImplementedError
@@ -103,6 +104,7 @@ def require_absent(prop: PropertyDetector, n: int, adj) -> None:
 
 class HasEdgeProperty(PropertyDetector):
     descriptor = "edge"
+    chi = 2
 
     def holds(self, G: Graph) -> bool:
         return any(G.adj)
@@ -121,11 +123,11 @@ class SubgraphProperty(PropertyDetector):
         self.members = list(members)
         if not self.members:
             raise ValueError("empty family")
-        self.k = min(chromatic_number(F) for F in self.members)
+        self.chi = min(chromatic_number(F) for F in self.members)
         self.descriptor = descriptor or ("induced" if self.induced else "subgraph") + ":<family>"
         self._triangle_only = all(F.n == 3 and F.edge_count() == 3 for F in self.members)
-        # a (k-1)-colouring of the builder's graph proves every member absent
-        self._cert = ColouringCertificate(self.k - 1) if self.k >= 3 else None
+        # a (chi-1)-colouring of the builder's graph proves every member absent
+        self._cert = ColouringCertificate(self.chi - 1) if self.chi >= 3 else None
 
     def holds(self, G: Graph) -> bool:
         find = contains_induced if self.induced else contains_subgraph
@@ -161,6 +163,7 @@ class NotKColorableProperty(PropertyDetector):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
+        self.chi = k + 1
         self.descriptor = "nc:%d" % k
         self._cert = ColouringCertificate(k, exact=True)
 
@@ -211,23 +214,6 @@ def _endpoints(n: int):
         us.extend(array("H", [u]) * (n - 1 - u))
         vs.extend(ramp[u + 1:])
     return us, vs
-
-
-@functools.lru_cache(maxsize=8)
-def _incidence(n: int):
-    """The n x n edge-id table of K_n, shared and never mutated.
-
-    `inc[w, x]` is the id of edge wx, and the diagonal `inc[w, w]` is m, one
-    slot past the last edge id, so a row of `inc` lines up with a vertex
-    vector. It is intp, the dtype numpy indexes with: the sweep's margin
-    monitor gathers its signed matrix through it, and the solver its
-    relabelled edge ids.
-    """
-    m = n * (n - 1) // 2
-    inc = np.full((n, n), m, dtype=np.intp)
-    u, v = np.triu_indices(n, 1)  # edge ids in order
-    inc[u, v] = inc[v, u] = np.arange(m)
-    return inc
 
 
 class Board:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import os
 import re
@@ -470,9 +469,13 @@ def is_k_colorable(G: Graph, k: int) -> bool:
 
 
 def chromatic_number(G: Graph) -> int:
+    """chi(G): the two-colour BFS, else counted down from the first descent's colours."""
     if G.n == 0:
         return 0
-    return next(k for k in itertools.count(1) if is_k_colorable(G, k))
+    k = 2 if is_k_colorable(G, 2) else max(greedy_coloring(G)) + 1
+    while k > 1 and is_k_colorable(G, k - 1):
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------

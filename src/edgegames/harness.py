@@ -29,7 +29,7 @@ from .engine import (
     NotKColorableProperty,
     PropertyDetector,
     SubgraphProperty,
-    _incidence,
+    _endpoints,
     play_match,
 )
 from .graphs import graph_from_name, graph_from_text, turan_bounds
@@ -60,30 +60,21 @@ def parse_property(descriptor: str) -> PropertyDetector:
         path = descriptor.split(":", 1)[1]
         with open(path) as fh:
             texts = json.load(fh)
-        if not isinstance(texts, list) or not texts:
+        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
             raise ValueError("family file must be a nonempty JSON list of graph texts")
-        members = [graph_from_text(t) for t in texts]
-        det = SubgraphProperty(members, descriptor=descriptor)
-        return det
+        return SubgraphProperty([graph_from_text(t) for t in texts], descriptor=descriptor)
     raise ValueError("unknown property descriptor: %r" % descriptor)
 
 
 def property_bounds(prop: PropertyDetector, n: int):
-    """(lower, upper_main) for the detector's bound family.
-
-    Subgraph/induced families use floor(t(n,k-1)/2) and (k-2)/(k-1)*n^2/4 with
-    k the family's minimum chromatic number; HasEdge is the k=2 single-edge
-    family; non-k-colorability uses t(n,k) and (k-1)/k*n^2/4.
+    """(lower, upper_main) = `turan_bounds(n, prop.chi)`: floor(t(n,chi-1)/2)
+    and (chi-2)/(chi-1)*n^2/4, with chi the least chromatic number of a graph
+    with the property (`edge` is chi = 2, `nc:k` is chi = k + 1). Raises
+    ValueError for a detector whose chi is None.
     """
-    if isinstance(prop, NotKColorableProperty):
-        return turan_bounds(n, prop.k + 1)
-    if isinstance(prop, SubgraphProperty):  # induced families included
-        k = prop.k
-    elif isinstance(prop, HasEdgeProperty):
-        k = 2
-    else:
+    if prop.chi is None:
         raise ValueError("no bound formula for detector %r" % prop.descriptor)
-    return turan_bounds(n, k)
+    return turan_bounds(n, prop.chi)
 
 
 @dataclass
@@ -137,16 +128,16 @@ def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: in
     transcript's `final_codes()`), read as builder B and opponent M.
 
     The pairs are drawn as `_random_disjoint_pair` draws them, and every
-    pair's e_B - e_M is summed at once from one signed n x n matrix: +1
-    where the builder holds the edge, -1 where the opponent does."""
+    pair's e_B - e_M is summed at once from one signed n x n matrix, +1
+    where the builder holds the edge and -1 where the opponent does."""
     size = monitor_set_size(n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
     rng = random.Random(seed)
     picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
-    sign = np.zeros(len(codes) + 1, dtype=np.int8)  # slot m: the diagonal of _incidence
-    sign[:-1] = _SIGN.take(codes)
-    signed = sign[_incidence(n)]
+    us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
+    signed = np.zeros((n, n), dtype=np.int8)
+    signed[us, vs] = signed[vs, us] = _SIGN.take(codes)
     margins = signed[picks[:, :size, None], picks[:, None, size:]].sum(axis=(1, 2))
     return Fraction(int((margins > limit).sum()), pairs)
 

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import (
-    BUILDER, Board, GameRules, GameState, OPPONENT, UNCLAIMED, _incidence, require_absent,
+    BUILDER, Board, GameRules, GameState, OPPONENT, UNCLAIMED, _endpoints, require_absent,
 )
 
 NEVER = math.inf
@@ -60,15 +60,17 @@ class SolveResult:
 def _weights(n: int) -> np.ndarray:
     """int64 table W of shape (m, n!): W[e, p] = 3**(m-1-j), where j is the
     id of the edge that vertex permutation p (in itertools order) maps edge
-    e to. So claims @ W[:, p] is the base-3 value of p's relabelled claim
-    string, and its maximum, 3**m - 1 < 2**63 for n <= 7, cannot overflow."""
+    e to, read off the engine's endpoint tables and their n x n inverse. So
+    claims @ W[:, p] is the base-3 value of p's relabelled claim string, and
+    its maximum, 3**m - 1 < 2**63 for n <= 7, cannot overflow."""
     if n > MAX_SYMMETRY_N:
         raise ValueError("symmetry canonicalization supports n <= %d" % MAX_SYMMETRY_N)
     m = n * (n - 1) // 2
     perms = np.array(list(itertools.permutations(range(n))))
-    lo, hi = np.triu_indices(n, 1)  # edge ids in order
-    relabelled = _incidence(n)[perms[:, lo], perms[:, hi]].astype(np.int64, copy=False)
-    W = 3 ** (m - 1 - relabelled.T)
+    us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
+    eid = np.zeros((n, n), dtype=np.int64)  # eid[u, v]: the id of edge uv
+    eid[us, vs] = eid[vs, us] = np.arange(m)
+    W = 3 ** (m - 1 - eid[perms[:, us], perms[:, vs]].T)
     W.flags.writeable = False  # rows are shared by every search
     return W
 

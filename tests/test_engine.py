@@ -36,7 +36,7 @@ from edgegames import (
     replay,
 )
 from edgegames.engine import (
-    _CHUNK, Board, PropertyDetector, Transcript, _encode, _endpoints, _incidence,
+    _CHUNK, Board, PropertyDetector, Transcript, _encode, _endpoints,
 )
 from edgegames.graphs import Graph, edge_index, edge_of, edge_pairs, num_edges
 
@@ -61,7 +61,7 @@ def test_has_edge_detector():
 
 def test_subgraph_detector_triangle():
     p = triangle_prop()
-    assert p.k == 3
+    assert p.chi == 3
     G = graph_from_edges(4, [(0, 1), (1, 2)])
     assert not p.holds(G)
     G2 = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
@@ -135,12 +135,12 @@ def test_induced_anchored_transcripts_match_full_recompute(name, n):
 
 def test_family_uses_min_chromatic_member():
     p = SubgraphProperty([complete_graph(4), cycle_graph(5)])
-    assert p.k == 3  # chi(C5) = 3 < chi(K4) = 4
+    assert p.chi == 3  # chi(C5) = 3 < chi(K4) = 4
 
 
 def test_induced_detector():
     p = InducedSubgraphProperty([path_graph(3)], descriptor="induced:P3")
-    assert p.k == 2
+    assert p.chi == 2
     assert p.holds(graph_from_edges(3, [(0, 1), (1, 2)]))
     assert not p.holds(complete_graph(3))
 
@@ -259,16 +259,6 @@ def test_apply_move_logs_claims_in_order():
         apply_move(state, BUILDER, 1)  # out of turn
     apply_move(state, OPPONENT, 4)
     assert state.log.tolist() == [5, 0, 4]
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_incidence_matches_edge_index(n):
-    inc = _incidence(n)
-    for w in range(n):
-        assert inc[w].tolist() == [
-            num_edges(n) if x == w else edge_index(min(w, x), max(w, x), n) for x in range(n)
-        ]
-    assert _incidence.cache_info().maxsize == 8
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ clique-edge-cover search for Turan numbers) rather than by the code under test.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,23 @@ def test_chromatic_number_examples():
     assert chromatic_number(cycle_graph(5)) == 3
     assert chromatic_number(complete_graph(4)) == 4
     assert chromatic_number(empty_graph(3)) == 1
+
+
+def test_chromatic_number_counts_down_with_one_failed_search(monkeypatch):
+    # past the two-colour BFS, DSATUR's first descent colours K300 with 300
+    # colours and the one backtracking search, for 299, fails; counting up
+    # from 1 ran 297 failed ones
+    searches = []
+
+    def counted(G, k):
+        searches.append((k, is_k_colorable(G, k)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(graphs, "is_k_colorable", counted)
+    start = time.perf_counter()
+    assert chromatic_number(complete_graph(300)) == 300
+    assert time.perf_counter() - start < 1.0
+    assert searches == [(2, False), (299, False)]
 
 
 def brute_force_chi(G):

@@ -27,7 +27,7 @@ from edgegames import (
     turan_number,
 )
 from edgegames.cli import main
-from edgegames.engine import Board
+from edgegames.engine import Board, PropertyDetector
 from edgegames.graphs import bits, edge_index, edges_between, num_edges
 from edgegames.harness import (
     CSV_COLUMNS,
@@ -47,9 +47,9 @@ from edgegames.regularity import _random_disjoint_pair, jumbleg_margin
 def test_parse_property_kinds():
     assert isinstance(parse_property("edge"), HasEdgeProperty)
     p = parse_property("subgraph:K3")
-    assert isinstance(p, SubgraphProperty) and p.k == 3
+    assert isinstance(p, SubgraphProperty) and p.chi == 3
     p = parse_property("induced:P3")
-    assert isinstance(p, InducedSubgraphProperty) and p.k == 2
+    assert isinstance(p, InducedSubgraphProperty) and p.chi == 2
     p = parse_property("nc:4")
     assert isinstance(p, NotKColorableProperty) and p.k == 4
     with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ def test_parse_property_family_file(tmp_path):
     p = parse_property("family:%s" % path)
     assert isinstance(p, SubgraphProperty)
     assert len(p.members) == 2
-    assert p.k == 2  # C4 is bipartite
+    assert p.chi == 2  # C4 is bipartite
 
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
@@ -71,6 +71,10 @@ def test_parse_property_family_file(tmp_path):
     bad.write_text('{"a": 1}')
     with pytest.raises(ValueError):
         parse_property("family:%s" % bad)
+    for texts in ([1, 2], ["2 1\n0 1\n", None]):  # a member that is not a graph text
+        bad.write_text(json.dumps(texts))
+        with pytest.raises(ValueError, match="list of graph texts"):
+            parse_property("family:%s" % bad)
 
 
 def test_property_bounds():
@@ -82,6 +86,40 @@ def test_property_bounds():
     assert upper == Fraction(1, 2) * 100 / 4
     lower, upper = property_bounds(parse_property("edge"), 10)
     assert lower == turan_number(10, 1) // 2 == 0
+
+
+@pytest.mark.parametrize("descriptor, chi, k, variant", [
+    ("edge", 2, 2, "family"),
+    ("subgraph:K4", 4, 4, "family"),
+    ("induced:C5", 3, 3, "family"),
+    ("family", 2, 2, "family"),  # K3 and the bipartite C4
+    ("nc:1", 2, 1, "nc"),
+    ("nc:2", 3, 2, "nc"),
+    ("nc:3", 4, 3, "nc"),
+    ("nc:4", 5, 4, "nc"),
+])
+def test_property_bounds_match_the_report_row(tmp_path, descriptor, chi, k, variant):
+    if descriptor == "family":
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(["3 3\n0 1\n0 2\n1 2\n", "4 4\n0 1\n1 2\n2 3\n0 3\n"]))
+        descriptor = "family:%s" % path
+    prop = parse_property(descriptor)
+    assert prop.chi == chi
+    for n in (2, 5, 10, 13):
+        lower, upper = property_bounds(prop, n)
+        row = report_bounds(n, k, variant)
+        assert (lower, float(upper)) == (row["lower"], row["upper_main"])
+
+
+def test_property_bounds_refuse_a_detector_without_chi():
+    class NoBound(PropertyDetector):
+        descriptor = "no-bound"
+
+        def holds(self, G):
+            return False
+
+    with pytest.raises(ValueError, match="no-bound"):
+        property_bounds(NoBound(), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +511,7 @@ def test_cli_play_long_cycle_pattern(capsys):
     assert outcome == {"type": "outcome", "result": "capped", "t": -1}
 
 
-def test_cli_validation_exit_code_2(capsys):
+def test_cli_validation_exit_code_2(tmp_path, capsys):
     assert main(["play", "--n", "1"]) == 2
     assert main(["play", "--n", "6", "--avoider", "nope"]) == 2
     assert main(["play", "--n", "6", "--property", "nope"]) == 2
@@ -517,6 +555,14 @@ def test_cli_validation_exit_code_2(capsys):
     assert main(["verify", "p1", "--graph", "K6", "--eps", "0"]) == 0
     assert main(["verify", "p2", "--graph", "C8", "--eps", "0"]) == 0
     capsys.readouterr()  # swallow the error prints
+    for texts in ([1, 2], ["2 1\n0 1\n", None]):  # a family member that is not a graph text
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(texts))
+        assert main(["play", "--n", "5", "--property", "family:%s" % path]) == 2
+        assert "list of graph texts" in capsys.readouterr().err
+    for check in ("regular-pair", "slicing"):
+        assert main(["verify", check, "--graph", "K6", "--A", "0,-1", "--B", "2"]) == 2
+        assert "negative vertex -1 in '0,-1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
