@@ -53,6 +53,11 @@ def _vertex_mask(spec: str | None) -> int:
     vertices = [int(x) for x in spec.split(",")]
     if min(vertices) < 0:
         raise ValueError("negative vertex %d in %r" % (min(vertices), spec))
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError("repeated vertex %d in %r" % (v, spec))
+        seen.add(v)
     return mask_of(vertices)
 
 
@@ -202,15 +207,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="edgegames",
-        description="Avoider-Enforcer edge games on K_n: matches, exact values, "
-        "pseudo-randomness and regularity verification, bound reports.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    play = sub.add_parser("play", help="play one match and emit a JSONL transcript")
+def _play_args(play: argparse.ArgumentParser) -> None:
     play.add_argument("--n", type=int, required=True)
     play.add_argument("--avoider", default="first")
     play.add_argument("--enforcer", default="first")
@@ -220,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--out", default=None)
     play.set_defaults(func=cmd_play)
 
-    solve = sub.add_parser(
-        "solve", help="exact game value by alpha-beta, memoized up to vertex relabelling for n <= 7"
-    )
+
+def _solve_args(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("--n", type=int, required=True)
     solve.add_argument("--property", default="edge")
     solve.add_argument("--budget", type=int, default=None)
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="seeded match sweep with CSV/JSON rows")
+
+def _sweep_args(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--n", required=True, help="e.g. 6:30, 6:30:2, or 6,10,14")
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
@@ -242,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="pseudo-randomness / regularity checks")
+
+def _verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument(
         "check", choices=("p1", "p2", "regular-pair", "density-lemma", "slicing")
     )
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
-    constants = sub.add_parser("constants", help="validate a constant schedule")
+
+def _constants_args(constants: argparse.ArgumentParser) -> None:
     constants.add_argument("--epsilon", required=True)
     constants.add_argument("--e0", required=True)
     constants.add_argument("--e1", required=True)
@@ -281,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--out", default=None)
     constants.set_defaults(func=cmd_constants)
 
-    bounds = sub.add_parser("bounds", help="lower/upper bound report")
+
+def _bounds_args(bounds: argparse.ArgumentParser) -> None:
     bounds.add_argument("--n", type=int, required=True)
     bounds.add_argument("--k", type=int, required=True)
     bounds.add_argument("--variant", choices=("family", "nc"), default="family")
@@ -289,12 +289,51 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--out", default=None)
     bounds.set_defaults(func=cmd_bounds)
 
+
+# name -> (help line, the function that adds the subcommand's arguments)
+SUBCOMMANDS = {
+    "play": ("play one match and emit a JSONL transcript", _play_args),
+    "solve": (
+        "exact game value by alpha-beta, memoized up to vertex relabelling for n <= 7",
+        _solve_args,
+    ),
+    "sweep": ("seeded match sweep with CSV/JSON rows", _sweep_args),
+    "verify": ("pseudo-randomness / regularity checks", _verify_args),
+    "constants": ("validate a constant schedule", _constants_args),
+    "bounds": ("lower/upper bound report", _bounds_args),
+}
+
+
+def build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subparsers of `commands` (default: all of them).
+
+    Usage lines name every subcommand whichever are built. A subset gets
+    the metavar argparse would derive from all six; the full build keeps
+    none, since argparse's "required" and "invalid choice" errors name the
+    action by its metavar before its dest."""
+    p = argparse.ArgumentParser(
+        prog="edgegames",
+        description="Avoider-Enforcer edge games on K_n: matches, exact values, "
+        "pseudo-randomness and regularity verification, bound reports.",
+    )
+    full = len(commands) == len(SUBCOMMANDS)
+    sub = p.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if full else "{%s}" % ",".join(SUBCOMMANDS),
+    )
+    for name in commands:
+        help_line, add_args = SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds only the subparser it names; --help, a typo or no
+    # arguments build all of them
+    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IllegalMoveError, OSError, ZeroDivisionError) as exc:

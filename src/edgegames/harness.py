@@ -137,7 +137,8 @@ def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: in
     picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
     us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
     signed = np.zeros((n, n), dtype=np.int8)
-    signed[us, vs] = signed[vs, us] = _SIGN.take(codes)
+    signed[us, vs] = _SIGN.take(codes)  # the upper triangle
+    signed += signed.T
     margins = signed[picks[:, :size, None], picks[:, None, size:]].sum(axis=(1, 2))
     return Fraction(int((margins > limit).sum()), pairs)
 
@@ -279,7 +280,8 @@ def format_bounds_text(report: dict) -> str:
 
 
 def parse_n_range(spec: str):
-    """'6' | '6,8,10' | '6:30' | '6:30:2' -> list of ints (ranges inclusive)."""
+    """'6' | '6,8,10' | '6:30' | '6:30:2' -> list of distinct ints (ranges
+    inclusive, with a step of at least 1)."""
     if ":" in spec:
         parts = [int(x) for x in spec.split(":")]
         if len(parts) == 2:
@@ -288,5 +290,13 @@ def parse_n_range(spec: str):
             lo, hi, step = parts
         else:
             raise ValueError("bad range %r" % spec)
+        if step < 1:
+            raise ValueError("range step must be >= 1 in %r" % spec)
         return list(range(lo, hi + 1, step))
-    return [int(x) for x in spec.split(",")]
+    sizes = [int(x) for x in spec.split(",")]
+    seen = set()
+    for n in sizes:
+        if n in seen:
+            raise ValueError("repeated size %d in %r" % (n, spec))
+        seen.add(n)
+    return sizes

@@ -14,7 +14,6 @@ uses <=, pair regularity uses strict <, cluster-graph adjacency uses >=.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -91,6 +90,8 @@ def _worst_cells(W, sizes, least: int, c: Fraction):
     """The worst |e(R,C)/(|R||C|) - c| over the rows R of W and the sets C of
     at least `least` columns, where W[r, j] = |N(c_j) & R_r| and sizes[r] = |R_r|.
 
+    W is float64, as the scans' matmuls make it: its entries and their sums
+    over C are integers below 2^53, so they are exact.
     e(R,C) sums the row's weights over C, and the deviation is convex in it,
     so over |C| = t only the sets at the bottom-t or top-t sum reach the
     peak; one sort and one cumsum per row give both sums for every t.
@@ -102,7 +103,7 @@ def _worst_cells(W, sizes, least: int, c: Fraction):
     k = W.shape[1]
     if least > k or not len(W):
         return Fraction(0), None
-    sums = np.zeros((len(W), k + 1))  # float64, exact at these sizes
+    sums = np.zeros((len(W), k + 1))
     np.cumsum(np.sort(W, axis=1), axis=1, out=sums[:, 1:])  # sums[:, t] = bottom-t sum
     size = sizes[:, None] * np.arange(least, k + 1)  # |R| t
     dev = np.stack([sums[:, least:], sums[:, k, None] - sums[:, k - least :: -1]])  # e(R, C)
@@ -131,14 +132,20 @@ def _pair_exact_scan(G: Graph, a_list, b_list, x_size: int, y_size: int, c: Frac
     """Exact is_regular_pair. The witness is the least (X index, Y index)
     among the worst pairs, an index being the bitmask over the positions of
     a side. The rows of _worst_cells are the subsets of the smaller side (A
-    on a tie), at most 2^12 of them under PAIR_EXACT_LIMIT."""
+    on a tie), at most 2^12 of them under PAIR_EXACT_LIMIT. W is float64, one
+    matmul of the subsets' incidence rows with the side-to-side adjacency:
+    its entries are sums of at most 12 zeros and ones, exact below 2^53."""
     swap = len(b_list) < len(a_list)
     rows, cols = (b_list, a_list) if swap else (a_list, b_list)
     row_size, col_size = (y_size, x_size) if swap else (x_size, y_size)
-    inc = (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows)) & 1).astype(np.int8)
-    inc = inc[inc.sum(axis=1) >= row_size]  # row subsets, in ascending index order
-    W = inc @ np.array([[G.adj[u] >> v & 1 for v in cols] for u in rows], dtype=np.int8)
-    worst, hit = _worst_cells(W, inc.sum(axis=1), col_size, c)
+    # bit k of each subset id (at most 12 bits), read off its two little-endian bytes
+    ids = np.arange(1 << len(rows), dtype="<u2").view(np.uint8).reshape(-1, 2)
+    inc = np.unpackbits(ids, axis=1, count=len(rows), bitorder="little")
+    sizes = inc.sum(axis=1, dtype=np.intp)
+    keep = sizes >= row_size  # row subsets, in ascending index order
+    inc, sizes = inc[keep].astype(np.float64), sizes[keep]
+    W = inc @ np.array([[G.adj[u] >> v & 1 for v in cols] for u in rows], dtype=np.float64)
+    worst, hit = _worst_cells(W, sizes, col_size, c)
     witness = None
     if worst:
         # rows with a worst cell; with A as rows the first one holds the witness
@@ -161,18 +168,24 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
     worst pair has T after S, hence |T| >= |S|: only rows S with |S| <= n/2
     and sets T with |T| >= |S| are scanned. The rows of one size go to
     _worst_cells in combinations order, with the vertices outside S as
-    columns. `samples` counts every ordered qualifying pair.
+    columns. Their weights W are float64, one matmul per size of the rows'
+    indicator vectors with the adjacency matrix: sums of at most 8 zeros and
+    ones, exact below 2^53. `samples` counts every ordered qualifying pair.
     """
     n = G.n
-    adj = np.array([[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.int8)
+    adj = np.array([[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.float64)
+    # The indicator vector of every vertex set, unpacked from the two
+    # big-endian bytes of its id (n <= 16), in which bit n-1-v marks v. Of two
+    # sets of one size, the first in combinations order holds the least
+    # vertex where they differ, so it has the larger id: descending ids list
+    # each size in combinations order.
+    ids = np.arange((1 << n) - 1, -1, -1, dtype=">u2").view(np.uint8).reshape(-1, 2)
+    indicators = np.unpackbits(ids, axis=1)[:, 16 - n :]
+    set_sizes = indicators.sum(axis=1)
     worst, witness = Fraction(0), None
     for s in range(min_size, n // 2 + 1):
-        rows = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), s)), dtype=np.intp
-        ).reshape(-1, s)
-        inside = np.zeros((len(rows), n), dtype=np.int8)  # a weight is at most |S|
-        np.put_along_axis(inside, rows, 1, axis=1)
-        W = (inside @ adj)[inside == 0].reshape(len(rows), n - s)  # columns ascending per row
+        inside = indicators[set_sizes == s].astype(np.float64)
+        W = (inside @ adj)[inside == 0].reshape(len(inside), n - s)  # columns ascending per row
         dev, hit = _worst_cells(W, np.full(len(W), s), s, Fraction(1, 2))
         if dev > worst:
             worst = dev
@@ -181,7 +194,8 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
             sets = _earliest_sets(W[r, None], s)[:, 0, j][hit[:, r, j]]
             T = min(sets.tolist(), key=lambda m: list(bits(m)))  # the earlier in (sorted T) order
             outside = np.flatnonzero(inside[r] == 0)
-            witness = (mask_of(rows[r].tolist()), mask_of(outside[list(bits(T))].tolist()))
+            S = np.flatnonzero(inside[r])
+            witness = (mask_of(S.tolist()), mask_of(outside[list(bits(T))].tolist()))
     samples = sum(
         math.comb(n, s) * math.comb(n - s, t)
         for s in range(min_size, n + 1)

@@ -7,6 +7,7 @@ exercised exactly as a shell user would see them.
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,8 @@ from edgegames import (
     sweep_to_json,
     turan_number,
 )
-from edgegames.cli import main
+from edgegames import cli
+from edgegames.cli import SUBCOMMANDS, build_parser, main
 from edgegames.engine import Board, PropertyDetector
 from edgegames.graphs import bits, edge_index, edges_between, num_edges
 from edgegames.harness import (
@@ -142,6 +144,12 @@ def test_parse_n_range():
         parse_n_range("6:9:1:2")
     with pytest.raises(ValueError):
         parse_n_range("six")
+    # a repeated size would play its matches twice with the same seeds
+    with pytest.raises(ValueError, match="repeated size 6 in '6,8,6'"):
+        parse_n_range("6,8,6")
+    for spec in ("6:10:0", "10:6:-2", "6:10:-1"):
+        with pytest.raises(ValueError, match="range step must be >= 1"):
+            parse_n_range(spec)
 
 
 def test_monitor_set_size():
@@ -563,6 +571,13 @@ def test_cli_validation_exit_code_2(tmp_path, capsys):
     for check in ("regular-pair", "slicing"):
         assert main(["verify", check, "--graph", "K6", "--A", "0,-1", "--B", "2"]) == 2
         assert "negative vertex -1 in '0,-1'" in capsys.readouterr().err
+        assert main(["verify", check, "--graph", "K6", "--A", "0,0", "--B", "2,3"]) == 2
+        assert "repeated vertex 0 in '0,0'" in capsys.readouterr().err
+        assert main(["verify", check, "--graph", "K6", "--A", "0,1", "--B", "2,3,5,3"]) == 2
+        assert "repeated vertex 3 in '2,3,5,3'" in capsys.readouterr().err
+    for spec, problem in (("6,8,6", "repeated size 6"), ("6:10:0", "range step must be >= 1")):
+        assert main(["sweep", "--n", spec]) == 2
+        assert problem in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
@@ -572,3 +587,79 @@ def test_cli_max_rounds_below_one_exit_code_2(tmp_path, capsys, rounds):
     assert main(["sweep", "--n", "6:8", "--max-rounds", rounds, "--out", str(out)]) == 2
     assert not out.exists()
     assert "max_rounds must be >= 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# parser builds: a call builds only the subparser it names
+# ---------------------------------------------------------------------------
+
+SAMPLE_ARGV = {
+    "play": ["play", "--n", "6", "--avoider", "random", "--property", "nc:2",
+             "--seed", "3", "--max-rounds", "4", "--out", "t.jsonl"],
+    "solve": ["solve", "--n", "4", "--property", "subgraph:K3", "--budget", "10"],
+    "sweep": ["sweep", "--n", "6:8", "--trials", "2", "--eps", "1/5", "--format", "json"],
+    "verify": ["verify", "regular-pair", "--graph", "K6", "--mode", "sampled",
+               "--A", "0,1", "--B", "2,3", "--set-size", "2", "--L0", "2"],
+    "constants": ["constants", "--epsilon", "1/100", "--e0", "1/50", "--e1", "1/10",
+                  "--eta", "1/5", "--delta", "1/4", "--gamma", "1/3", "--f", "3", "--k", "2",
+                  "--s0", "4", "--s1", "5", "--strict-e1"],
+    "bounds": ["bounds", "--n", "5", "--k", "3", "--variant", "nc", "--format", "json"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """(namespace, exit code, stdout, stderr) of one parse_args call."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return args, code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_one_subparser_build_matches_the_full_build(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    one, full = build_parser([name]), build_parser()
+    # an unrecognized argument prints the top-level usage, which names all six
+    assert one.format_usage() == full.format_usage()
+    assert "{play,solve,sweep,verify,constants,bounds}" in full.format_usage()
+    sample = SAMPLE_ARGV[name]
+    want = _parse(full, sample, capsys)
+    assert want[0].command == name and want[1] is None
+    assert _parse(one, sample, capsys) == want
+    want = _parse(full, [name, "--help"], capsys)
+    assert want[1] == 0 and want[2].startswith("usage: edgegames %s " % name)
+    assert _parse(one, [name, "--help"], capsys) == want
+    for extra in (["--no-such-option"], ["extra"]):
+        want = _parse(full, sample + extra, capsys)
+        assert want[1] == 2 and "unrecognized arguments: %s" % extra[0] in want[3]
+        assert _parse(one, sample + extra, capsys) == want
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def spy(commands=SUBCOMMANDS):
+        built.append(list(commands))
+        return build_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["bounds", "--n", "5", "--k", "3"]) == 0
+    capsys.readouterr()
+    # a typo and no arguments build every subparser, and argparse's errors
+    # name the subcommand argument by its dest
+    for argv, error in (
+        (["bound", "--n", "5"], "argument command: invalid choice: 'bound'"),
+        ([], "the following arguments are required: command"),
+    ):
+        with pytest.raises(SystemExit, match="2"):
+            main(argv)
+        assert error in capsys.readouterr().err
+    with pytest.raises(SystemExit, match="0"):
+        main(["--help"])
+    assert built == [["bounds"]] + [list(SUBCOMMANDS)] * 3
+    out = capsys.readouterr().out
+    for name, (help_line, _) in SUBCOMMANDS.items():  # one listing line each
+        assert re.search(r"^    %s +%s" % (name, re.escape(help_line[:40])), out, re.M)

@@ -169,6 +169,30 @@ def test_p2_exact_k16_pin():
     }
 
 
+# Reports recorded before the exact scans' weight rows became one float64
+# matmul, on seeded G(n, 1/2) above the brute-force oracles' reach.
+@pytest.mark.parametrize(
+    "n, eps, samples, deviation, S, T",
+    [
+        (14, Fraction(1, 10), 4_521_036, HALF, [0, 1], [3, 7]),
+        (14, Fraction(1, 4), 2_401_828, HALF, [2, 6, 10, 12], [3, 4, 5, 9]),
+        (16, Fraction(1, 10), 41_867_346, HALF, [0, 1], [3, 7]),
+        (16, Fraction(1, 4), 16_117_686, Fraction(23, 50), [0, 3, 6, 12, 13], [1, 2, 4, 7, 11]),
+    ],
+)
+def test_p2_exact_pins_on_random_graphs(n, eps, samples, deviation, S, T):
+    G = random_graph(n, 0.5, random.Random(n))
+    assert check_p2(G, eps, mode="exact").to_json() == {
+        "passed": False,
+        "mode": "exact",
+        "deviation_num": deviation.numerator,
+        "deviation_den": deviation.denominator,
+        "samples": samples,
+        "witness_S": S,
+        "witness_T": T,
+    }
+
+
 def test_p2_witness_is_a_violation():
     rep = check_p2(complete_graph(8), Fraction(1, 5), mode="exact")
     assert not rep.passed
@@ -349,6 +373,31 @@ def test_regular_pair_cap_corners(swap):
         "deviation_num": 12,
         "deviation_den": 23,
         "samples": 2**23 - 1 - 23 - 253,  # subsets of 3 or more of the 23
+        "witness_S": X,
+        "witness_T": Y,
+    }
+
+
+@pytest.mark.parametrize(
+    "alpha, samples, deviation, X, Y",
+    [
+        (Fraction(1, 10), 16_670_889, Fraction(9, 16), [2, 5], [3, 4]),
+        (Fraction(1, 4), 14_417_209, HALF, [7, 9, 12, 16], [3, 4, 10, 11]),
+    ],
+)
+def test_regular_pair_exact_pins_on_a_random_graph(alpha, samples, deviation, X, Y):
+    # a seeded 12 + 12 split of G(24, 1/2); reports recorded as in the P2 pins
+    G = random_graph(24, 0.5, random.Random(24))
+    perm = random.Random(2424).sample(range(24), 24)
+    A, B = sorted(perm[:12]), sorted(perm[12:])
+    assert A == [0, 2, 5, 7, 9, 12, 13, 14, 15, 16, 21, 23]
+    rep = is_regular_pair(G, mask_of(A), mask_of(B), alpha, mode="exact")
+    assert rep.to_json() == {
+        "passed": False,
+        "mode": "exact",
+        "deviation_num": deviation.numerator,
+        "deviation_den": deviation.denominator,
+        "samples": samples,
         "witness_S": X,
         "witness_T": Y,
     }
