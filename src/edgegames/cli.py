@@ -47,12 +47,16 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _vertex_mask(spec: str | None) -> int:
+def _vertex_mask(spec: str | None, n: int) -> int:
+    """The mask of the distinct vertices 0..n-1 listed in `spec`, checked
+    before any bit is set, so a huge vertex costs no memory."""
     if spec is None:
         raise ValueError("--A and --B are required")
     vertices = [int(x) for x in spec.split(",")]
     if min(vertices) < 0:
         raise ValueError("negative vertex %d in %r" % (min(vertices), spec))
+    if max(vertices) >= n:
+        raise ValueError("vertex %d in %r is not in the %d-vertex graph" % (max(vertices), spec, n))
     seen = set()
     for v in vertices:
         if v in seen:
@@ -130,8 +134,8 @@ def cmd_verify(args) -> int:
     elif args.check == "regular-pair":
         report = is_regular_pair(
             G,
-            _vertex_mask(args.A),
-            _vertex_mask(args.B),
+            _vertex_mask(args.A, G.n),
+            _vertex_mask(args.B, G.n),
             Fraction(args.alpha),
             mode=args.mode,
             trials=args.trials,
@@ -159,7 +163,7 @@ def cmd_verify(args) -> int:
         L0 = 1 if args.L0 is None else args.L0
         payload = {"check": "slicing"}
         if args.A or args.B:
-            A, B = _vertex_mask(args.A), _vertex_mask(args.B)
+            A, B = _vertex_mask(args.A, G.n), _vertex_mask(args.B, G.n)
             if args.L0 is not None and args.L0 != A.bit_count():
                 raise ValueError("--L0 must equal |A| = %d when --A/--B are given" % A.bit_count())
             L0 = A.bit_count()

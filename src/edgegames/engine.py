@@ -13,7 +13,8 @@ edge and the match ends mid-round.
 
 One `Board` holds who claimed which edge for play, the strategies, the
 exact solver and the sweep monitor; its `claim` and `undo` are the only
-writers of claim codes, masks and counts.
+writers of claim codes, the builder's masks and counts. The strategies
+keep their own state, rebuilt only by replaying `GameState.log`.
 
 A move is an edge id, the index of (u, v) in `edge_pairs(n)`, from the
 strategy through `apply_move` to `GameState.log`, the match's record. Its
@@ -93,7 +94,7 @@ class PropertyDetector:
         return self.holds(_trusted_graph(n, adj))
 
     def hit_after_state(self, state: "GameState", eid: int) -> bool:
-        return self.hit_after_masks(state.n, state.adj[BUILDER], state.us[eid], state.vs[eid])
+        return self.hit_after_masks(state.n, state.adj, state.us[eid], state.vs[eid])
 
 
 def require_absent(prop: PropertyDetector, n: int, adj) -> None:
@@ -222,7 +223,8 @@ class Board:
     `claims` holds one claim code per edge id (fast scalar reads) and `codes`
     is a zero-copy int8 numpy view of the same buffer (vector reads). Edge
     eid joins `us[eid]` and `vs[eid]`, read-only uint16 tables shared by
-    the boards on n vertices. `adj` holds both players' adjacency masks.
+    the boards on n vertices. `adj` holds the builder's adjacency masks,
+    the only graph the detectors read; the opponent's is built on demand.
     A board holds no Python object per edge.
     """
 
@@ -233,25 +235,25 @@ class Board:
         self.m = len(self.us)
         self.claims = bytearray(self.m)
         self.codes = np.frombuffer(self.claims, dtype=np.int8)
-        self.adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
+        self.adj = [0] * n  # the builder's masks
         self.counts = {BUILDER: 0, OPPONENT: 0}
         self.unclaimed = self.m
 
     def claim(self, eid: int, player: int) -> None:
         self.claims[eid] = player
-        u, v = self.us[eid], self.vs[eid]
-        adj = self.adj[player]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        if player == BUILDER:
+            u, v, adj = self.us[eid], self.vs[eid], self.adj
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.counts[player] += 1
         self.unclaimed -= 1
 
     def undo(self, eid: int, player: int) -> None:
         self.claims[eid] = UNCLAIMED
-        u, v = self.us[eid], self.vs[eid]
-        adj = self.adj[player]
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
+        if player == BUILDER:
+            u, v, adj = self.us[eid], self.vs[eid], self.adj
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         self.counts[player] -= 1
         self.unclaimed += 1
 
@@ -268,17 +270,24 @@ class Board:
         return OPPONENT if self.first == BUILDER else BUILDER
 
     def builder_graph(self) -> Graph:
-        return _trusted_graph(self.n, self.adj[BUILDER])
+        return _trusted_graph(self.n, self.adj)
 
     def opponent_graph(self) -> Graph:
-        return _trusted_graph(self.n, self.adj[OPPONENT])
+        """The opponent's graph, built from the claim codes."""
+        adj, us, vs = [0] * self.n, self.us, self.vs
+        for eid in np.flatnonzero(self.codes == OPPONENT).tolist():
+            u, v = us[eid], vs[eid]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return _trusted_graph(self.n, adj)
 
 
 class GameState(Board):
     """A board under a match's rules, plus `log`, the claimed edge ids in
-    move order (an int32 array). apply_move is its only writer and mutates it
-    in place; the incremental strategies read what it appended to `log`
-    since their last call."""
+    move order (an int32 array). `apply_move` is its only writer, so `log`
+    lists every claim on the board, and the strategies build their state
+    from it alone: the whole log on their first call on a board, then what
+    it gained since."""
 
     def __init__(self, rules: GameRules):
         super().__init__(rules.n, rules.first_mover)
@@ -345,9 +354,9 @@ class Transcript:
             "seed": self.seed,
         }
         write(_encode(header) + "\n")
-        # a move without a note, in the sorted-key layout _encode gives it
-        plain = [
-            '{"role": %s, "round": %%d, "type": "move", "u": %%d, "v": %%d}' % _encode(role)
+        # a move in the sorted-key layout _encode gives it; a note sorts first
+        move = [
+            '{%%s"role": %s, "round": %%d, "type": "move", "u": %%d, "v": %%d}' % _encode(role)
             for role in roles
         ]
         us, vs = _endpoints(self.n)
@@ -355,12 +364,8 @@ class Transcript:
         for start in range(0, len(log), _CHUNK):
             lines = []
             for i, eid in enumerate(log[start:start + _CHUNK], start):
-                if i in notes:
-                    rec = {"type": "move", "round": i // 2 + 1, "role": roles[i & 1],
-                           "u": us[eid], "v": vs[eid], "note": notes[i]}
-                    lines.append(_encode(rec))
-                else:
-                    lines.append(plain[i & 1] % (i // 2 + 1, us[eid], vs[eid]))
+                note = '"note": %s, ' % _encode(notes[i]) if i in notes else ""
+                lines.append(move[i & 1] % (note, i // 2 + 1, us[eid], vs[eid]))
             lines.append("")
             write("\n".join(lines))
         write(_encode({"type": "outcome", "result": self.result, "t": self.t}) + "\n")
@@ -402,7 +407,7 @@ def play_match(
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = GameState(rules)
-    require_absent(rules.prop, state.n, state.adj[BUILDER])
+    require_absent(rules.prop, state.n, state.adj)
     strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
     notes = {}
     result, t = "never", -1

@@ -7,7 +7,6 @@ All densities are exact `Fraction`s; no floats enter any threshold comparison.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -243,11 +242,13 @@ def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
     DSATUR (Brelaz 1979): the next vertex is the uncoloured one whose
     neighbours show the most colours, ties to the higher degree, then the
     lower label, and it takes its lowest free colour, so at most one new
-    colour per step. Alone, that first descent stops once a vertex sees all
-    k colours, which does not prove that the graph needs more. With `exact`
-    it then backtracks, on an explicit stack, to the latest vertex with
-    another free colour (still at most one new colour), so None proves that
-    no k-colouring exists.
+    colour per step. The uncoloured vertices are kept by that count, one
+    mask per count with the bits in (degree, label) pick order, so a pick
+    is the lowest bit of the highest nonempty mask. Alone, that first
+    descent stops once a vertex sees all k colours, which does not prove
+    that the graph needs more. With `exact` it then backtracks, on an
+    explicit stack, to the latest vertex with another free colour (still at
+    most one new colour), so None proves that no k-colouring exists.
     """
     n = len(adj)
     if k == 1:
@@ -257,15 +258,23 @@ def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
     classes = [0] * k
     seen = [0] * n  # the colours on each vertex's coloured neighbours, as bits
     near = [0] * k  # the vertices that see each colour, as masks
-    rank = [a.bit_count() for a in adj]  # n * (colours seen) + degree
-    left = list(range(n))  # the uncoloured vertices, ascending
+    order = sorted(range(n), key=lambda w: (-adj[w].bit_count(), w))  # the pick order
+    bit = [0] * n  # vertex w is bit order.index(w) of the level masks
+    for p, w in enumerate(order):
+        bit[w] = 1 << p
+    level = [(1 << n) - 1] + [0] * k  # level[s]: the uncoloured vertices that see s colours
+    top = 0  # the levels above it are empty
+    coloured = bytearray(n)
+    left = n  # the uncoloured vertices
     every = (1 << k) - 1
     used = 0  # the colours in use are 0..used-1
     # per coloured vertex: its colour bit, the free colours not yet tried,
     # and the neighbours that first saw that colour through it
     stack = []
     while left:
-        w = max(left, key=rank.__getitem__)
+        while not level[top]:
+            top -= 1
+        w = order[(level[top] & -level[top]).bit_length() - 1]
         untried = every & ~seen[w] & ((2 << used) - 1)
         while not untried:
             if not exact or not stack:
@@ -276,20 +285,32 @@ def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
             if not classes[i]:  # w brought colour i in, and all after it are undone
                 used = i
             near[i] ^= newly
+            coloured[w] = 0
+            left += 1
+            level[seen[w].bit_count()] |= bit[w]  # top is k: the last pick saw all k
             for x in bits(newly):
                 seen[x] ^= c
-                rank[x] -= n
-            bisect.insort(left, w)
+                if not coloured[x]:  # x drops a level
+                    s = seen[x].bit_count()
+                    level[s + 1] ^= bit[x]
+                    level[s] |= bit[x]
         c = untried & -untried
         i = c.bit_length() - 1
         classes[i] |= 1 << w
         used = max(used, i + 1)
         newly = adj[w] & ~near[i]
         near[i] |= newly
+        coloured[w] = 1
+        left -= 1
+        level[seen[w].bit_count()] ^= bit[w]
         for x in bits(newly):
             seen[x] |= c
-            rank[x] += n
-        left.remove(w)
+            if not coloured[x]:  # x rises a level
+                s = seen[x].bit_count()
+                level[s - 1] ^= bit[x]
+                level[s] |= bit[x]
+                if s > top:
+                    top = s
         stack.append((w, c, untried ^ c, newly))
     return classes
 

@@ -106,7 +106,7 @@ class _Search(Board):
                 self.claim(eid, c)
         self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
         self.key = self.codes @ W
-        require_absent(self.prop, self.n, self.adj[BUILDER])
+        require_absent(self.prop, self.n, self.adj)
 
     def best(self, alpha=-NEVER, beta=NEVER):
         """(value, first optimal edge id) for the player to move at the
@@ -116,7 +116,7 @@ class _Search(Board):
         turn = self.whose_turn()
         builder = turn == BUILDER
         n, claims, us, vs, counts = self.n, self.claims, self.us, self.vs, self.counts
-        adj = self.adj[BUILDER]
+        adj = self.adj
         hit = self.prop.hit_after_masks
         claim, undo, value = self.claim, self.undo, self._value
         key, rows = self.key, self.rows[turn]

@@ -10,9 +10,11 @@ first-available). Descriptor DSL for the CLI:
     first            lowest edge id
 
 `next_move(state, player)` returns the edge id to claim, the engine's one
-move format. `parse_strategy(descriptor, seed)` returns a fresh per-match
-instance: a bare `random` draws from `seed`, and `random:<s>` keeps its
-own `s`.
+move format. A strategy that keeps state builds it one way only: from the
+empty board, by replaying the claim log (`Strategy._new_moves`); none reads
+the board's masks or its numpy view. `parse_strategy(descriptor, seed)`
+returns a fresh per-match instance: a bare `random` draws from `seed`, and
+`random:<s>` keeps its own `s`.
 `match_players` gives the two sides of one match their seeds.
 """
 
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import GameState, UNCLAIMED
+from .engine import GameState, UNCLAIMED, _endpoints
 from .graphs import edge_index
 from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wraps it
 
@@ -34,9 +36,23 @@ from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wra
 class Strategy:
     descriptor = "?"
     last_note: Optional[str] = None
+    _board, _key, _seen = None, None, 0  # the log cursor of _new_moves
 
     def next_move(self, state: GameState, player: int) -> int:  # the edge id to claim
         raise NotImplementedError
+
+    def _new_moves(self, state: GameState, key=None):
+        """The entries of `state.log` since the last call. On another board,
+        another key, or a log shorter than then, it first calls `_reset(n)`,
+        which puts the kept state back to that of the empty board on n
+        vertices, and returns the whole log. Call it before reading any kept
+        state: a fresh instance has none until `_reset` runs."""
+        log, seen = state.log, self._seen
+        self._seen = size = len(log)
+        if state is not self._board or key != self._key or size < seen:
+            self._board, self._key, seen = state, key, 0
+            self._reset(state.n)
+        return log[seen:]
 
 
 class FirstAvailableStrategy(Strategy):
@@ -56,66 +72,50 @@ class RandomStrategy(Strategy):
     Keeps, for the board it last played on, each row u's free partners
     v > u as a sorted uint16 array, and a Fenwick tree (Fenwick 1994) over
     the row lengths, padded to a power of two. A pick descends the tree to
-    the row that holds the k-th free id. Each id the board's log gained
-    since the last call is a bisect and a delete in its row, of at most
-    n - 1 entries, plus a decrement along the row's precomputed path of
-    tree slots. Any other board, or a shorter log, is read afresh from the
-    claim codes, with no list of m ints.
+    the row that holds the k-th free id. Each claimed id is a bisect and a
+    delete in its row, of at most n - 1 entries, plus a decrement along the
+    row's precomputed path of tree slots.
     """
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self.descriptor = "random" if seed is None else "random:%d" % seed
         self._rng = random.Random(seed)
-        self._board, self._seen = None, 0
-        self._rows = self._tree = self._steps = self._paths = self._base = None
 
-    def _load(self, state) -> None:
-        n = state.n
-        starts = [edge_index(u, u + 1, n) for u in range(n - 1)]  # first id of row u
-        free = state.codes == UNCLAIMED
-        counts = np.add.reduceat(free, starts, dtype=np.intp).tolist()
-        flat = array("H", np.frombuffer(state.vs, dtype=np.uint16)[free].tobytes())
-        self._rows, at = [], 0
-        for c in counts:
-            self._rows.append(flat[at:at + c])
-            at += c
+    def _reset(self, n):
+        ramp = array("H", range(n))
+        self._rows = [ramp[u + 1:] for u in range(n - 1)]  # row u: n - 1 - u partners
         size = 1 << (n - 2).bit_length()  # rows 0..n-2 in tree slots 1..size
         self._steps = [size >> b for b in range(1, size.bit_length())]
         self._tree, self._paths = [0] * (size + 1), []  # paths[u]: the slots that count row u
-        for u, c in enumerate(counts):
+        for u in range(n - 1):
             i, path = u + 1, []
             while i <= size:
                 path.append(i)
-                self._tree[i] += c
+                self._tree[i] += n - 1 - u
                 i += i & -i
             self._paths.append(path)
-        self._base = [s - u - 1 for u, s in enumerate(starts)]  # edge id of uv is base[u] + v
+        # the edge id of uv is base[u] + v
+        self._base = [edge_index(u, u + 1, n) - u - 1 for u in range(n - 1)]
 
     def next_move(self, state, player):
-        log = state.log
-        if state is not self._board or len(log) < self._seen:
-            self._board = state
-            self._load(state)
-        else:
-            us, vs, rows, tree, paths = state.us, state.vs, self._rows, self._tree, self._paths
-            for eid in log[self._seen:]:
-                u = us[eid]
-                row = rows[u]
-                del row[bisect_left(row, vs[eid])]
-                for i in paths[u]:
-                    tree[i] -= 1
-        self._seen = len(log)
+        new = self._new_moves(state)
+        us, vs, rows, tree, paths = state.us, state.vs, self._rows, self._tree, self._paths
+        for eid in new:
+            u = us[eid]
+            row = rows[u]
+            del row[bisect_left(row, vs[eid])]
+            for i in paths[u]:
+                tree[i] -= 1
         if not state.unclaimed:
             raise RuntimeError("no moves left")
-        k = self._rng.randrange(state.unclaimed)
-        tree, u = self._tree, 0
+        k, u = self._rng.randrange(state.unclaimed), 0
         for step in self._steps:  # u ends at the row that holds the k-th free id
             c = tree[u + step]
             if c <= k:
                 u += step
                 k -= c
-        return self._base[u] + self._rows[u][k]
+        return self._base[u] + rows[u][k]
 
 
 class TuranAvoiderStrategy(Strategy):
@@ -127,8 +127,7 @@ class TuranAvoiderStrategy(Strategy):
 
     The lowest free cross id only grows while a match goes on, so it keeps a
     pointer into the sorted cross ids of the board it last played on and
-    moves it past claimed ones; any other board, or a shorter log, starts
-    it afresh.
+    moves it past claimed ones; the empty board puts it at 0.
     """
 
     def __init__(self, parts: int):
@@ -136,25 +135,21 @@ class TuranAvoiderStrategy(Strategy):
             raise ValueError("parts must be >= 1")
         self.parts = parts
         self.descriptor = "turan:%d" % parts
-        self._cross_ids = {}  # n -> sorted int32 array of cross-cluster edge ids
-        self._board, self._seen, self._at = None, 0, 0
 
-    def _cross(self, state):
-        if state.n not in self._cross_ids:
-            us, vs = (np.frombuffer(t, dtype=np.uint16) for t in (state.us, state.vs))
-            cross = np.flatnonzero(us % self.parts != vs % self.parts).astype(np.intc)
-            self._cross_ids[state.n] = array("i", cross.tobytes())
-        return self._cross_ids[state.n]
+    def _reset(self, n):
+        us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
+        cross = np.flatnonzero(us % self.parts != vs % self.parts).astype(np.intc)
+        self._cross = array("i", cross.tobytes())  # the sorted cross-cluster edge ids
+        self._at = 0
 
     def next_move(self, state, player):
-        cross, claims, at = self._cross(state), state.claims, self._at
-        if state is not self._board or len(state.log) < self._seen:
-            self._board, at = state, 0
-        self._seen = len(state.log)
-        while at < len(cross) and claims[cross[at]] != UNCLAIMED:
+        self._new_moves(state)
+        cross, claims, at = self._cross, state.claims, self._at
+        end = len(cross)
+        while at < end and claims[cross[at]]:  # a nonzero code: claimed
             at += 1
         self._at = at
-        if at < len(cross):
+        if at < end:
             self.last_note = None
             return cross[at]
         eid = state.claims.find(UNCLAIMED)
@@ -176,8 +171,7 @@ class JumbleGStrategy(Strategy):
     difference `diff[w]` (the other player's degree minus its own), the mask
     `free[w]` of its unclaimed partners, and `cls`, which maps each
     difference to the mask of the vertices with it that still have an
-    unclaimed edge. A new log entry moves its two endpoints by one; any
-    other board or player, or a shorter log, is read afresh from the masks.
+    unclaimed edge. Each claim moves its two endpoints by one.
 
     The move is the first hit of a downward search over the key S, from
     twice the largest class value: the rows a that have a partner class
@@ -193,44 +187,35 @@ class JumbleGStrategy(Strategy):
             raise ValueError("eps must lie in (0, 1/2)")
         self.eps = eps
         self.descriptor = "jumbleg:%s" % eps
-        self._board, self._player, self._seen = None, None, 0
-        self._diff = self._free = self._cls = None
+
+    def _reset(self, n):
+        full = (1 << n) - 1
+        self._diff = [0] * n
+        self._free = [full ^ (1 << w) for w in range(n)]
+        self._cls = {0: full}
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
         # enforcer this is the spec'd (d_A(u)-d_E(u)) + (d_A(v)-d_E(v)) key
         if state.unclaimed == 0:
             raise RuntimeError("no moves left")
-        n, log = state.n, state.log
-        if state is not self._board or player != self._player or len(log) < self._seen:
-            self._board, self._player = state, player
-            other, mine = state.adj[3 - player], state.adj[player]  # BUILDER=1, OPPONENT=2
-            full = (1 << n) - 1
-            self._diff = [o.bit_count() - m.bit_count() for o, m in zip(other, mine)]
-            self._free = [full ^ (1 << w) ^ (other[w] | mine[w]) for w in range(n)]
-            self._cls = cls = {}
-            for w, (d, f) in enumerate(zip(self._diff, self._free)):
-                if f:
-                    cls[d] = cls.get(d, 0) | 1 << w
-        else:
-            diff, free, cls = self._diff, self._free, self._cls
-            claims, us, vs = state.claims, state.us, state.vs
-            for eid in log[self._seen:]:
-                step = 1 if claims[eid] != player else -1
-                u, v = us[eid], vs[eid]
-                for w, x in (u, v), (v, u):
-                    # w had the free edge wx, so it sat in its class until now
-                    d, bit = diff[w], 1 << w
-                    if cls[d] == bit:
-                        del cls[d]
-                    else:
-                        cls[d] ^= bit
-                    free[w] ^= 1 << x
-                    diff[w] = d = d + step
-                    if free[w]:
-                        cls[d] = cls.get(d, 0) | bit
-        self._seen = len(log)
+        n, claims, us, vs = state.n, state.claims, state.us, state.vs
+        new = self._new_moves(state, player)
         diff, free, cls = self._diff, self._free, self._cls
+        for eid in new:
+            step = 1 if claims[eid] != player else -1
+            u, v = us[eid], vs[eid]
+            for w, x in (u, v), (v, u):
+                # w had the free edge wx, so it sat in its class until now
+                d, bit = diff[w], 1 << w
+                if cls[d] == bit:
+                    del cls[d]
+                else:
+                    cls[d] ^= bit
+                free[w] ^= 1 << x
+                diff[w] = d = d + step
+                if free[w]:
+                    cls[d] = cls.get(d, 0) | bit
         # the differences on a board are nearly contiguous, so almost every S
         # in this range is a sum of two of them; one that is not has no rows
         for S in range(2 * max(cls), 2 * min(cls) - 1, -1):

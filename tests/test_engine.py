@@ -270,28 +270,36 @@ def test_state_graphs_equal_validated_graphs(n, data):
     order = data.draw(st.permutations(range(num_edges(n))))
     for eid in order[: data.draw(st.integers(min_value=0, max_value=len(order)))]:
         apply_move(state, state.whose_turn(), eid)
+    pairs = edge_pairs(n)
     for player, G in ((BUILDER, state.builder_graph()), (OPPONENT, state.opponent_graph())):
-        validated = Graph(n, tuple(state.adj[player]))
+        validated = Graph(n, tuple(G.adj))
         assert G == validated and hash(G) == hash(validated)
         assert G == graph_from_edges(n, G.edges())
+        claimed = [pairs[e] for e in range(num_edges(n)) if state.claims[e] == player]
+        assert G == graph_from_edges(n, claimed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.sampled_from([BUILDER, OPPONENT]), st.data())
 def test_board_claim_undo_matches_rebuild(n, first, data):
     # any claim/undo sequence leaves the board equal to one rebuilt from its
-    # claim codes alone, and the numpy view reads the same buffer
+    # claim codes alone, and the numpy view reads the same buffer; an
+    # opponent claim or undo leaves the builder's masks untouched
     board = Board(n, first)
     claimed = {}
     for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
         free = [e for e in range(num_edges(n)) if e not in claimed]
+        before = list(board.adj)
         if claimed and (not free or data.draw(st.booleans())):
             eid = data.draw(st.sampled_from(sorted(claimed)))
-            board.undo(eid, claimed.pop(eid))
+            player = claimed.pop(eid)
+            board.undo(eid, player)
         else:
             eid = data.draw(st.sampled_from(free))
-            claimed[eid] = data.draw(st.sampled_from([BUILDER, OPPONENT]))
-            board.claim(eid, claimed[eid])
+            player = claimed[eid] = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+            board.claim(eid, player)
+        if player == OPPONENT:
+            assert board.adj == before
     codes = [claimed.get(e, 0) for e in range(num_edges(n))]
     adj = {BUILDER: [0] * n, OPPONENT: [0] * n}
     for eid, (u, v) in enumerate(edge_pairs(n)):
@@ -301,7 +309,8 @@ def test_board_claim_undo_matches_rebuild(n, first, data):
     counts = {p: codes.count(p) for p in (BUILDER, OPPONENT)}
     assert list(board.claims) == codes
     assert board.codes.tolist() == codes
-    assert board.adj == adj
+    assert board.builder_graph() == Graph(n, tuple(adj[BUILDER]))
+    assert board.opponent_graph() == Graph(n, tuple(adj[OPPONENT]))
     assert board.counts == counts
     assert board.unclaimed == codes.count(0)
     assert board.round == min(counts.values())

@@ -5,6 +5,7 @@ this file (naive double loops, exhaustive subset enumeration, a minimum
 clique-edge-cover search for Turan numbers) rather than by the code under test.
 """
 
+import bisect
 import itertools
 import random
 import time
@@ -401,6 +402,58 @@ def test_colouring_kernel_against_brute_force(G, k):
 def test_exact_colouring_backtracks_past_a_failed_first_descent(G, k):
     assert graphs._colouring(G.adj, k) is None
     assert_proper_classes(G, graphs._colouring(G.adj, k, exact=True), k)
+
+
+def scan_colouring(adj, k, exact=False):
+    """`graphs._colouring` as it was with a linear scan for the DSATUR pick,
+    kept as the oracle of the level masks: the uncoloured vertex of highest
+    rank, n * (colours seen) + degree, and the lowest label among equals."""
+    n = len(adj)
+    if k <= 2:
+        return graphs._colouring(adj, k, exact)
+    classes, seen, near = [0] * k, [0] * n, [0] * k
+    rank = [a.bit_count() for a in adj]
+    left = list(range(n))
+    every, used, stack = (1 << k) - 1, 0, []
+    while left:
+        w = max(left, key=rank.__getitem__)
+        untried = every & ~seen[w] & ((2 << used) - 1)
+        while not untried:
+            if not exact or not stack:
+                return None
+            w, c, untried, newly = stack.pop()
+            i = c.bit_length() - 1
+            classes[i] ^= 1 << w
+            if not classes[i]:
+                used = i
+            near[i] ^= newly
+            for x in graphs.bits(newly):
+                seen[x] ^= c
+                rank[x] -= n
+            bisect.insort(left, w)
+        c = untried & -untried
+        i = c.bit_length() - 1
+        classes[i] |= 1 << w
+        used = max(used, i + 1)
+        newly = adj[w] & ~near[i]
+        near[i] |= newly
+        for x in graphs.bits(newly):
+            seen[x] |= c
+            rank[x] += n
+        left.remove(w)
+        stack.append((w, c, untried ^ c, newly))
+    return classes
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(max_n=14), st.integers(min_value=1, max_value=6), st.booleans())
+@example(*FIRST_DESCENT_MISSES[0], True)
+@example(*FIRST_DESCENT_MISSES[1], True)
+def test_colouring_level_pick_matches_the_scan(G, k, exact):
+    # the same classes, or the same None, as the scan for every k, and for
+    # the uncapped first descent that greedy_coloring runs (k = n)
+    assert graphs._colouring(G.adj, k, exact) == scan_colouring(G.adj, k, exact)
+    assert graphs._colouring(G.adj, G.n) == scan_colouring(G.adj, G.n)
 
 
 def test_colouring_past_the_recursion_limit():

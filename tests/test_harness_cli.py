@@ -575,6 +575,11 @@ def test_cli_validation_exit_code_2(tmp_path, capsys):
         assert "repeated vertex 0 in '0,0'" in capsys.readouterr().err
         assert main(["verify", check, "--graph", "K6", "--A", "0,1", "--B", "2,3,5,3"]) == 2
         assert "repeated vertex 3 in '2,3,5,3'" in capsys.readouterr().err
+        # a vertex past the graph is refused before it becomes a mask bit
+        for spec, v in (("0,400000000", 400000000), ("1,6", 6)):
+            assert main(["verify", check, "--graph", "K6", "--A", spec, "--B", "2"]) == 2
+            err = capsys.readouterr().err
+            assert "vertex %d in '%s' is not in the 6-vertex graph" % (v, spec) in err
     for spec, problem in (("6,8,6", "repeated size 6"), ("6:10:0", "range step must be >= 1")):
         assert main(["sweep", "--n", spec]) == 2
         assert problem in capsys.readouterr().err

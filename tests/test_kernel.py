@@ -275,11 +275,11 @@ def test_kept_certificate_never_certifies_a_copy(kind, names, data):
         step = claim_or_undo(board, data, claimed)
         G = board.builder_graph()
         now = has_copy(G, members, induced)
-        if det._cert.proves(board.adj[BUILDER]):
+        if det._cert.proves(board.adj):
             assert not now
         if step is not None and step[1] == BUILDER and not before:
             u, v = board.us[step[0]], board.vs[step[0]]
-            assert det.hit_after_masks(n, board.adj[BUILDER], u, v) == now
+            assert det.hit_after_masks(n, board.adj, u, v) == now
         before = now
 
 
@@ -298,7 +298,7 @@ def test_kept_nc_colouring_matches_brute_force(k, data):
         claim_or_undo(board, data, claimed)
         G = board.builder_graph()
         colourable = brute_force_colorable(G, k)
-        if det._cert.proves(board.adj[BUILDER]):
+        if det._cert.proves(board.adj):
             assert colourable
         assert det.holds(G) == (not colourable)
 

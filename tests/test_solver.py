@@ -238,7 +238,7 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
     state = GameState(GameRules(n=n, prop=parse_property(prop), first_mover=first))
 
     def hits(eid):
-        adj = list(state.adj[BUILDER])
+        adj = list(state.adj)
         u, v = state.us[eid], state.vs[eid]
         adj[u] |= 1 << v
         adj[v] |= 1 << u

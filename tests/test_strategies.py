@@ -157,7 +157,8 @@ def oracle_jumbleg_move(state, player):
     best_key, best_eid = None, None
     n = state.n
     other = BUILDER if player == OPPONENT else OPPONENT
-    deg = {p: [state.adj[p][w].bit_count() for w in range(n)] for p in (BUILDER, OPPONENT)}
+    graphs = {BUILDER: state.builder_graph(), OPPONENT: state.opponent_graph()}
+    deg = {p: [G.degree(w) for w in range(n)] for p, G in graphs.items()}
     for u in range(n):
         for v in range(u + 1, n):
             eid = edge_index(u, v, n)
@@ -380,7 +381,8 @@ def test_jumbleg_balances_builder_degrees():
     tr = play_match(RandomStrategy(5), JumbleGStrategy(Fraction(1, 10)), rules)
     assert tr.result == "never"
     board = replay(tr, rules.prop)
-    gaps = [abs(a.bit_count() - e.bit_count()) for a, e in zip(board.adj[BUILDER], board.adj[OPPONENT])]
+    G_a, G_e = board.builder_graph(), board.opponent_graph()
+    gaps = [abs(G_a.degree(w) - G_e.degree(w)) for w in range(board.n)]
     assert max(gaps) <= 4
 
 
