@@ -11,10 +11,11 @@ The builder moves first by default. Round r is complete once both players
 hold r edges; with an odd board the first mover takes the final unpaired
 edge and the match ends mid-round.
 
-One `Board` holds who claimed which edge for play, the strategies, the
-exact solver and the sweep monitor; its `claim` and `undo` are the only
-writers of claim codes, the builder's masks and counts. The strategies
-keep their own state, rebuilt only by replaying `GameState.log`.
+One `Board` holds who claimed which edge for play, the strategies and the
+exact solver, one claim code byte per edge id; its `claim` and `undo` are
+the only writers of it, the builder's masks and counts. The strategies
+rebuild their own state only by replaying `GameState.log`. This layer needs
+no numpy: the solver and the sweep monitor view a claim record themselves.
 
 A move is an edge id, the index of (u, v) in `edge_pairs(n)`, from the
 strategy through `apply_move` to `GameState.log`, the match's record. Its
@@ -30,8 +31,6 @@ import json
 from array import array
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 # The detectors call the kernel by these names: bench/spans.py wraps them here.
 from .graphs import (
@@ -220,12 +219,12 @@ def _endpoints(n: int):
 class Board:
     """Who claimed which edge of K_n; `claim` and `undo` are its only writers.
 
-    `claims` holds one claim code per edge id (fast scalar reads) and `codes`
-    is a zero-copy int8 numpy view of the same buffer (vector reads). Edge
-    eid joins `us[eid]` and `vs[eid]`, read-only uint16 tables shared by
-    the boards on n vertices. `adj` holds the builder's adjacency masks,
-    the only graph the detectors read; the opponent's is built on demand.
-    A board holds no Python object per edge.
+    `claims` holds one claim code per edge id, a bytearray: scalar reads
+    index it, and `claims.find(code, start)` walks to the next edge with a
+    code. Edge eid joins `us[eid]` and `vs[eid]`, read-only uint16 tables
+    shared by the boards on n vertices. `adj` holds the builder's adjacency
+    masks, the only graph the detectors read; the opponent's is built on
+    demand. A board holds no Python object per edge.
     """
 
     def __init__(self, n: int, first_mover: int = BUILDER):
@@ -234,7 +233,6 @@ class Board:
         self.us, self.vs = _endpoints(n)
         self.m = len(self.us)
         self.claims = bytearray(self.m)
-        self.codes = np.frombuffer(self.claims, dtype=np.int8)
         self.adj = [0] * n  # the builder's masks
         self.counts = {BUILDER: 0, OPPONENT: 0}
         self.unclaimed = self.m
@@ -274,11 +272,13 @@ class Board:
 
     def opponent_graph(self) -> Graph:
         """The opponent's graph, built from the claim codes."""
-        adj, us, vs = [0] * self.n, self.us, self.vs
-        for eid in np.flatnonzero(self.codes == OPPONENT).tolist():
+        adj, us, vs, find = [0] * self.n, self.us, self.vs, self.claims.find
+        eid = find(OPPONENT)
+        while eid >= 0:
             u, v = us[eid], vs[eid]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+            eid = find(OPPONENT, eid + 1)
         return _trusted_graph(self.n, adj)
 
 
@@ -371,13 +371,14 @@ class Transcript:
         write(_encode({"type": "outcome", "result": self.result, "t": self.t}) + "\n")
         return "".join(parts) if out is None else None
 
-    def final_codes(self) -> np.ndarray:
-        """The final board's claim code per edge id, as an int8 array like
-        `Board.codes`, read straight off the log."""
-        codes = np.zeros(self.n * (self.n - 1) // 2, dtype=np.int8)
-        log = np.frombuffer(self.log, dtype=np.intc)  # array("i") holds C ints
-        codes[log[0::2]] = self.first_mover
-        codes[log[1::2]] = BUILDER + OPPONENT - self.first_mover
+    def final_codes(self) -> bytearray:
+        """The final board's claim code per edge id, a bytearray laid out
+        like `Board.claims`, read straight off the log: even move indices
+        are the first mover's."""
+        codes = bytearray(self.n * (self.n - 1) // 2)
+        player = (self.first_mover, BUILDER + OPPONENT - self.first_mover)
+        for i, eid in enumerate(self.log):
+            codes[eid] = player[i & 1]
         return codes
 
 

@@ -124,8 +124,9 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
 
 def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
-    on the board on n vertices with these claim codes (`Board.codes`, or a
-    transcript's `final_codes()`), read as builder B and opponent M.
+    on the board on n vertices with these claim codes, one byte per edge id
+    (`Board.claims`, or a transcript's `final_codes()`), read as builder B
+    and opponent M.
 
     The pairs are drawn as `_random_disjoint_pair` draws them, and every
     pair's e_B - e_M is summed at once from one signed n x n matrix, +1
@@ -137,7 +138,7 @@ def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: in
     picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
     us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
     signed = np.zeros((n, n), dtype=np.int8)
-    signed[us, vs] = _SIGN.take(codes)  # the upper triangle
+    signed[us, vs] = _SIGN.take(np.frombuffer(codes, dtype=np.int8))  # the upper triangle
     signed += signed.T
     margins = signed[picks[:, :size, None], picks[:, None, size:]].sum(axis=(1, 2))
     return Fraction(int((margins > limit).sum()), pairs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -128,6 +129,14 @@ def _earliest_sets(W, least: int):
     return np.cumsum(1 << orders, axis=2)[..., least - 1 :]
 
 
+def _subset_table(k: int) -> np.ndarray:
+    """The 2^k x k uint8 table whose row i is the indicator vector of subset
+    id i: entry j is bit j of i, unpacked from the little-endian bytes of the
+    uint32 ids."""
+    ids = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(ids, axis=1, count=k, bitorder="little")
+
+
 def _pair_exact_scan(G: Graph, a_list, b_list, x_size: int, y_size: int, c: Fraction, fails):
     """Exact is_regular_pair. The witness is the least (X index, Y index)
     among the worst pairs, an index being the bitmask over the positions of
@@ -138,9 +147,7 @@ def _pair_exact_scan(G: Graph, a_list, b_list, x_size: int, y_size: int, c: Frac
     swap = len(b_list) < len(a_list)
     rows, cols = (b_list, a_list) if swap else (a_list, b_list)
     row_size, col_size = (y_size, x_size) if swap else (x_size, y_size)
-    # bit k of each subset id (at most 12 bits), read off its two little-endian bytes
-    ids = np.arange(1 << len(rows), dtype="<u2").view(np.uint8).reshape(-1, 2)
-    inc = np.unpackbits(ids, axis=1, count=len(rows), bitorder="little")
+    inc = _subset_table(len(rows))
     sizes = inc.sum(axis=1, dtype=np.intp)
     keep = sizes >= row_size  # row subsets, in ascending index order
     inc, sizes = inc[keep].astype(np.float64), sizes[keep]
@@ -174,13 +181,12 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
     """
     n = G.n
     adj = np.array([[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.float64)
-    # The indicator vector of every vertex set, unpacked from the two
-    # big-endian bytes of its id (n <= 16), in which bit n-1-v marks v. Of two
-    # sets of one size, the first in combinations order holds the least
-    # vertex where they differ, so it has the larger id: descending ids list
-    # each size in combinations order.
-    ids = np.arange((1 << n) - 1, -1, -1, dtype=">u2").view(np.uint8).reshape(-1, 2)
-    indicators = np.unpackbits(ids, axis=1)[:, 16 - n :]
+    # The indicator vector of every vertex set, with reversed columns, so
+    # that bit n-1-v of its id marks v. Of two sets of one size, the first in
+    # combinations order holds the least vertex where they differ, so it has
+    # the larger id: reversed rows, descending ids, list each size in
+    # combinations order.
+    indicators = _subset_table(n)[::-1, ::-1]
     set_sizes = indicators.sum(axis=1)
     worst, witness = Fraction(0), None
     for s in range(min_size, n // 2 + 1):
@@ -307,6 +313,25 @@ def jumbleg_eps_threshold(n: int) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2.0 * (math.log(n) / n) ** (1.0 / 3.0)
+
+
+def _meets_jumbleg_eps(eps, n: int) -> bool:
+    """Exactly whether eps >= 2*(ln n / n)^(1/3), that is, q = n*eps^3/8 >= ln n
+    for eps > 0, as ConstantSchedule has it. Decimal's ln is correctly
+    rounded, so at p digits it pins ln n inside one unit in its last place
+    either side; the precision doubles until q falls outside that interval.
+    ln n is irrational for n >= 2, so q never equals it and the loop ends."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    q, prec = n * Fraction(eps) ** 3 / 8, 32
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ln = Decimal(n).ln()
+        gap = q - Fraction(ln)
+        if abs(gap) >= Fraction(10) ** (ln.adjusted() - prec + 1):  # one unit in the last place
+            return gap > 0
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +607,8 @@ def validate_constants(
     (5) E0*S1 <= gamma
 
     When `n` is given, also checks the JumbleG threshold
-    epsilon >= 2*(log n / n)^(1/3) (float comparison, labelled "jumbleg-eps").
+    epsilon >= 2*(ln n / n)^(1/3), decided exactly by `_meets_jumbleg_eps`
+    (labelled "jumbleg-eps").
     When strict_e1 is set, additionally requires E1 == gamma.
     Returns (valid, violation_labels).
     """
@@ -595,7 +621,7 @@ def validate_constants(
         violations.append("(4)")
     if not c.E0 * c.S1 <= c.gamma:
         violations.append("(5)")
-    if n is not None and float(c.epsilon) < jumbleg_eps_threshold(n):
+    if n is not None and not _meets_jumbleg_eps(c.epsilon, n):
         violations.append("jumbleg-eps")
     if strict_e1 and c.E1 != c.gamma:
         violations.append("E1!=gamma")

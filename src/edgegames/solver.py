@@ -87,7 +87,7 @@ def canonical_claims(claims, n: int) -> bytes:
 class _Search(Board):
     """Alpha-beta from a start position, given as one claim code per edge id.
 
-    `key` is `codes @ W` for the weight table W of the board's n, one entry
+    `key` is `claims @ W` for the weight table W of the board's n, one entry
     per vertex permutation, and `rows[player][e]` is player's code times
     W[e]; `best` keeps the key in step with the children it values.
     """
@@ -105,7 +105,7 @@ class _Search(Board):
             if c != UNCLAIMED:
                 self.claim(eid, c)
         self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
-        self.key = self.codes @ W
+        self.key = np.frombuffer(self.claims, dtype=np.int8) @ W
         require_absent(self.prop, self.n, self.adj)
 
     def best(self, alpha=-NEVER, beta=NEVER):

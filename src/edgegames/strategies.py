@@ -12,7 +12,7 @@ first-available). Descriptor DSL for the CLI:
 `next_move(state, player)` returns the edge id to claim, the engine's one
 move format. A strategy that keeps state builds it one way only: from the
 empty board, by replaying the claim log (`Strategy._new_moves`); none reads
-the board's masks or its numpy view. `parse_strategy(descriptor, seed)`
+the builder's masks. `parse_strategy(descriptor, seed)`
 returns a fresh per-match instance: a bare `random` draws from `seed`, and
 `random:<s>` keeps its own `s`.
 `match_players` gives the two sides of one match their seeds.
@@ -26,9 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .engine import GameState, UNCLAIMED, _endpoints
+from .engine import GameState, UNCLAIMED
 from .graphs import edge_index
 from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wraps it
 
@@ -121,13 +119,13 @@ class RandomStrategy(Strategy):
 class TuranAvoiderStrategy(Strategy):
     """Round-robin clusters; claims only cross-cluster edges while any remain.
 
-    While in the cross phase the claimed graph respects the cluster partition
-    and so stays (parts)-colorable. Once cross edges run out it falls back to
-    the lowest unclaimed edge id and flags the move for the transcript.
+    Vertex w sits in cluster w % parts, so the claimed graph stays
+    (parts)-colorable in the cross phase. Once cross edges run out it falls
+    back to the lowest unclaimed edge id and flags the move for the transcript.
 
-    The lowest free cross id only grows while a match goes on, so it keeps a
-    pointer into the sorted cross ids of the board it last played on and
-    moves it past claimed ones; the empty board puts it at 0.
+    The lowest free cross id only grows while a match goes on, so it keeps
+    one edge id pointer, 0 on the empty board, and walks it over the claim
+    bytes (`claims.find`) past claimed ids and free ids inside one cluster.
     """
 
     def __init__(self, parts: int):
@@ -137,22 +135,20 @@ class TuranAvoiderStrategy(Strategy):
         self.descriptor = "turan:%d" % parts
 
     def _reset(self, n):
-        us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
-        cross = np.flatnonzero(us % self.parts != vs % self.parts).astype(np.intc)
-        self._cross = array("i", cross.tobytes())  # the sorted cross-cluster edge ids
         self._at = 0
 
     def next_move(self, state, player):
         self._new_moves(state)
-        cross, claims, at = self._cross, state.claims, self._at
-        end = len(cross)
-        while at < end and claims[cross[at]]:  # a nonzero code: claimed
-            at += 1
-        self._at = at
-        if at < end:
+        claims, us, vs, parts = state.claims, state.us, state.vs, self.parts
+        at = claims.find(UNCLAIMED, self._at) if parts > 1 else -1  # one cluster: no cross edge
+        while at >= 0 and (vs[at] - us[at]) % parts == 0:  # free, but inside a cluster
+            at = claims.find(UNCLAIMED, at + 1)
+        if at >= 0:
+            self._at = at
             self.last_note = None
-            return cross[at]
-        eid = state.claims.find(UNCLAIMED)
+            return at
+        self._at = state.m
+        eid = claims.find(UNCLAIMED)
         if eid < 0:
             raise RuntimeError("no moves left")
         self.last_note = "fallback"
@@ -165,7 +161,9 @@ class JumbleGStrategy(Strategy):
     Among unclaimed edges (u,v), picks one maximizing
     (d_A(u) - d_E(u)) + (d_A(v) - d_E(v)) where d_A/d_E are the current
     builder/opponent degrees; ties go to the minimum edge id. Deterministic,
-    and a pure function of the claim map.
+    and a pure function of the claim map. `eps` is checked and names the
+    descriptor, but no move reads it: `jumbleg:1/10` and `jumbleg:1/4` play
+    identical matches.
 
     Keeps, for the board and player it last played for, each vertex's
     difference `diff[w]` (the other player's degree minus its own), the mask

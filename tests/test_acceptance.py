@@ -171,7 +171,7 @@ def test_enforcer_pseudo_randomness():
         )
         if rep.passed:
             p2_passes += 1
-        margin_bad += margin_violation_fraction(n, board.codes, eps, 200, seed ^ 0x5A5A)
+        margin_bad += margin_violation_fraction(n, board.claims, eps, 200, seed ^ 0x5A5A)
     margin_fraction = margin_bad / games
     elapsed = time.perf_counter() - t0
     print(

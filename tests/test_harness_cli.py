@@ -182,7 +182,7 @@ def test_margin_violation_fraction_matches_per_pair_bound(data):
     for eid, c in enumerate(claims):
         if c:
             board.claim(eid, c)
-    assert margin_violation_fraction(board.n, board.codes, eps, pairs, seed) == Fraction(bad, pairs)
+    assert margin_violation_fraction(board.n, board.claims, eps, pairs, seed) == Fraction(bad, pairs)
 
 
 def per_pair_violation_fraction(board, eps, pairs, seed):
@@ -214,7 +214,7 @@ def test_margin_violation_fraction_matches_edges_between(data):
     eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)]))
     pairs = data.draw(st.integers(min_value=1, max_value=60))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
-    got = margin_violation_fraction(board.n, board.codes, eps, pairs, seed)
+    got = margin_violation_fraction(board.n, board.claims, eps, pairs, seed)
     assert got == per_pair_violation_fraction(board, eps, pairs, seed)
 
 
@@ -495,6 +495,14 @@ def test_cli_constants(tmp_path):
     bad[bad.index("--epsilon") + 1] = "1/10"
     assert main(bad) == 0
     assert "(3)" in json.loads(out.read_text())["violations"]
+    # n*eps^3/8 lies just below ln 30; the float comparison let it pass
+    near = [
+        "constants", "--epsilon", "544924888054581/562949953421312", "--e0", "1/100",
+        "--e1", "1/10", "--eta", "1/2", "--delta", "1/2", "--gamma", "1/2", "--f", "3",
+        "--k", "3", "--s0", "1", "--s1", "1", "--n", "30", "--out", str(out),
+    ]
+    assert main(near) == 0
+    assert json.loads(out.read_text()) == {"valid": False, "violations": ["jumbleg-eps"]}
 
 
 def test_cli_bounds_text_and_json(tmp_path, capsys):

@@ -9,8 +9,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgegames import (
@@ -36,7 +37,9 @@ from edgegames import (
     validate_constants,
     verify_slicing,
 )
-from edgegames.regularity import is_equipartition
+from edgegames.regularity import (
+    _meets_jumbleg_eps, _p2_exact_scan, _subset_table, is_equipartition,
+)
 
 HALF = Fraction(1, 2)
 
@@ -205,6 +208,23 @@ def test_p2_witness_is_a_violation():
 def test_p2_exact_size_cap():
     with pytest.raises(ValueError):
         check_p2(empty_graph(20), Fraction(1, 10), mode="exact")
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 12, 17])
+def test_subset_table_rows_are_the_bits_of_their_ids(k):
+    table = _subset_table(k)
+    ids = np.arange(1 << k)
+    assert table.shape == (1 << k, k)
+    assert (table == ids[:, None] >> np.arange(k) & 1).all()
+
+
+def test_p2_exact_scan_past_16_vertices():
+    # check_p2 still caps exact mode at n = 16; the scan itself runs at n = 17,
+    # where 16-bit subset ids overflowed
+    rep = _p2_exact_scan(complete_graph(17), 2, lambda dev: dev > Fraction(1, 10))
+    assert rep.deviation == HALF and not rep.passed
+    assert (rep.witness_S, rep.witness_T) == (mask_of([0, 1]), mask_of([2, 3]))
+    assert rep.samples == 126_650_102
 
 
 def test_p2_sampled_one_sided():
@@ -726,6 +746,83 @@ def test_constants_jumbleg_eps_check():
                         E0=Fraction(1, 10), gamma=Fraction(1, 2))
     valid, violations = validate_constants(big, n=10**9)
     assert valid, violations
+
+
+def _exp_exceeds(q, n):
+    """Whether exp(q) > n, for rational q >= 0 and integer n >= 2, by Taylor
+    bounds in fixed point: exp(q) = exp(q / 2^k)^(2^k) with q / 2^k <= 1/2, the
+    series of exp(q / 2^k) summed with floor (lower) and ceiling (upper)
+    rounding, then squared k times, each bound rounded outward. The precision
+    doubles until n falls outside the bounds; exp(q) is irrational for q > 0,
+    so it never equals n and the loop ends."""
+    k = 0
+    while q > Fraction(1, 2) * 2**k:
+        k += 1
+    x, bits = q / 2**k, 64
+    while True:
+        one = 1 << bits
+        x_lo, x_hi = math.floor(x * one), math.ceil(x * one)
+        lo = t = one
+        i = 1
+        while t:  # every term rounded down, the tail left out
+            t = t * x_lo // (i * one)
+            lo, i = lo + t, i + 1
+        hi = t = one
+        i = 1
+        while t > 1:  # every term rounded up
+            t = -(-t * x_hi // (i * one))
+            hi, i = hi + t, i + 1
+        hi += 2  # the tail after a term of 1 is at most x / (1 - x) < 2
+        for _ in range(k):
+            lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
+        if lo > n * one or hi < n * one:
+            return lo > n * one
+        bits *= 2
+
+
+@pytest.mark.parametrize("q, n, expected", [
+    (Fraction(0), 2, False), (Fraction(1, 2), 2, False), (Fraction(7, 10), 2, True),
+    (Fraction(3), 20, True), (Fraction(3), 21, False), (Fraction(27), 532_048_240_601, True),
+    (Fraction(27), 532_048_240_602, False),
+])
+def test_exp_exceeds_oracle(q, n, expected):
+    # ln 2 = 0.693..., e^3 = 20.08..., e^27 = 532048240601.79...
+    assert _exp_exceeds(q, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(27, 10**12), st.integers(-(2**12), 2**12))
+# the float threshold itself at n = 30: n*eps^3/8 = 3.40119738166215520... lies
+# below ln 30 = 3.40119738166215537..., which a float comparison missed
+@example(30, 0)
+def test_constants_jumbleg_eps_matches_an_exact_oracle(n, step):
+    # eps within a few float ulps of the float threshold, which is below 1 for
+    # n >= 27; (2) to (5) hold for every eps in (0, 1), so only jumbleg-eps can fail
+    eps = Fraction(jumbleg_eps_threshold(n)) + Fraction(step, 2**62)
+    assume(0 < eps < 1)
+    meets = _exp_exceeds(n * eps**3 / 8, n)
+    schedule = ConstantSchedule(epsilon=eps, E0=Fraction(1, 100), E1=Fraction(1, 10), eta=HALF,
+                                delta=HALF, gamma=HALF, f=3, k=3, S0=1, S1=1, m=1)
+    valid, violations = validate_constants(schedule, n=n)
+    assert valid == meets
+    assert violations == ([] if meets else ["jumbleg-eps"])
+
+
+@pytest.mark.parametrize("n", [30, 1000, 10**9])
+def test_jumbleg_eps_refines_past_the_first_precision(n):
+    # the two 40-digit neighbours of the threshold put n*eps^3/8 within about
+    # 1e-39 of ln n, closer than one unit in the last of 32 digits; they are
+    # found by bisection on the oracle, from a bracket around the float threshold
+    scale = 10**40
+    meets = lambda digits: _exp_exceeds(n * Fraction(digits, scale) ** 3 / 8, n)
+    guess = math.floor(Fraction(jumbleg_eps_threshold(n)) * scale)
+    lo, hi = guess - 10**27, guess + 10**27
+    assert not meets(lo) and meets(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    assert not _meets_jumbleg_eps(Fraction(lo, scale), n)
+    assert _meets_jumbleg_eps(Fraction(hi, scale), n)
 
 
 def test_constants_strict_e1():
