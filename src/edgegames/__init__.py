@@ -1,83 +1,5 @@
 """Avoider-Enforcer edge games on K_n: engine, strategies, exact solver,
-Turan machinery, and a regularity/pseudo-randomness verification suite."""
-
-from .graphs import (
-    Graph,
-    chromatic_number,
-    complete_graph,
-    complete_multipartite,
-    contains_induced,
-    contains_subgraph,
-    cycle_graph,
-    density,
-    edge_index,
-    edge_of,
-    edges_between,
-    empty_graph,
-    graph_from_edges,
-    graph_from_name,
-    graph_from_text,
-    graph_to_text,
-    is_k_colorable,
-    k_coloring,
-    mask_of,
-    path_graph,
-    petersen_graph,
-    turan_graph,
-    turan_number,
-)
-from .engine import (
-    AVOIDER_ENFORCER,
-    BUILDER,
-    MAKER_BREAKER,
-    MAX_N,
-    Board,
-    OPPONENT,
-    GameRules,
-    GameState,
-    HasEdgeProperty,
-    IllegalMoveError,
-    InducedSubgraphProperty,
-    NotKColorableProperty,
-    SubgraphProperty,
-    Transcript,
-    apply_move,
-    play_match,
-    replay,
-)
-from .regularity import (
-    ConstantSchedule,
-    RegularityReport,
-    check_density_lemma,
-    check_p1,
-    check_p2,
-    cluster_graph,
-    find_induced_embedding,
-    is_regular_pair,
-    is_unbiased,
-    jumbleg_eps_threshold,
-    jumbleg_margin,
-    round_robin_partition,
-    slicing_alpha,
-    validate_constants,
-    verify_slicing,
-)
-from .solver import BudgetExhausted, SolveResult, best_move, solve_tau
-from .strategies import (
-    FirstAvailableStrategy,
-    JumbleGStrategy,
-    RandomStrategy,
-    Strategy,
-    TuranAvoiderStrategy,
-    parse_strategy,
-)
-from .harness import (
-    SweepConfig,
-    parse_property,
-    report_bounds,
-    run_sweep,
-    sweep_to_csv,
-    sweep_to_json,
-)
+Turan machinery, and a regularity/pseudo-randomness verification suite.
+Import each name from its module, e.g. `from edgegames.engine import play_match`."""
 
 __version__ = "0.1.0"

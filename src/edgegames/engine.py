@@ -34,6 +34,7 @@ from typing import Optional
 
 # The detectors call the kernel by these names: bench/spans.py wraps them here.
 from .graphs import (
+    MAX_N,
     ColouringCertificate,
     Graph,
     _trusted_graph,
@@ -52,10 +53,6 @@ UNCLAIMED = 0
 BUILDER = 1  # Avoider / Maker
 OPPONENT = 2  # Enforcer / Breaker
 
-# largest board: ~2 M edges. A match there holds a few bytes per edge (claim
-# code, endpoint tables, log) and `play` streams its transcript, so a full-board
-# jumbleg match peaks near 55 MB.
-MAX_N = 2000
 assert MAX_N < 2**16  # the endpoint tables hold vertices as uint16
 
 _ROLE_NAMES = {

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+# The largest board (~2 M edges; a full-board jumbleg match peaks near 55 MB)
+# and the largest graph the parsers build (n-bit rows, about n^2/8 bytes).
+MAX_N = 2000
+
 
 def bits(mask: int) -> Iterator[int]:
     """Iterate the set bit positions of a mask, ascending."""
@@ -509,13 +513,9 @@ def turan_number(n: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    q = Fraction(n, k)
-    t = (
-        Fraction(k - 1, k) * n * n / 2
-        - Fraction(k, 2) * (math.ceil(q) - q) * (q - math.floor(q))
-    )
-    assert t.denominator == 1, "Turan formula must be integral"
-    return int(t)
+    # r parts of q + 1 vertices and k - r of q: every pair minus the in-part pairs
+    q, r = divmod(n, k)
+    return (n * n - r * (q + 1) ** 2 - (k - r) * q * q) // 2
 
 
 def turan_graph(n: int, k: int) -> Graph:
@@ -543,18 +543,25 @@ def turan_bounds(n: int, k: int):
 # Text format and named generators
 # ---------------------------------------------------------------------------
 
+def _check_size(n: int) -> int:
+    """n, if a graph on n vertices is within MAX_N; checked before any row is built."""
+    if n > MAX_N:
+        raise ValueError("graph needs n <= %d, got %d" % (MAX_N, n))
+    return n
+
+
 def graph_from_text(text: str) -> Graph:
-    """Parse `n m` then m lines `u v` (0-indexed, u < v)."""
+    """Parse `n m` then m distinct lines `u v` (0-indexed, u < v)."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _check_size(int(head[0])), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError("expected %d edge lines, got %d" % (m, len(lines) - 1))
-    edges = []
+    edges = {}  # insertion-ordered, so a bad edge is reported in file order
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -562,7 +569,9 @@ def graph_from_text(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if not u < v:
             raise ValueError("edge must have u < v: %r" % ln)
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError("repeated edge line: %r" % ln)
+        edges[u, v] = None
     return graph_from_edges(n, edges)
 
 
@@ -577,18 +586,15 @@ def graph_from_name(name: str) -> Graph:
     """Named generators: K<n>, C<n>, P<n>, Kpartite:<s1>,<s2>,..., petersen."""
     if name == "petersen":
         return petersen_graph()
-    m = re.fullmatch(r"K(\d+)", name)
+    m = re.fullmatch(r"([KCP])(\d+)", name)
     if m:
-        return complete_graph(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", name)
-    if m:
-        return cycle_graph(int(m.group(1)))
-    m = re.fullmatch(r"P(\d+)", name)
-    if m:
-        return path_graph(int(m.group(1)))
+        build = {"K": complete_graph, "C": cycle_graph, "P": path_graph}[m.group(1)]
+        return build(_check_size(int(m.group(2))))
     m = re.fullmatch(r"Kpartite:([\d,]+)", name)
     if m:
-        return complete_multipartite(int(s) for s in m.group(1).split(","))
+        sizes = [int(s) for s in m.group(1).split(",")]
+        _check_size(sum(sizes))
+        return complete_multipartite(sizes)
     raise ValueError("unknown graph name: %r" % name)
 
 

@@ -10,36 +10,41 @@ import math
 import time
 from fractions import Fraction
 
-from edgegames import (
+from edgegames.engine import (
     GameRules,
     HasEdgeProperty,
-    JumbleGStrategy,
     NotKColorableProperty,
-    RandomStrategy,
     SubgraphProperty,
-    check_p1,
-    check_p2,
+    play_match,
+    replay,
+)
+from edgegames.graphs import (
     complete_graph,
     contains_induced,
     contains_subgraph,
-    find_induced_embedding,
     graph_from_edges,
-    is_regular_pair,
     mask_of,
-    play_match,
-    replay,
-    solve_tau,
     turan_number,
 )
 from edgegames.harness import margin_violation_fraction, match_seed
 from edgegames.regularity import (
     ConstantSchedule,
     check_density_lemma,
+    check_p1,
+    check_p2,
+    find_induced_embedding,
+    is_regular_pair,
     round_robin_partition,
     validate_constants,
     verify_slicing,
 )
-from edgegames.strategies import FirstAvailableStrategy, TuranAvoiderStrategy
+from edgegames.solver import solve_tau
+from edgegames.strategies import (
+    FirstAvailableStrategy,
+    JumbleGStrategy,
+    RandomStrategy,
+    TuranAvoiderStrategy,
+)
 
 from test_solver import oracle_value, triangle_hit, odd_cycle_hit, edge_hit
 from test_graphs import oracle_turan

@@ -1,7 +1,10 @@
 """Game engine: detectors, turn order, move legality, transcripts, replay."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from array import array
 
 import networkx
@@ -9,36 +12,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegames import (
+import edgegames
+from edgegames.engine import (
     AVOIDER_ENFORCER,
     BUILDER,
     MAKER_BREAKER,
-    MAX_N,
     OPPONENT,
-    FirstAvailableStrategy,
+    _CHUNK,
+    Board,
     GameRules,
     GameState,
     HasEdgeProperty,
     IllegalMoveError,
     InducedSubgraphProperty,
     NotKColorableProperty,
-    RandomStrategy,
+    PropertyDetector,
     SubgraphProperty,
+    Transcript,
+    _encode,
+    _endpoints,
     apply_move,
-    complete_graph,
-    cycle_graph,
-    graph_from_edges,
-    graph_from_name,
-    parse_property,
-    parse_strategy,
-    path_graph,
     play_match,
     replay,
 )
-from edgegames.engine import (
-    _CHUNK, Board, PropertyDetector, Transcript, _encode, _endpoints,
+from edgegames.graphs import (
+    MAX_N,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    edge_index,
+    edge_of,
+    edge_pairs,
+    graph_from_edges,
+    graph_from_name,
+    num_edges,
+    path_graph,
 )
-from edgegames.graphs import Graph, edge_index, edge_of, edge_pairs, num_edges
+from edgegames.harness import parse_property
+from edgegames.strategies import FirstAvailableStrategy, RandomStrategy, parse_strategy
 
 
 def triangle_prop():
@@ -181,6 +192,24 @@ def test_empty_family_rejected():
 # ---------------------------------------------------------------------------
 # rules and state
 # ---------------------------------------------------------------------------
+
+def test_match_layer_imports_no_numpy():
+    # a fresh interpreter: the package root imports no submodule, so the
+    # match layer loads neither numpy nor the array layers
+    src = os.path.dirname(os.path.dirname(edgegames.__file__))
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import edgegames.engine, edgegames.strategies, edgegames.graphs\n"
+        "print(*sys.modules)" % src
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "edgegames.engine" in loaded
+    for name in ("numpy", "edgegames.regularity", "edgegames.solver", "edgegames.harness",
+                 "edgegames.cli"):
+        assert name not in loaded
+
 
 def test_rules_validation():
     with pytest.raises(ValueError):

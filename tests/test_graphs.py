@@ -16,13 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edgegames.graphs as graphs
-from edgegames import (
+from edgegames.graphs import (
+    MAX_N,
     Graph,
     chromatic_number,
     complete_graph,
     complete_multipartite,
     contains_induced,
     contains_subgraph,
+    contains_subgraph_with_edge,
     cycle_graph,
     density,
     edge_index,
@@ -38,10 +40,10 @@ from edgegames import (
     mask_of,
     path_graph,
     petersen_graph,
+    turan_bounds,
     turan_graph,
     turan_number,
 )
-from edgegames.graphs import contains_subgraph_with_edge, turan_bounds
 
 
 def random_graph(n, p, rng):
@@ -621,6 +623,22 @@ def test_text_errors():
         graph_from_text("3 2\n0 1\n")  # wrong count
     with pytest.raises(ValueError):
         graph_from_text("")
+
+
+def test_text_repeated_edge_line():
+    with pytest.raises(ValueError, match="repeated edge line: '0 1'"):
+        graph_from_text("3 2\n0 1\n0 1\n")
+
+
+def test_parsers_reject_graphs_above_max_n():
+    assert MAX_N == 2000
+    assert graph_from_name("P2000").n == 2000
+    for name in ("K2001", "C2001", "P2001", "Kpartite:1000,1001", "K1000000000"):
+        with pytest.raises(ValueError, match="graph needs n <= 2000"):
+            graph_from_name(name)
+    # the header is checked before any row is built
+    with pytest.raises(ValueError, match="graph needs n <= 2000, got 1000000000000"):
+        graph_from_text("1000000000000 0\n")
 
 
 def test_named_generators():

@@ -8,36 +8,37 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegames import (
+from edgegames import cli
+from edgegames.cli import SUBCOMMANDS, build_parser, main
+from edgegames.engine import (
+    Board,
     HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
+    PropertyDetector,
     SubgraphProperty,
-    SweepConfig,
-    parse_property,
-    report_bounds,
-    run_sweep,
-    sweep_to_csv,
-    sweep_to_json,
-    turan_number,
 )
-from edgegames import cli
-from edgegames.cli import SUBCOMMANDS, build_parser, main
-from edgegames.engine import Board, PropertyDetector
-from edgegames.graphs import bits, edge_index, edges_between, num_edges
+from edgegames.graphs import bits, edge_index, edges_between, num_edges, turan_number
 from edgegames.harness import (
     CSV_COLUMNS,
+    SweepConfig,
     margin_violation_fraction,
     match_seed,
     monitor_set_size,
     parse_n_range,
+    parse_property,
     property_bounds,
+    report_bounds,
+    run_sweep,
+    sweep_to_csv,
+    sweep_to_json,
 )
 from edgegames.regularity import _random_disjoint_pair, jumbleg_margin
 
@@ -591,6 +592,20 @@ def test_cli_validation_exit_code_2(tmp_path, capsys):
     for spec, problem in (("6,8,6", "repeated size 6"), ("6:10:0", "range step must be >= 1")):
         assert main(["sweep", "--n", spec]) == 2
         assert problem in capsys.readouterr().err
+
+
+def test_cli_oversized_or_repeated_graph_input_exit_code_2(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("1000000000000 0\n")
+    for graph, problem in ((big, "got 1000000000000"), ("K1000000000", "got 1000000000")):
+        start = time.perf_counter()
+        assert main(["verify", "p1", "--graph", str(graph)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "graph needs n <= 2000, " + problem in capsys.readouterr().err
+    twice = tmp_path / "twice.txt"
+    twice.write_text("3 2\n0 1\n0 1\n")
+    assert main(["verify", "p1", "--graph", str(twice)]) == 2
+    assert "repeated edge line: '0 1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])

@@ -12,23 +12,25 @@ from hypothesis import strategies as st
 from networkx import Graph as NxGraph
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from edgegames import (
+import edgegames.graphs as kernel
+from edgegames.engine import (
     BUILDER,
     OPPONENT,
+    Board,
     InducedSubgraphProperty,
     NotKColorableProperty,
     SubgraphProperty,
+)
+from edgegames.graphs import (
     chromatic_number,
     contains_induced,
     contains_subgraph,
-    find_induced_embedding,
+    contains_subgraph_with_edge,
     graph_from_edges,
     graph_from_name,
     mask_of,
 )
-import edgegames.graphs as kernel
-from edgegames.engine import Board
-from edgegames.graphs import contains_subgraph_with_edge
+from edgegames.regularity import find_induced_embedding
 from test_graphs import brute_force_colorable
 from test_regularity import oracle_embedding
 

@@ -14,31 +14,34 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgegames import (
-    ConstantSchedule,
-    check_density_lemma,
-    check_p1,
-    check_p2,
-    cluster_graph,
+from edgegames.graphs import (
     complete_graph,
     complete_multipartite,
     density,
     empty_graph,
-    find_induced_embedding,
     graph_from_edges,
+    mask_of,
+    path_graph,
+)
+from edgegames.regularity import (
+    ConstantSchedule,
+    _meets_jumbleg_eps,
+    _p2_exact_scan,
+    _subset_table,
+    check_density_lemma,
+    check_p1,
+    check_p2,
+    cluster_graph,
+    find_induced_embedding,
+    is_equipartition,
     is_regular_pair,
     is_unbiased,
     jumbleg_eps_threshold,
     jumbleg_margin,
-    mask_of,
-    path_graph,
     round_robin_partition,
     slicing_alpha,
     validate_constants,
     verify_slicing,
-)
-from edgegames.regularity import (
-    _meets_jumbleg_eps, _p2_exact_scan, _subset_table, is_equipartition,
 )
 
 HALF = Fraction(1, 2)

@@ -16,25 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegames import (
+from edgegames.engine import (
     BUILDER,
+    OPPONENT,
+    UNCLAIMED,
     GameRules,
     GameState,
     HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
-    OPPONENT,
     SubgraphProperty,
     apply_move,
-    best_move,
-    complete_graph,
-    graph_from_name,
-    parse_property,
-    solve_tau,
 )
-from edgegames.engine import UNCLAIMED
-from edgegames.solver import NEVER, _Search, _weights, canonical_claims
-from edgegames.graphs import edge_index, edge_pairs, num_edges
+from edgegames.graphs import complete_graph, edge_index, edge_pairs, graph_from_name, num_edges
+from edgegames.harness import parse_property
+from edgegames.solver import NEVER, _Search, _weights, best_move, canonical_claims, solve_tau
 from test_engine import FullRecomputeInduced
 
 

@@ -8,27 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegames import (
+from edgegames.engine import (
     BUILDER,
-    FirstAvailableStrategy,
+    OPPONENT,
     GameRules,
     GameState,
     HasEdgeProperty,
-    JumbleGStrategy,
     NotKColorableProperty,
-    OPPONENT,
-    RandomStrategy,
     SubgraphProperty,
-    TuranAvoiderStrategy,
     apply_move,
-    complete_graph,
-    is_k_colorable,
-    parse_strategy,
     play_match,
     replay,
 )
-from edgegames.graphs import edge_index, edge_of
-from edgegames.strategies import Strategy, match_players
+from edgegames.graphs import complete_graph, edge_index, edge_of, is_k_colorable
+from edgegames.strategies import (
+    FirstAvailableStrategy,
+    JumbleGStrategy,
+    RandomStrategy,
+    Strategy,
+    TuranAvoiderStrategy,
+    match_players,
+    parse_strategy,
+)
 
 
 def fresh_state(n):
