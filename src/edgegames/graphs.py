@@ -79,20 +79,26 @@ class Graph:
 
 def _trusted_graph(n: int, adj) -> Graph:
     """A Graph on adjacency masks the package keeps symmetric itself (game
-    state, solver, sweep monitor), built without the O(n*deg) validation."""
+    state, solver, sweep monitor, and the builders below, whose rows are
+    symmetric, loop-free and in range by construction), built without the
+    O(n*deg) validation."""
     G = object.__new__(Graph)
     G.__dict__.update(n=n, adj=tuple(adj))
     return G
 
 
 def graph_from_edges(n: int, edges) -> Graph:
+    """Checks every endpoint and sets both rows' bit for each edge, so the
+    rows skip `Graph`'s per-bit check."""
+    if n < 0:
+        raise ValueError("negative vertex count")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError("invalid edge (%r,%r) for n=%d" % (u, v, n))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return _trusted_graph(n, adj)
 
 
 def empty_graph(n: int) -> Graph:
@@ -101,7 +107,7 @@ def empty_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
+    return _trusted_graph(n, (full ^ (1 << u) for u in range(n)))
 
 
 def cycle_graph(n: int) -> Graph:

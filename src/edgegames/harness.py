@@ -122,20 +122,49 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
     return min(max(least_size_above(eps * n), -(-n // 4)), n // 2)
 
 
+def _pool_samples(rng: random.Random, n: int, k: int, count: int) -> list:
+    """`[rng.sample(range(n), k) for _ in range(count)]`, drawn without
+    `sample`'s per-call overhead.
+
+    Runs the pool path of CPython's `Random.sample` inline: a partial
+    Fisher-Yates shuffle of list(range(n)) whose index j < m is `_randbelow(m)`,
+    `getrandbits(m.bit_length())` redrawn until below m. `sample` takes that
+    path when n <= 21 + 4**ceil(log4(3k)) for k > 5, and when n <= 21
+    otherwise; outside it this raises ValueError."""
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)  # as `sample` computes it
+    if not 0 <= k <= n or n > setsize:
+        raise ValueError("sample of %d from %d is off the pool path" % (k, n))
+    getrandbits = rng.getrandbits
+    widths = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+    population, samples = list(range(n)), []
+    for _ in range(count):
+        pool, picks = population[:], []
+        pick = picks.append
+        for m, width in widths:
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            pick(pool[j])
+            pool[j] = pool[m - 1]  # the unpicked last entry fills the vacancy
+        samples.append(picks)
+    return samples
+
+
 def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
     on the board on n vertices with these claim codes, one byte per edge id
     (`Board.claims`, or a transcript's `final_codes()`), read as builder B
     and opponent M.
 
-    The pairs are drawn as `_random_disjoint_pair` draws them, and every
-    pair's e_B - e_M is summed at once from one signed n x n matrix, +1
-    where the builder holds the edge and -1 where the opponent does."""
+    Pair i is S + T = `rng.sample(range(n), 2*size)`, the i-th such draw from
+    `random.Random(seed)` (as `_random_disjoint_pair` draws a pair), taken
+    straight from the generator's bits by `_pool_samples`. Every pair's
+    e_B - e_M is summed at once from one signed n x n matrix, +1 where the
+    builder holds the edge and -1 where the opponent does."""
     size = monitor_set_size(n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
-    rng = random.Random(seed)
-    picks = np.array([rng.sample(range(n), 2 * size) for _ in range(pairs)], dtype=np.intp)
+    picks = np.array(_pool_samples(random.Random(seed), n, 2 * size, pairs), dtype=np.intp)
     us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
     signed = np.zeros((n, n), dtype=np.int8)
     signed[us, vs] = _SIGN.take(np.frombuffer(codes, dtype=np.int8))  # the upper triangle

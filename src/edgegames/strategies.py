@@ -65,7 +65,9 @@ class FirstAvailableStrategy(Strategy):
 
 class RandomStrategy(Strategy):
     """Uniform choice among unclaimed edges from a seeded stream: the k-th
-    smallest free edge id, for k = randrange(number of free edges).
+    smallest free edge id, for k = randrange(number of free edges). The
+    draw is the one `Random.randrange(m)` makes, taken inline:
+    `getrandbits(m.bit_length())`, redrawn until below m.
 
     Keeps, for the board it last played on, each row u's free partners
     v > u as a sorted uint16 array, and a Fenwick tree (Fenwick 1994) over
@@ -78,7 +80,7 @@ class RandomStrategy(Strategy):
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self.descriptor = "random" if seed is None else "random:%d" % seed
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
 
     def _reset(self, n):
         ramp = array("H", range(n))
@@ -107,7 +109,12 @@ class RandomStrategy(Strategy):
                 tree[i] -= 1
         if not state.unclaimed:
             raise RuntimeError("no moves left")
-        k, u = self._rng.randrange(state.unclaimed), 0
+        m = state.unclaimed
+        width = m.bit_length()
+        k = self._getrandbits(width)
+        while k >= m:
+            k = self._getrandbits(width)
+        u = 0
         for step in self._steps:  # u ends at the row that holds the k-th free id
             c = tree[u + step]
             if c <= k:

@@ -658,3 +658,37 @@ def test_graph_invariants():
         Graph(2, (1, 0))  # self loop at vertex 0
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric
+
+
+def checked(G):
+    """G rebuilt through Graph's full check, which raises on a bad row."""
+    return Graph(G.n, tuple(G.adj))
+
+
+def test_generators_pass_the_full_check():
+    # the builders skip Graph's per-bit check, so their rows must pass it
+    assert checked(petersen_graph()) == petersen_graph()
+    for n in range(41):
+        named = [complete_graph(n), path_graph(n), empty_graph(n), graph_from_name("K%d" % n)]
+        named += [cycle_graph(n) for _ in range(n >= 3)]
+        named += [turan_graph(n, k) for k in range(1, 6)]
+        named += [complete_multipartite([n // 3, n - n // 3]), complete_multipartite([1] * n)]
+        named += [graph_from_text(graph_to_text(G)) for G in named]
+        for G in named:
+            assert checked(G) == G
+    with pytest.raises(ValueError, match="negative vertex count"):
+        graph_from_edges(-1, [])
+    with pytest.raises(ValueError, match="negative shift count"):
+        complete_graph(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_graph_from_edges_passes_the_full_check(data):
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pair = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=3 * n)) if n >= 2 else []
+    G = graph_from_edges(n, edges)
+    assert checked(G) == G
+    assert set(G.edges()) == {(min(e), max(e)) for e in edges}

@@ -25,10 +25,11 @@ from edgegames.engine import (
     PropertyDetector,
     SubgraphProperty,
 )
-from edgegames.graphs import bits, edge_index, edges_between, num_edges, turan_number
+from edgegames.graphs import MAX_N, bits, edge_index, edges_between, num_edges, turan_number
 from edgegames.harness import (
     CSV_COLUMNS,
     SweepConfig,
+    _pool_samples,
     margin_violation_fraction,
     match_seed,
     monitor_set_size,
@@ -159,6 +160,36 @@ def test_monitor_set_size():
     # small boards: quarter-size sets, capped at n//2 so a disjoint pair fits
     assert monitor_set_size(8, Fraction(1, 10)) == 2
     assert 2 * monitor_set_size(11, Fraction(1, 10)) <= 11
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=MAX_N),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(3, 20), Fraction(1, 3)]),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=1, max_value=5),
+)
+def test_pool_samples_match_random_sample(n, eps, seed, count):
+    # the monitor's draws, list for list, against the stdlib call they replace
+    k = 2 * monitor_set_size(n, eps)
+    rng = random.Random(seed)
+    want = [rng.sample(range(n), k) for _ in range(count)]
+    assert _pool_samples(random.Random(seed), n, k, count) == want
+
+
+def test_monitor_sizes_take_the_pool_path():
+    # `sample` shuffles a pool when n <= 21 + (the smallest power of 4 that
+    # is at least 3k, for k > 5); `_pool_samples` runs only that path
+    for eps in (Fraction(1, 10), Fraction(1, 3)):
+        for n in range(2, MAX_N + 1):
+            k = 2 * monitor_set_size(n, eps)
+            table = 1
+            while k > 5 and table < 3 * k:
+                table *= 4
+            assert 2 <= k <= n <= 21 + (table if k > 5 else 0), (n, eps)
+    for n, k in ((100, 5), (1000, 10), (5, 6)):  # set path, set path, k > n
+        with pytest.raises(ValueError, match="off the pool path"):
+            _pool_samples(random.Random(0), n, k, 1)
 
 
 @settings(max_examples=60, deadline=None)
