@@ -77,7 +77,8 @@ class PropertyDetector:
     for what uv created: its precondition is that the property did not hold
     before. Play keeps it (`require_absent` at the start, stop at the first
     hit). The engine calls only `hit_after_state`, after the builder claimed
-    edge id eid; subclasses leave it alone.
+    edge id eid, and not at all on a board of fewer than `chi` vertices;
+    subclasses leave it alone.
     """
 
     descriptor = "?"
@@ -405,15 +406,18 @@ def play_match(
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = GameState(rules)
-    require_absent(rules.prop, state.n, state.adj)
-    strategies = {BUILDER: builder_strategy, OPPONENT: opponent_strategy}
-    notes = {}
+    prop = rules.prop
+    require_absent(prop, state.n, state.adj)
+    # every graph on n vertices is n-colourable, so a property whose chi
+    # exceeds n never holds on this board: its detector need not run
+    can_hit = prop.chi is None or prop.chi <= state.n
+    turns = [(BUILDER, builder_strategy), (OPPONENT, opponent_strategy)]
+    if rules.first_mover == OPPONENT:
+        turns.reverse()  # turns alternate, so move i is made by turns[i & 1]
+    log, notes = state.log, {}
     result, t = "never", -1
-    while True:
-        player = state.whose_turn()
-        if player is None:
-            break
-        strat = strategies[player]
+    while state.unclaimed:
+        player, strat = turns[len(log) & 1]
         eid = strat.next_move(state, player)
         note = getattr(strat, "last_note", None)
         try:
@@ -423,9 +427,9 @@ def play_match(
                 "strategy %r returned illegal move %r: %s" % (strat.descriptor, eid, exc)
             ) from exc
         if note:
-            notes[len(state.log) - 1] = note
+            notes[len(log) - 1] = note
         if player == BUILDER:
-            if rules.prop.hit_after_state(state, eid):
+            if can_hit and prop.hit_after_state(state, eid):
                 result, t = "hit", state.counts[BUILDER]
                 break
             if state.counts[BUILDER] == max_rounds and state.unclaimed:
@@ -435,9 +439,9 @@ def play_match(
         n=rules.n,
         convention=rules.convention,
         first_mover=rules.first_mover,
-        property_descriptor=rules.prop.descriptor,
+        property_descriptor=prop.descriptor,
         seed=seed,
-        log=state.log,
+        log=log,
         notes=notes,
         result=result,
         t=t,

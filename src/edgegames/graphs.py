@@ -126,12 +126,11 @@ def complete_multipartite(sizes) -> Graph:
     if any(s < 0 for s in sizes):
         raise ValueError("negative part size")
     n = sum(sizes)
-    part = []
-    for i, s in enumerate(sizes):
-        part.extend([i] * s)
-    return graph_from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
-    )
+    full, rows, start = (1 << n) - 1, [], 0
+    for s in sizes:  # a vertex's row: every vertex outside its own part
+        rows.extend([full ^ ((1 << s) - 1) << start] * s)
+        start += s
+    return _trusted_graph(n, rows)
 
 
 def petersen_graph() -> Graph:
@@ -528,9 +527,11 @@ def turan_graph(n: int, k: int) -> Graph:
     """Balanced complete k-partite graph; vertex i lives in part i mod k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return graph_from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if u % k != v % k]
-    )
+    full, stride = (1 << n) - 1, 0
+    for i in range(0, n, k):  # part 0: the multiples of k below n
+        stride |= 1 << i
+    rows = [full ^ (stride << r & full) for r in range(min(k, n))]  # row of part r
+    return _trusted_graph(n, [rows[i % k] for i in range(n)])
 
 
 def turan_bounds(n: int, k: int):

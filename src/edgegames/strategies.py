@@ -20,6 +20,7 @@ returns a fresh per-match instance: a bare `random` draws from `seed`, and
 
 from __future__ import annotations
 
+import functools
 import random
 from array import array
 from bisect import bisect_left
@@ -29,6 +30,13 @@ from typing import Optional
 from .engine import GameState, UNCLAIMED
 from .graphs import edge_index
 from .graphs import edge_of  # noqa: F401 -- unused here, but bench/spans.py wraps it
+
+
+@functools.lru_cache(maxsize=8)
+def _row_bases(n):
+    """base[u] for u < n - 1, shared by the strategies on n vertices: the
+    edge id of uv, u < v, is base[u] + v."""
+    return tuple(edge_index(u, u + 1, n) - u - 1 for u in range(n - 1))
 
 
 class Strategy:
@@ -95,8 +103,7 @@ class RandomStrategy(Strategy):
                 self._tree[i] += n - 1 - u
                 i += i & -i
             self._paths.append(path)
-        # the edge id of uv is base[u] + v
-        self._base = [edge_index(u, u + 1, n) - u - 1 for u in range(n - 1)]
+        self._base = _row_bases(n)
 
     def next_move(self, state, player):
         new = self._new_moves(state)
@@ -173,17 +180,21 @@ class JumbleGStrategy(Strategy):
     identical matches.
 
     Keeps, for the board and player it last played for, each vertex's
-    difference `diff[w]` (the other player's degree minus its own), the mask
-    `free[w]` of its unclaimed partners, and `cls`, which maps each
-    difference to the mask of the vertices with it that still have an
-    unclaimed edge. Each claim moves its two endpoints by one.
+    difference (the other player's degree minus its own), the mask `free[w]`
+    of its unclaimed partners, and `cls`, a flat table of 2n - 1 masks: slot
+    i holds the vertices with difference i - (n - 1) that still have an
+    unclaimed edge, and `diff[w]` is w's slot. `_lo` and `_hi` bound the
+    nonempty slots. Each claim moves its two endpoints one slot; after a
+    batch of claims `_hi` walks down and `_lo` up past empty slots.
 
-    The move is the first hit of a downward search over the key S, from
-    twice the largest class value: the rows a that have a partner class
-    S - diff[a] with a vertex above a are scanned in increasing order for a
-    free partner b > a in that class. The first hit (a, b) has the largest
-    key and, among those, the smallest edge id, as an argmax over every edge
-    would pick. Each S tried costs one pass over the set bits of its rows.
+    The move is the first hit of a downward search over the slot sum S, from
+    2 * hi: the rows a in a slot x whose partner slot S - x has a vertex
+    above a are scanned in increasing order for a free partner b > a in that
+    slot. The first hit (a, b) has the largest key and, among those, the
+    smallest edge id, as an argmax over every edge would pick. Each S tried
+    costs one pass over the slots in range and the set bits of its rows. The
+    edge id is `base[a] + b`, from the per-n table `_row_bases` that
+    `RandomStrategy` shares.
     """
 
     def __init__(self, eps):
@@ -195,47 +206,74 @@ class JumbleGStrategy(Strategy):
 
     def _reset(self, n):
         full = (1 << n) - 1
-        self._diff = [0] * n
+        self._diff = [n - 1] * n  # difference 0 sits in the middle slot
         self._free = [full ^ (1 << w) for w in range(n)]
-        self._cls = {0: full}
+        self._cls = [0] * (2 * n - 1)
+        self._cls[n - 1] = full
+        self._lo = self._hi = n - 1
+        self._base = _row_bases(n)
 
     def next_move(self, state, player):
         # favor edges whose endpoints the other player leads on; for the
         # enforcer this is the spec'd (d_A(u)-d_E(u)) + (d_A(v)-d_E(v)) key
         if state.unclaimed == 0:
             raise RuntimeError("no moves left")
-        n, claims, us, vs = state.n, state.claims, state.us, state.vs
+        claims, us, vs = state.claims, state.us, state.vs
         new = self._new_moves(state, player)
-        diff, free, cls = self._diff, self._free, self._cls
+        diff, free, cls, lo, hi = self._diff, self._free, self._cls, self._lo, self._hi
         for eid in new:
             step = 1 if claims[eid] != player else -1
             u, v = us[eid], vs[eid]
-            for w, x in (u, v), (v, u):
-                # w had the free edge wx, so it sat in its class until now
-                d, bit = diff[w], 1 << w
-                if cls[d] == bit:
-                    del cls[d]
-                else:
-                    cls[d] ^= bit
-                free[w] ^= 1 << x
-                diff[w] = d = d + step
-                if free[w]:
-                    cls[d] = cls.get(d, 0) | bit
-        # the differences on a board are nearly contiguous, so almost every S
-        # in this range is a sum of two of them; one that is not has no rows
-        for S in range(2 * max(cls), 2 * min(cls) - 1, -1):
-            rows = 0
-            for x, xs in cls.items():
-                ys = cls.get(S - x)
-                if ys:  # the rows below the top vertex of their partner class
-                    rows |= xs & (1 << ys.bit_length() - 1) - 1
+            bu, bv = 1 << u, 1 << v
+            # each endpoint had the free edge uv, so it sat in its slot until
+            # now; the two updates are written out, not looped over (u, v), (v, u)
+            d = diff[u]
+            cls[d] ^= bu
+            diff[u] = d = d + step
+            free[u] ^= bv
+            if free[u]:
+                cls[d] |= bu
+                if d > hi:
+                    hi = d
+                elif d < lo:
+                    lo = d
+            d = diff[v]
+            cls[d] ^= bv
+            diff[v] = d = d + step
+            free[v] ^= bu
+            if free[v]:
+                cls[d] |= bv
+                if d > hi:
+                    hi = d
+                elif d < lo:
+                    lo = d
+        while not cls[hi]:  # an edge is free, so some slot is nonempty
+            hi -= 1
+        while not cls[lo]:
+            lo += 1
+        self._lo, self._hi = lo, hi
+        base = self._base
+        S, top = 2 * hi, cls[hi]  # the largest key pairs the top slot with itself
+        rows = top & (1 << top.bit_length() - 1) - 1
+        while True:
             while rows:
                 low = rows & -rows
                 a = low.bit_length() - 1
                 hit = (free[a] & cls[S - diff[a]]) >> (a + 1)
                 if hit:
-                    return edge_index(a, a + (hit & -hit).bit_length(), n)
+                    return base[a] + a + (hit & -hit).bit_length()
                 rows ^= low
+            # the differences on a board are nearly contiguous, so almost
+            # every S in this range is a sum of two of them; one that is not
+            # has no rows
+            S -= 1
+            if S < 2 * lo:
+                break
+            rows = 0
+            for x in range(S - hi if S - hi > lo else lo, (S - lo if S - lo < hi else hi) + 1):
+                ys = cls[S - x]
+                if ys:  # the rows below the top vertex of their partner slot
+                    rows |= cls[x] & (1 << ys.bit_length() - 1) - 1
         raise AssertionError("an unclaimed edge joins two vertices with free edges")
 
 

@@ -49,7 +49,7 @@ from edgegames.graphs import (
     path_graph,
 )
 from edgegames.harness import parse_property
-from edgegames.strategies import FirstAvailableStrategy, RandomStrategy, parse_strategy
+from edgegames.strategies import FirstAvailableStrategy, RandomStrategy, match_players, parse_strategy
 
 
 def triangle_prop():
@@ -408,6 +408,58 @@ def test_max_rounds_cap():
             play_match(
                 FirstAvailableStrategy(), FirstAvailableStrategy(), rules(5), max_rounds=bad
             )
+
+
+class _NoChiProperty(PropertyDetector):
+    """A detector that never fires and names no chromatic number."""
+
+    descriptor = "no-chi"
+
+    def holds(self, G):
+        return False
+
+
+@pytest.mark.parametrize(
+    "descriptor, n, runs",
+    [
+        ("nc:8", 8, False),  # chi 9 > 8
+        ("subgraph:K7", 6, False),  # chi 7 > 6
+        ("nc:7", 8, True),  # chi 8 <= 8, and only K8 would hit
+        ("subgraph:K7", 7, True),
+        ("no-chi", 8, True),
+    ],
+)
+@pytest.mark.parametrize("first", [BUILDER, OPPONENT])
+def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor, n, runs, first):
+    # a graph on n vertices is n-colourable, so a detector with chi > n never
+    # holds there; play must not call it, and must call every other detector
+    # once per builder move, whatever its chi
+    calls = [0]
+    real = PropertyDetector.hit_after_state
+
+    def counted(self, state, eid):
+        calls[0] += 1
+        return real(self, state, eid)
+
+    monkeypatch.setattr(PropertyDetector, "hit_after_state", counted)
+
+    def match(chi_known):
+        prop = _NoChiProperty() if descriptor == "no-chi" else _detector(descriptor)
+        if not chi_known:
+            prop.chi = None
+        calls[0] = 0
+        avoider, enforcer = match_players("random", "jumbleg:1/10", 5)
+        tr = play_match(avoider, enforcer, rules(n, prop, first_mover=first), seed=5)
+        return tr, calls[0]
+
+    tr, seen = match(True)
+    builder_moves = tr.final_codes().count(BUILDER)
+    assert tr.result == "never" and builder_moves == (n * (n - 1) // 2 + (first == BUILDER)) // 2
+    assert seen == (builder_moves if runs else 0)
+    # without a chi the detector runs after every builder move, to the same end
+    plain, seen = match(False)
+    assert seen == builder_moves
+    assert plain.to_jsonl() == tr.to_jsonl()
 
 
 @pytest.mark.parametrize("descriptor", ["subgraph:K1", "induced:K1", "induced:Kpartite:3"])

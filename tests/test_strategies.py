@@ -189,6 +189,29 @@ def test_jumbleg_matches_reference_scan():
         assert s.next_move(state, player) == oracle_jumbleg_move(state, player)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("player", [BUILDER, OPPONENT])
+def test_jumbleg_matches_the_reference_scan_at_extreme_differences(n, player):
+    # a script claims whole stars, every edge at vertex 0, then the rest at
+    # vertex 1, and so on (edge ids list them in that order), out of turn,
+    # which apply_move would refuse; all for the other side, all for
+    # JumbleG's own, or star by star in turn. A star's centre ends at
+    # difference n - 1 or -(n - 1), the ends of the range JumbleG keeps.
+    # One instance is asked after every claim, another once per star.
+    other = BUILDER + OPPONENT - player
+    for owners in (other, other), (player, player), (other, player):
+        state = fresh_state(n)
+        every, per_star = JumbleGStrategy(Fraction(1, 10)), JumbleGStrategy(Fraction(1, 10))
+        for eid in range(state.m - 1):  # the last edge stays free
+            u = state.us[eid]
+            state.claim(eid, owners[u & 1])
+            state.log.append(eid)
+            want = oracle_jumbleg_move(state, player)
+            assert every.next_move(state, player) == want
+            if state.us[eid + 1] != u:
+                assert per_star.next_move(state, player) == want
+
+
 def pick_free(state, rng):
     """RandomStrategy's pick, read afresh from the board: the reference."""
     free = np.flatnonzero(np.frombuffer(state.claims, dtype=np.int8) == 0)
