@@ -14,13 +14,14 @@ bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A lookup
 answers at once when they are exact or outside the window, else searches
 the window they narrow and tightens them. The key of a claim map is the
 smallest base-3 number, over all n! vertex permutations, that the
-relabelled claim string spells. The search is an engine `Board` plus a
-vector of one such number per permutation: a child that the search goes on
-to value adds claims[e] times e's weight row to it, and subtracts the row
-again once valued, so a node costs one n!-wide add and one min instead of
-n! relabellings. A builder move that hits is a leaf and skips both. The
-claim map alone determines whose turn it is and the round, so nothing else
-enters the key.
+relabelled claim string spells. The search is an engine `Board` plus one
+row of such numbers, one per permutation, for each depth on the current
+path: a child that the search goes on to value gets its row written as its
+parent's row plus claims[e] times e's weight row, and nothing is ever
+subtracted, so a node costs one n!-wide add into a row and one argmin
+instead of n! relabellings. A builder move that hits is a leaf and writes
+no row. The claim map alone determines whose turn it is and the round, so
+nothing else enters the key.
 
 Assumes a detector whose property is absent at the start (checked with
 the full `holds`), so its incremental hit checks are sound.
@@ -58,19 +59,22 @@ class SolveResult:
 
 @functools.lru_cache(maxsize=8)
 def _weights(n: int) -> np.ndarray:
-    """int64 table W of shape (m, n!): W[e, p] = 3**(m-1-j), where j is the
-    id of the edge that vertex permutation p (in itertools order) maps edge
-    e to, read off the engine's endpoint tables and their n x n inverse. So
-    claims @ W[:, p] is the base-3 value of p's relabelled claim string, and
-    its maximum, 3**m - 1 < 2**63 for n <= 7, cannot overflow."""
+    """C-contiguous int64 table W of shape (m, n!): W[e, p] = 3**(m-1-j),
+    where j is the id of the edge that vertex permutation p (in itertools
+    order) maps edge e to, read off the engine's endpoint tables and their
+    n x n inverse. So claims @ W[:, p] is the base-3 value of p's relabelled
+    claim string, and its maximum, 3**m - 1 < 2**63 for n <= 7, cannot
+    overflow."""
     if n > MAX_SYMMETRY_N:
         raise ValueError("symmetry canonicalization supports n <= %d" % MAX_SYMMETRY_N)
     m = n * (n - 1) // 2
-    perms = np.array(list(itertools.permutations(range(n))))
+    count = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms_t = np.fromiter(flat, dtype=np.int64, count=count * n).reshape(count, n).T
     us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
     eid = np.zeros((n, n), dtype=np.int64)  # eid[u, v]: the id of edge uv
     eid[us, vs] = eid[vs, us] = np.arange(m)
-    W = 3 ** (m - 1 - eid[perms[:, us], perms[:, vs]].T)
+    W = np.ascontiguousarray(3 ** (m - 1 - eid[perms_t[us], perms_t[vs]]))
     W.flags.writeable = False  # rows are shared by every search
     return W
 
@@ -87,9 +91,11 @@ def canonical_claims(claims, n: int) -> bytes:
 class _Search(Board):
     """Alpha-beta from a start position, given as one claim code per edge id.
 
-    `key` is `claims @ W` for the weight table W of the board's n, one entry
-    per vertex permutation, and `rows[player][e]` is player's code times
-    W[e]; `best` keeps the key in step with the children it values.
+    `keys[d]` is `claims @ W` for the position with d claims on the current
+    search path, one entry per vertex permutation of the weight table W of
+    the board's n; the start position's row is written once, and `best`
+    writes each child's row from its parent's. `rows[player][e]` is player's
+    code times W[e].
     """
 
     def __init__(self, rules: GameRules, budget: Optional[int], start=()):
@@ -97,7 +103,7 @@ class _Search(Board):
             raise ValueError("budget must be >= 0")
         super().__init__(rules.n, rules.first_mover)
         self.prop = rules.prop
-        self.budget = budget
+        self.limit = math.inf if budget is None else budget
         self.nodes = 0
         self.memo = {}
         W = _weights(self.n)
@@ -105,8 +111,22 @@ class _Search(Board):
             if c != UNCLAIMED:
                 self.claim(eid, c)
         self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
-        self.key = np.frombuffer(self.claims, dtype=np.int8) @ W
+        self.keys = np.empty((self.m + 1, W.shape[1]), dtype=np.int64)
+        self.key_rows = list(self.keys)  # views, faster to index than keys
+        self.keys[self.depth] = np.frombuffer(self.claims, dtype=np.int8) @ W
         require_absent(self.prop, self.n, self.adj)
+
+    @property
+    def depth(self) -> int:
+        """Claims on the board: the row of `keys` the current position owns."""
+        return self.m - self.unclaimed
+
+    @property
+    def key(self) -> np.ndarray:
+        """The current position's key row, read-only."""
+        row = self.keys[self.depth]
+        row.flags.writeable = False
+        return row
 
     def best(self, alpha=-NEVER, beta=NEVER):
         """(value, first optimal edge id) for the player to move at the
@@ -119,7 +139,9 @@ class _Search(Board):
         adj = self.adj
         hit = self.prop.hit_after_masks
         claim, undo, value = self.claim, self.undo, self._value
-        key, rows = self.key, self.rows[turn]
+        depth = self.depth
+        parent, child = self.key_rows[depth], self.key_rows[depth + 1]
+        rows, add = self.rows[turn], np.add
         best = move = None
         for eid in range(self.m):
             if claims[eid] != UNCLAIMED:
@@ -128,9 +150,8 @@ class _Search(Board):
             if builder and hit(n, adj, us[eid], vs[eid]):
                 val = counts[BUILDER]
             else:
-                key += rows[eid]  # in place: _value reads self.key
+                add(parent, rows[eid], out=child)  # the row _value reads
                 val = value(alpha, beta)
-                key -= rows[eid]
             undo(eid, turn)
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
@@ -145,12 +166,13 @@ class _Search(Board):
     def _value(self, alpha, beta):
         """Fail-soft value of the position just reached within the window
         (alpha, beta); one search node."""
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
+        if self.nodes >= self.limit:
             raise BudgetExhausted()
+        self.nodes += 1
         if self.unclaimed == 0:
             return NEVER
-        key = int(self.key.min())
+        row = self.key_rows[self.depth]
+        key = row.item(row.argmin())
         lo, hi = self.memo.get(key, (-NEVER, NEVER))
         if lo == hi or lo >= beta:
             return lo

@@ -332,6 +332,89 @@ def test_incremental_key_through_claims_and_undos(data):
     assert (search.key == np.frombuffer(search.claims, dtype=np.int8) @ _weights(n)).all()
 
 
+class ScratchKeySearch(_Search):
+    """The solver's alpha-beta with every memo key computed from scratch as
+    the minimum of claims @ W, never from the per-depth key rows."""
+
+    def _value(self, alpha, beta):
+        self.nodes += 1
+        if self.unclaimed == 0:
+            return NEVER
+        key = int((np.frombuffer(self.claims, dtype=np.int8) @ _weights(self.n)).min())
+        lo, hi = self.memo.get(key, (-NEVER, NEVER))
+        if lo == hi or lo >= beta:
+            return lo
+        if hi <= alpha:
+            return hi
+        alpha, beta = max(alpha, lo), min(beta, hi)
+        val = self.best(alpha, beta)[0]
+        if val > alpha:
+            lo = val
+        if val < beta:
+            hi = val
+        self.memo[key] = (lo, hi)
+        return val
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_key_rows_against_keys_from_scratch(data):
+    # from a random start position: valuing a node's children writes only
+    # deeper rows, a second best() repeats the first, and the search agrees
+    # with one that computes each key from scratch, memo and node count too
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2"])))
+    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+    state = GameState(GameRules(n=n, prop=prop, first_mover=first))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=num_edges(n) - 1))):
+        player = state.whose_turn()
+        free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
+        eid = data.draw(st.sampled_from(free))
+        apply_move(state, player, eid)
+        if player == BUILDER and prop.hit_after_state(state, eid):
+            state.undo(eid, player)
+            break
+    search = _Search(state.rules, None, state.claims)
+    shallower_rows_kept = []
+
+    def value(alpha, beta, real=search._value):
+        depth = search.m - search.unclaimed
+        before = search.keys[: depth + 1].copy()
+        val = real(alpha, beta)
+        shallower_rows_kept.append((search.keys[: depth + 1] == before).all())
+        return val
+
+    search._value = value
+    result = search.best()
+    memo, nodes = dict(search.memo), search.nodes
+    assert search.best() == result
+    assert all(shallower_rows_kept) and len(shallower_rows_kept) == search.nodes
+    scratch = ScratchKeySearch(state.rules, None, state.claims)
+    assert scratch.best() == result
+    assert (scratch.memo, scratch.nodes) == (memo, nodes)
+    assert best_move(state, state.whose_turn()) == result[1]
+
+
+def reference_weights(n):
+    """A reference build of the weight table: the permutations through a
+    list, and the transpose of the gathered edge ids."""
+    m = num_edges(n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    pairs = np.array(edge_pairs(n)).reshape(m, 2)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    eid = np.zeros((n, n), dtype=np.int64)
+    eid[us, vs] = eid[vs, us] = np.arange(m)
+    return 3 ** (m - 1 - eid[perms[:, us], perms[:, vs]].T)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_weight_table_is_contiguous_read_only_and_matches_the_reference(n):
+    W = _weights(n)
+    assert W.flags.c_contiguous and not W.flags.writeable
+    ref = reference_weights(n)
+    assert W.dtype == ref.dtype and np.array_equal(W, ref)
+
+
 def test_canonical_claims_permutation_invariant():
     import random
 
@@ -367,6 +450,16 @@ def test_budget_exhaustion_is_reported():
     res = solve_tau(triangle_rules(5), budget=50)
     assert res.value == "unknown" and res.t is None
     assert res.nodes >= 50
+
+
+def test_exhausted_budget_reports_exactly_the_nodes_valued():
+    # the budget is checked before a node is counted: a run that stops
+    # reports budget nodes, and one that needs exactly budget nodes ends
+    for budget in range(41):
+        res = solve_tau(triangle_rules(5), budget=budget)
+        assert (res.value, res.nodes, res.best_move) == ("unknown", budget, None)
+    res = solve_tau(triangle_rules(5), budget=330)
+    assert (res.value, res.t, res.nodes) == ("exact", 5, 330)
 
 
 def test_best_move_avoids_immediate_loss():
