@@ -33,7 +33,7 @@ from .engine import (
     play_match,
 )
 from .graphs import graph_from_name, graph_from_text, turan_bounds
-from .regularity import jumbleg_margin, least_size_above
+from .regularity import _pool_samples, jumbleg_margin, least_size_above
 from .strategies import match_players
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
@@ -122,34 +122,6 @@ def monitor_set_size(n: int, eps: Fraction) -> int:
     return min(max(least_size_above(eps * n), -(-n // 4)), n // 2)
 
 
-def _pool_samples(rng: random.Random, n: int, k: int, count: int) -> list:
-    """`[rng.sample(range(n), k) for _ in range(count)]`, drawn without
-    `sample`'s per-call overhead.
-
-    Runs the pool path of CPython's `Random.sample` inline: a partial
-    Fisher-Yates shuffle of list(range(n)) whose index j < m is `_randbelow(m)`,
-    `getrandbits(m.bit_length())` redrawn until below m. `sample` takes that
-    path when n <= 21 + 4**ceil(log4(3k)) for k > 5, and when n <= 21
-    otherwise; outside it this raises ValueError."""
-    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)  # as `sample` computes it
-    if not 0 <= k <= n or n > setsize:
-        raise ValueError("sample of %d from %d is off the pool path" % (k, n))
-    getrandbits = rng.getrandbits
-    widths = [(m, m.bit_length()) for m in range(n, n - k, -1)]
-    population, samples = list(range(n)), []
-    for _ in range(count):
-        pool, picks = population[:], []
-        pick = picks.append
-        for m, width in widths:
-            j = getrandbits(width)
-            while j >= m:
-                j = getrandbits(width)
-            pick(pool[j])
-            pool[j] = pool[m - 1]  # the unpicked last entry fills the vacancy
-        samples.append(picks)
-    return samples
-
-
 def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: int) -> Fraction:
     """Fraction of sampled (S,T) pairs violating e_B - e_M <= 2*eps|S||T| + 1
     on the board on n vertices with these claim codes, one byte per edge id
@@ -157,7 +129,7 @@ def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: in
     and opponent M.
 
     Pair i is S + T = `rng.sample(range(n), 2*size)`, the i-th such draw from
-    `random.Random(seed)` (as `_random_disjoint_pair` draws a pair), taken
+    `random.Random(seed)` (as `_random_disjoint_pairs` draws pairs), taken
     straight from the generator's bits by `_pool_samples`. Every pair's
     e_B - e_M is summed at once from one signed n x n matrix, +1 where the
     builder holds the edge and -1 where the opponent does."""

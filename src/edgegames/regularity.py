@@ -28,6 +28,7 @@ from .graphs import Graph, bits, density, edges_between, embed, graph_from_edges
 
 P2_EXACT_LIMIT = 16  # exact P2 sorts one weight row per S with |S| <= n/2, about 2^(n-1)
 PAIR_EXACT_LIMIT = 24  # exact regular-pair sorts one weight row per subset of the smaller side
+DRAW_CHUNK = 1024  # sampled P2 draws its pairs this many at a time
 
 
 def least_size_above(x) -> int:
@@ -210,16 +211,15 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
     return _report("exact", worst, samples, witness, fails)
 
 
-def _sampled_scan(G: Graph, draw, c: Fraction, fails, trials: int, seed: int) -> RegularityReport:
-    """Worst |d(X,Y) - c| over `trials` pairs (X, Y) = draw(rng), where rng
-    is random.Random(seed); the witness is the first worst pair drawn."""
+def _sampled_scan(G: Graph, draws, c: Fraction, fails, trials: int, seed: int) -> RegularityReport:
+    """Worst |d(X,Y) - c| over the `trials` pairs (X, Y) that
+    draws(rng, trials) yields, where rng is random.Random(seed); the witness
+    is the first worst pair drawn."""
     if trials < 1:
         raise ValueError("sampled mode needs trials >= 1")
-    rng = random.Random(seed)
     worst = Fraction(0)
     witness = None
-    for _ in range(trials):
-        X, Y = draw(rng)
+    for X, Y in draws(random.Random(seed), trials):
         dev = abs(density(G, X, Y) - c)
         if dev > worst:
             worst = dev
@@ -247,9 +247,54 @@ def check_p1(G: Graph, eps):
     return Fraction(mindeg) >= (Fraction(1, 2) - eps) * G.n, mindeg
 
 
-def _random_disjoint_pair(rng: random.Random, n: int, s: int, t: int):
-    picks = rng.sample(range(n), s + t)
-    return mask_of(picks[:s]), mask_of(picks[s:])
+def _pool_limit(k: int) -> int:
+    """The largest n for which `Random.sample(range(n), k)` shuffles a pool
+    rather than tracking picks in a set, as `sample` computes it."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def _pool_samples(rng: random.Random, n: int, k: int, count: int) -> list:
+    """`[rng.sample(range(n), k) for _ in range(count)]`, drawn without
+    `sample`'s per-call overhead.
+
+    Runs the pool path of CPython's `Random.sample` inline: a partial
+    Fisher-Yates shuffle of list(range(n)) whose index j < m is `_randbelow(m)`,
+    `getrandbits(m.bit_length())` redrawn until below m. `sample` takes that
+    path when n <= `_pool_limit(k)`; outside it this raises ValueError."""
+    if not 0 <= k <= n or n > _pool_limit(k):
+        raise ValueError("sample of %d from %d is off the pool path" % (k, n))
+    getrandbits = rng.getrandbits
+    widths = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+    population, samples = list(range(n)), []
+    for _ in range(count):
+        pool, picks = population[:], []
+        pick = picks.append
+        for m, width in widths:
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            pick(pool[j])
+            pool[j] = pool[m - 1]  # the unpicked last entry fills the vacancy
+        samples.append(picks)
+    return samples
+
+
+def _random_disjoint_pairs(rng: random.Random, n: int, s: int, t: int, count: int):
+    """Yield `count` disjoint vertex masks (S, T), |S| = s and |T| = t: the
+    i-th is the first s and the last t picks of the i-th
+    `rng.sample(range(n), s + t)`. Drawn DRAW_CHUNK at a time, so memory
+    stays flat in `count`, through `_pool_samples` where `sample` takes its
+    pool path, else by `sample`."""
+    k = s + t
+    pooled = n <= _pool_limit(k)
+    for start in range(0, count, DRAW_CHUNK):
+        size = min(DRAW_CHUNK, count - start)
+        if pooled:
+            picks = _pool_samples(rng, n, k, size)
+        else:
+            picks = [rng.sample(range(n), k) for _ in range(size)]
+        for p in picks:
+            yield mask_of(p[:s]), mask_of(p[s:])
 
 
 def check_p2(
@@ -293,9 +338,8 @@ def check_p2(
         raise ValueError("set_size below qualifying threshold")
     if 2 * size > n:
         raise ValueError("no disjoint pair of size %d fits in n=%d" % (size, n))
-    return _sampled_scan(
-        G, lambda rng: _random_disjoint_pair(rng, n, size, size), half, fails, trials, seed
-    )
+    draws = lambda rng, count: _random_disjoint_pairs(rng, n, size, size, count)
+    return _sampled_scan(G, draws, half, fails, trials, seed)
 
 
 def jumbleg_margin(e_B: int, e_M: int, s_size: int, t_size: int, eps):
@@ -379,7 +423,10 @@ def is_regular_pair(
         raise ValueError("mode must be 'exact' or 'sampled'")
     return _sampled_scan(
         G,
-        lambda rng: (mask_of(rng.sample(a_list, x_size)), mask_of(rng.sample(b_list, y_size))),
+        lambda rng, count: (
+            (mask_of(rng.sample(a_list, x_size)), mask_of(rng.sample(b_list, y_size)))
+            for _ in range(count)
+        ),
         d,
         fails,
         trials,

@@ -12,14 +12,19 @@ builder move that hits is a leaf and costs no node.
 Positions are memoized up to vertex relabelling (so n <= 7) as proven
 bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A lookup
 answers at once when they are exact or outside the window, else searches
-the window they narrow and tightens them. The key of a claim map is the
-smallest base-3 number, over all n! vertex permutations, that the
-relabelled claim string spells. The search is an engine `Board` plus one
-row of such numbers, one per permutation, for each depth on the current
-path: a child that the search goes on to value gets its row written as its
-parent's row plus claims[e] times e's weight row, and nothing is ever
-subtracted, so a node costs one n!-wide add into a row and one argmin
-instead of n! relabellings. A builder move that hits is a leaf and writes
+the window they narrow and tightens them. A position not in the memo
+starts at the a priori bounds (counts[BUILDER] + 1, never): hits are
+checked only after builder moves, so none comes before the builder's next
+one. The claim map fixes the counts, so positions that share a key share
+the bound, and one whose bound reaches beta fails high unsearched.
+
+The key of a claim map is the smallest base-3 number, over all n! vertex
+permutations, that the relabelled claim string spells. The search is an
+engine `Board` plus one row of such numbers, one per permutation, for each
+depth on the current path: a child that the search goes on to value gets
+its row written as its parent's row plus claims[e] times e's weight row,
+and nothing is ever subtracted, so a node costs one n!-wide add into a row
+and one argmin instead of n! relabellings. A builder move that hits is a leaf and writes
 no row. The claim map alone determines whose turn it is and the round, so
 nothing else enters the key.
 
@@ -156,9 +161,10 @@ class _Search(Board):
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
                 if builder:
-                    alpha = max(alpha, best)
-                else:
-                    beta = min(beta, best)
+                    if best > alpha:
+                        alpha = best
+                elif best < beta:
+                    beta = best
                 if alpha >= beta:
                     break
         return best, move
@@ -173,12 +179,16 @@ class _Search(Board):
             return NEVER
         row = self.key_rows[self.depth]
         key = row.item(row.argmin())
-        lo, hi = self.memo.get(key, (-NEVER, NEVER))
+        # unseen: no hit before the builder's next move
+        lo, hi = self.memo.get(key) or (self.counts[BUILDER] + 1, NEVER)
         if lo == hi or lo >= beta:
             return lo
         if hi <= alpha:
             return hi
-        alpha, beta = max(alpha, lo), min(beta, hi)
+        if lo > alpha:
+            alpha = lo
+        if hi < beta:
+            beta = hi
         val = self.best(alpha, beta)[0]
         if val > alpha:  # not a fail-low: a lower bound, or exact
             lo = val

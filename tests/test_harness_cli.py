@@ -25,11 +25,10 @@ from edgegames.engine import (
     PropertyDetector,
     SubgraphProperty,
 )
-from edgegames.graphs import MAX_N, bits, edge_index, edges_between, num_edges, turan_number
+from edgegames.graphs import MAX_N, bits, edge_index, edges_between, mask_of, num_edges, turan_number
 from edgegames.harness import (
     CSV_COLUMNS,
     SweepConfig,
-    _pool_samples,
     margin_violation_fraction,
     match_seed,
     monitor_set_size,
@@ -41,7 +40,7 @@ from edgegames.harness import (
     sweep_to_csv,
     sweep_to_json,
 )
-from edgegames.regularity import _random_disjoint_pair, jumbleg_margin
+from edgegames.regularity import _pool_samples, jumbleg_margin
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,8 @@ def test_margin_violation_fraction_matches_per_pair_bound(data):
     rng = random.Random(seed)
     bad = 0
     for _ in range(pairs):
-        S, T = _random_disjoint_pair(rng, n, size, size)
+        picks = rng.sample(range(n), 2 * size)
+        S, T = mask_of(picks[:size]), mask_of(picks[size:])
         cross = [claims[edge_index(min(u, v), max(u, v), n)] for u in bits(S) for v in bits(T)]
         bad += not jumbleg_margin(cross.count(1), cross.count(2), size, size, eps)[2]
     board = Board(n)
@@ -225,7 +225,8 @@ def per_pair_violation_fraction(board, eps, pairs, seed):
     rng = random.Random(seed)
     bad = 0
     for _ in range(pairs):
-        S, T = _random_disjoint_pair(rng, board.n, size, size)
+        picks = rng.sample(range(board.n), 2 * size)
+        S, T = mask_of(picks[:size]), mask_of(picks[size:])
         bad += edges_between(G_b, S, T) - edges_between(G_m, S, T) > limit
     return Fraction(bad, pairs)
 

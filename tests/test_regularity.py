@@ -25,8 +25,10 @@ from edgegames.graphs import (
 )
 from edgegames.regularity import (
     ConstantSchedule,
+    DRAW_CHUNK,
     _meets_jumbleg_eps,
     _p2_exact_scan,
+    _random_disjoint_pairs,
     _subset_table,
     check_density_lemma,
     check_p1,
@@ -258,6 +260,58 @@ def test_p2_sampled_deterministic():
     a = check_p2(G, Fraction(1, 6), mode="sampled", trials=200, seed=5)
     b = check_p2(G, Fraction(1, 6), mode="sampled", trials=200, seed=5)
     assert a.deviation == b.deviation and a.passed == b.passed
+
+
+def sample_pool_limit(k):
+    # `sample` shuffles a pool when n <= 21 + (the smallest power of 4 that
+    # is at least 3k, for k > 5), and tracks picks in a set above that
+    table = 1
+    while k > 5 and table < 3 * k:
+        table *= 4
+    return 21 + (table if k > 5 else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_disjoint_pairs_are_sample_draws_on_both_paths(data):
+    # sampled P2's pairs against one `sample` call per pair, at n on both
+    # sides of the pool/set threshold and across chunk boundaries; both
+    # generators must also end in the same state
+    s, t = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    limit = sample_pool_limit(s + t)
+    n = data.draw(st.one_of(st.sampled_from([limit, limit + 1]), st.integers(s + t, 2 * limit)))
+    edges = [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 1]
+    count = data.draw(st.one_of(st.integers(0, 7), st.sampled_from(edges)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**64))
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = list(_random_disjoint_pairs(rng, n, s, t, count))
+    want = []
+    for _ in range(count):
+        picks = ref.sample(range(n), s + t)
+        want.append((mask_of(picks[:s]), mask_of(picks[s:])))
+    assert got == want
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n, eps", [(40, Fraction(1, 10)), (120, Fraction(1, 40))])
+def test_p2_sampled_scans_the_sample_draws(n, eps):
+    # pairs of 5 + 5 of 40 take the pool path, 4 + 4 of 120 the set path:
+    # the report must be a reference scan's over one `sample` call per pair,
+    # worst deviation and first worst pair as the witness
+    G = random_graph(n, 0.5, random.Random(n))
+    trials, seed = 300, 7
+    size = math.floor(eps * n) + 1
+    rep = check_p2(G, eps, mode="sampled", trials=trials, seed=seed)
+    rng, worst, witness = random.Random(seed), Fraction(0), None
+    for _ in range(trials):
+        picks = rng.sample(range(n), 2 * size)
+        S, T = mask_of(picks[:size]), mask_of(picks[size:])
+        dev = abs(density(G, S, T) - HALF)
+        if dev > worst:
+            worst, witness = dev, (S, T)
+    assert worst > eps  # so the report names a witness
+    assert (rep.deviation, rep.passed, rep.samples) == (worst, False, trials)
+    assert (rep.witness_S, rep.witness_T) == witness
 
 
 # ---------------------------------------------------------------------------

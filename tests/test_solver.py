@@ -181,9 +181,10 @@ def test_opponent_first_matches_oracle():
 @pytest.mark.parametrize(
     "n, prop, value, nodes",
     [
-        (5, "subgraph:K3", 5, 330),
-        (6, "subgraph:K3", 7, 3_701),
-        (6, "nc:2", 7, 3_554),
+        (5, "subgraph:K3", 5, 314),
+        (5, "nc:2", 5, 188),
+        (6, "subgraph:K3", 7, 3_137),
+        (6, "nc:2", 7, 2_877),
     ],
 )
 def test_pinned_values_and_node_counts(n, prop, value, nodes):
@@ -196,7 +197,7 @@ def test_nc3_exact_recolouring_under_claim_and_undo():
     # breaks, and remembers the last graph that failed across undos; the
     # value and the node count pin that down
     res = solve_tau(GameRules(n=6, prop=parse_property("nc:3")))
-    assert (res.value, res.t, res.nodes) == ("never", None, 1_423)
+    assert (res.value, res.t, res.nodes) == ("never", None, 1_409)
 
 
 @pytest.mark.parametrize("name", ["P3", "P4", "C4", "Kpartite:1,2", "K3"])
@@ -221,6 +222,39 @@ def test_memo_bounds_are_sound(prop, first):
         for key, (lo, hi) in search.memo.items():
             claims = [key // 3 ** (m - 1 - eid) % 3 for eid in range(m)]
             assert lo <= oracle_value(n, hit, first, claims) <= hi, (n, claims, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_hit_before_the_builders_next_move(data):
+    # the a priori bound an unseen position starts at: from a reachable
+    # position, the oracle value is at least the round of the builder's
+    # next move, and so is every memo lo the search proves below it
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    prop = data.draw(st.sampled_from(sorted(ORACLE_HITS)))
+    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
+    hit = ORACLE_HITS[prop]
+    state = GameState(GameRules(n=n, prop=parse_property(prop), first_mover=first))
+    # two claims or more at n = 5 keep the oracle to a fraction of a second
+    for _ in range(data.draw(st.integers(min_value=n - 3, max_value=num_edges(n)))):
+        player = state.whose_turn()
+        free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
+        if not free:
+            break
+        eid = data.draw(st.sampled_from(free))
+        apply_move(state, player, eid)
+        if player == BUILDER and state.rules.prop.hit_after_state(state, eid):
+            state.undo(eid, player)
+            break
+    assert oracle_value(n, hit, first, state.claims) >= state.counts[BUILDER] + 1
+    if state.whose_turn() is None:
+        return
+    search = _Search(state.rules, None, state.claims)
+    search.best()
+    m = search.m
+    for key, (lo, hi) in search.memo.items():
+        builder_claims = sum(key // 3 ** (m - 1 - eid) % 3 == BUILDER for eid in range(m))
+        assert lo >= builder_claims + 1, (key, lo, hi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,10 +334,10 @@ def test_canonical_key_matches_brute_force(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_incremental_key_through_claims_and_undos(data):
-    # the search adds a child's weight row before valuing it and subtracts
-    # it after, and a hitting builder move touches neither: at every valued
-    # position the key must spell the canonical claim map, and after the
-    # search it must be the start position's again
+    # the search writes a child's key row from its parent's before valuing
+    # it, and a hitting builder move writes none: at every valued position
+    # the key must spell the canonical claim map, and after the search the
+    # start position's row must still be its own
     n = data.draw(st.integers(min_value=3, max_value=5))
     prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2"])))
     first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
@@ -341,7 +375,7 @@ class ScratchKeySearch(_Search):
         if self.unclaimed == 0:
             return NEVER
         key = int((np.frombuffer(self.claims, dtype=np.int8) @ _weights(self.n)).min())
-        lo, hi = self.memo.get(key, (-NEVER, NEVER))
+        lo, hi = self.memo.get(key) or (self.counts[BUILDER] + 1, NEVER)
         if lo == hi or lo >= beta:
             return lo
         if hi <= alpha:
@@ -458,8 +492,8 @@ def test_exhausted_budget_reports_exactly_the_nodes_valued():
     for budget in range(41):
         res = solve_tau(triangle_rules(5), budget=budget)
         assert (res.value, res.nodes, res.best_move) == ("unknown", budget, None)
-    res = solve_tau(triangle_rules(5), budget=330)
-    assert (res.value, res.t, res.nodes) == ("exact", 5, 330)
+    res = solve_tau(triangle_rules(5), budget=314)
+    assert (res.value, res.t, res.nodes) == ("exact", 5, 314)
 
 
 def test_best_move_avoids_immediate_loss():
