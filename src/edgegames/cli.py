@@ -12,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .engine import GameRules, IllegalMoveError, play_match
+from .engine import GAME_FIELDS, GameRules, IllegalMoveError, play_match
 from .graphs import bits, load_graph, mask_of
 # regularity, the largest module, compiles before harness loads numpy: with no
 # cached bytecode the other order raised every benchmark run's peak RSS 0.5-0.8 MB
@@ -91,8 +91,7 @@ def cmd_solve(args) -> int:
     payload = {
         "n": args.n,
         "property": args.property,
-        "convention": rules.convention,
-        "first_mover": rules.role_name(rules.first_mover),
+        **GAME_FIELDS,
         "value": result.t if result.value == "exact" else result.value,
         "nodes": result.nodes,
         "elapsed_ms": elapsed_ms,

@@ -1,15 +1,13 @@
 """State machine for unbiased edge games on K_n.
 
-Two players alternately claim edges of K_n. Under the avoider-enforcer
-convention the property is evaluated on Avoider's graph immediately after
-each Avoider move; under maker-breaker it is Maker's graph after each Maker
-move. Internally the property-graph owner is the builder (claim code 1)
-and the other player is the opponent (code 2); the convention only changes
-the role labels.
+Avoider and Enforcer alternately claim edges of K_n, and the property is
+evaluated on Avoider's graph immediately after each Avoider move.
+Internally Avoider is the builder (claim code 1), whose graph the property
+is read on, and Enforcer the opponent (code 2).
 
-The builder moves first by default. Round r is complete once both players
-hold r edges; with an odd board the first mover takes the final unpaired
-edge and the match ends mid-round.
+Avoider always moves first. Round r is complete once both players hold r
+edges; with an odd board Avoider takes the final unpaired edge and the
+match ends mid-round.
 
 One `Board` holds who claimed which edge for play, the strategies and the
 exact solver, one claim code byte per edge id; its `claim` and `undo` are
@@ -46,19 +44,17 @@ from .graphs import (
     chromatic_number,
 )
 
-AVOIDER_ENFORCER = "avoider-enforcer"
-MAKER_BREAKER = "maker-breaker"
-
 UNCLAIMED = 0
-BUILDER = 1  # Avoider / Maker
-OPPONENT = 2  # Enforcer / Breaker
+BUILDER = 1  # Avoider
+OPPONENT = 2  # Enforcer
 
 assert MAX_N < 2**16  # the endpoint tables hold vertices as uint16
 
-_ROLE_NAMES = {
-    AVOIDER_ENFORCER: {BUILDER: "avoider", OPPONENT: "enforcer"},
-    MAKER_BREAKER: {BUILDER: "maker", OPPONENT: "breaker"},
-}
+_ROLES = (None, "avoider", "enforcer")  # role name by claim code
+
+# The game fields of a transcript header and a `solve` record: one game,
+# one turn order.
+GAME_FIELDS = {"convention": "avoider-enforcer", "first_mover": _ROLES[BUILDER]}
 
 
 class IllegalMoveError(Exception):
@@ -184,21 +180,12 @@ class NotKColorableProperty(PropertyDetector):
 class GameRules:
     n: int
     prop: PropertyDetector
-    convention: str = AVOIDER_ENFORCER
-    first_mover: int = BUILDER
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("board needs n >= 2")
         if self.n > MAX_N:
             raise ValueError("board needs n <= %d" % MAX_N)
-        if self.convention not in (AVOIDER_ENFORCER, MAKER_BREAKER):
-            raise ValueError("unknown convention %r" % self.convention)
-        if self.first_mover not in (BUILDER, OPPONENT):
-            raise ValueError("first_mover must be BUILDER or OPPONENT")
-
-    def role_name(self, player: int) -> str:
-        return _ROLE_NAMES[self.convention][player]
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,9 +212,8 @@ class Board:
     demand. A board holds no Python object per edge.
     """
 
-    def __init__(self, n: int, first_mover: int = BUILDER):
+    def __init__(self, n: int):
         self.n = n
-        self.first = first_mover
         self.us, self.vs = _endpoints(n)
         self.m = len(self.us)
         self.claims = bytearray(self.m)
@@ -253,17 +239,10 @@ class Board:
         self.counts[player] -= 1
         self.unclaimed += 1
 
-    @property
-    def round(self) -> int:
-        """Completed rounds: both players hold at least this many edges."""
-        return min(self.counts[BUILDER], self.counts[OPPONENT])
-
     def whose_turn(self) -> Optional[int]:
         if self.unclaimed == 0:
             return None
-        if self.counts[BUILDER] == self.counts[OPPONENT]:
-            return self.first
-        return OPPONENT if self.first == BUILDER else BUILDER
+        return BUILDER if self.counts[BUILDER] == self.counts[OPPONENT] else OPPONENT
 
     def builder_graph(self) -> Graph:
         return _trusted_graph(self.n, self.adj)
@@ -288,7 +267,7 @@ class GameState(Board):
     it gained since."""
 
     def __init__(self, rules: GameRules):
-        super().__init__(rules.n, rules.first_mover)
+        super().__init__(rules.n)
         self.rules = rules
         self.log = array("i")  # int32 edge ids: a list would hold an int object per move
 
@@ -305,7 +284,7 @@ def apply_move(state: GameState, player: int, eid: int) -> GameState:
     if turn != player:
         raise IllegalMoveError(
             "out of turn: %s moved, %s expected"
-            % (state.rules.role_name(player), state.rules.role_name(turn) if turn else "nobody")
+            % (_ROLES[player], _ROLES[turn] if turn else "nobody")
         )
     if state.claims[eid] != UNCLAIMED:
         raise IllegalMoveError("edge (%d,%d) already claimed" % (state.us[eid], state.vs[eid]))
@@ -321,11 +300,9 @@ _CHUNK = 4096  # move lines that to_jsonl formats per write
 @dataclass
 class Transcript:
     """A match: header fields, the claim log, the strategies' notes by move
-    index, and the outcome. Turns alternate, so move i is the first mover's
-    iff i is even, and it is that player's (i // 2 + 1)-th."""
+    index, and the outcome. Turns alternate, so move i is Avoider's iff i
+    is even, and it is that player's (i // 2 + 1)-th."""
     n: int
-    convention: str
-    first_mover: int  # BUILDER or OPPONENT
     property_descriptor: str
     seed: Optional[int]
     log: array  # int32 edge ids
@@ -341,13 +318,10 @@ class Transcript:
         is returned."""
         parts = []
         write = parts.append if out is None else out.write
-        names = _ROLE_NAMES[self.convention]
-        roles = (names[self.first_mover], names[BUILDER + OPPONENT - self.first_mover])
         header = {
             "type": "header",
             "n": self.n,
-            "convention": self.convention,
-            "first_mover": roles[0],
+            **GAME_FIELDS,
             "property": self.property_descriptor,
             "seed": self.seed,
         }
@@ -355,7 +329,7 @@ class Transcript:
         # a move in the sorted-key layout _encode gives it; a note sorts first
         move = [
             '{%%s"role": %s, "round": %%d, "type": "move", "u": %%d, "v": %%d}' % _encode(role)
-            for role in roles
+            for role in _ROLES[1:]
         ]
         us, vs = _endpoints(self.n)
         log, notes = self.log, self.notes
@@ -372,9 +346,9 @@ class Transcript:
     def final_codes(self) -> bytearray:
         """The final board's claim code per edge id, a bytearray laid out
         like `Board.claims`, read straight off the log: even move indices
-        are the first mover's."""
+        are Avoider's."""
         codes = bytearray(self.n * (self.n - 1) // 2)
-        player = (self.first_mover, BUILDER + OPPONENT - self.first_mover)
+        player = (BUILDER, OPPONENT)
         for i, eid in enumerate(self.log):
             codes[eid] = player[i & 1]
         return codes
@@ -382,7 +356,7 @@ class Transcript:
 
 def replay(transcript: Transcript, prop: PropertyDetector) -> GameState:
     """The final position: the transcript's log applied move by move."""
-    state = GameState(GameRules(transcript.n, prop, transcript.convention, transcript.first_mover))
+    state = GameState(GameRules(transcript.n, prop))
     for eid in transcript.log:
         apply_move(state, state.whose_turn(), eid)
     return state
@@ -411,9 +385,7 @@ def play_match(
     # every graph on n vertices is n-colourable, so a property whose chi
     # exceeds n never holds on this board: its detector need not run
     can_hit = prop.chi is None or prop.chi <= state.n
-    turns = [(BUILDER, builder_strategy), (OPPONENT, opponent_strategy)]
-    if rules.first_mover == OPPONENT:
-        turns.reverse()  # turns alternate, so move i is made by turns[i & 1]
+    turns = [(BUILDER, builder_strategy), (OPPONENT, opponent_strategy)]  # move i: turns[i & 1]
     log, notes = state.log, {}
     result, t = "never", -1
     while state.unclaimed:
@@ -437,8 +409,6 @@ def play_match(
                 break
     return Transcript(
         n=rules.n,
-        convention=rules.convention,
-        first_mover=rules.first_mover,
         property_descriptor=prop.descriptor,
         seed=seed,
         log=log,

@@ -106,7 +106,7 @@ class _Search(Board):
     def __init__(self, rules: GameRules, budget: Optional[int], start=()):
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
-        super().__init__(rules.n, rules.first_mover)
+        super().__init__(rules.n)
         self.prop = rules.prop
         self.limit = math.inf if budget is None else budget
         self.nodes = 0

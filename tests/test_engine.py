@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 import edgegames
 from edgegames.engine import (
-    AVOIDER_ENFORCER,
     BUILDER,
-    MAKER_BREAKER,
     OPPONENT,
     _CHUNK,
     Board,
@@ -56,8 +54,8 @@ def triangle_prop():
     return SubgraphProperty([complete_graph(3)], descriptor="subgraph:K3")
 
 
-def rules(n, prop=None, **kw):
-    return GameRules(n=n, prop=prop or HasEdgeProperty(), **kw)
+def rules(n, prop=None):
+    return GameRules(n=n, prop=prop or HasEdgeProperty())
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +215,6 @@ def test_rules_validation():
     with pytest.raises(ValueError, match="n <= %d" % MAX_N):
         rules(MAX_N + 1)
     assert rules(MAX_N).n == MAX_N  # the rules alone build no board
-    with pytest.raises(ValueError):
-        GameRules(n=4, prop=HasEdgeProperty(), convention="chooser-picker")
-    with pytest.raises(ValueError):
-        GameRules(n=4, prop=HasEdgeProperty(), first_mover=0)
-
-
-def test_role_names():
-    r = rules(4)
-    assert r.role_name(BUILDER) == "avoider"
-    assert r.role_name(OPPONENT) == "enforcer"
-    r2 = rules(4, convention=MAKER_BREAKER)
-    assert r2.role_name(BUILDER) == "maker"
-    assert r2.role_name(OPPONENT) == "breaker"
 
 
 def test_turn_alternation_builder_first():
@@ -241,13 +226,6 @@ def test_turn_alternation_builder_first():
     assert state.whose_turn() == BUILDER
     apply_move(state, BUILDER, 2)
     assert state.whose_turn() is None  # board exhausted (odd board, 3 edges)
-
-
-def test_turn_alternation_opponent_first():
-    state = GameState(rules(3, first_mover=OPPONENT))
-    assert state.whose_turn() == OPPONENT
-    apply_move(state, OPPONENT, 0)
-    assert state.whose_turn() == BUILDER
 
 
 def test_illegal_moves():
@@ -269,7 +247,6 @@ def test_state_bookkeeping():
     state = GameState(rules(4))
     apply_move(state, BUILDER, edge_index(0, 1, 4))
     apply_move(state, OPPONENT, edge_index(2, 3, 4))
-    assert state.round == 1
     assert state.counts == {BUILDER: 1, OPPONENT: 1}
     assert state.unclaimed == num_edges(4) - 2
     assert state.builder_graph().has_edge(0, 1)
@@ -279,14 +256,14 @@ def test_state_bookkeeping():
 
 
 def test_apply_move_logs_claims_in_order():
-    state = GameState(rules(4, first_mover=OPPONENT))
-    apply_move(state, OPPONENT, 5)
-    apply_move(state, BUILDER, 0)
+    state = GameState(rules(4))
+    apply_move(state, BUILDER, 5)
+    apply_move(state, OPPONENT, 0)
     with pytest.raises(IllegalMoveError):
-        apply_move(state, OPPONENT, 0)  # taken: nothing is logged
+        apply_move(state, BUILDER, 0)  # taken: nothing is logged
     with pytest.raises(IllegalMoveError):
-        apply_move(state, BUILDER, 1)  # out of turn
-    apply_move(state, OPPONENT, 4)
+        apply_move(state, OPPONENT, 1)  # out of turn
+    apply_move(state, BUILDER, 4)
     assert state.log.tolist() == [5, 0, 4]
 
 
@@ -309,12 +286,12 @@ def test_state_graphs_equal_validated_graphs(n, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=8), st.sampled_from([BUILDER, OPPONENT]), st.data())
-def test_board_claim_undo_matches_rebuild(n, first, data):
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_board_claim_undo_matches_rebuild(n, data):
     # any claim/undo sequence leaves the board equal to one rebuilt from its
-    # claim codes alone, and the numpy view reads the same buffer; an
-    # opponent claim or undo leaves the builder's masks untouched
-    board = Board(n, first)
+    # claim codes alone, and it is the builder's turn iff the two counts are
+    # equal; an opponent claim or undo leaves the builder's masks untouched
+    board = Board(n)
     claimed = {}
     for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
         free = [e for e in range(num_edges(n)) if e not in claimed]
@@ -341,9 +318,7 @@ def test_board_claim_undo_matches_rebuild(n, first, data):
     assert board.opponent_graph() == Graph(n, tuple(adj[OPPONENT]))
     assert board.counts == counts
     assert board.unclaimed == codes.count(0)
-    assert board.round == min(counts.values())
-    second = OPPONENT if first == BUILDER else BUILDER
-    expected_turn = None if 0 not in codes else (first if counts[first] == counts[second] else second)
+    expected_turn = None if 0 not in codes else (BUILDER if counts[BUILDER] == counts[OPPONENT] else OPPONENT)
     assert board.whose_turn() == expected_turn
 
 
@@ -429,8 +404,7 @@ class _NoChiProperty(PropertyDetector):
         ("no-chi", 8, True),
     ],
 )
-@pytest.mark.parametrize("first", [BUILDER, OPPONENT])
-def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor, n, runs, first):
+def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor, n, runs):
     # a graph on n vertices is n-colourable, so a detector with chi > n never
     # holds there; play must not call it, and must call every other detector
     # once per builder move, whatever its chi
@@ -449,12 +423,12 @@ def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor,
             prop.chi = None
         calls[0] = 0
         avoider, enforcer = match_players("random", "jumbleg:1/10", 5)
-        tr = play_match(avoider, enforcer, rules(n, prop, first_mover=first), seed=5)
+        tr = play_match(avoider, enforcer, rules(n, prop), seed=5)
         return tr, calls[0]
 
     tr, seen = match(True)
     builder_moves = tr.final_codes().count(BUILDER)
-    assert tr.result == "never" and builder_moves == (n * (n - 1) // 2 + (first == BUILDER)) // 2
+    assert tr.result == "never" and builder_moves == (n * (n - 1) // 2 + 1) // 2
     assert seen == (builder_moves if runs else 0)
     # without a chi the detector runs after every builder move, to the same end
     plain, seen = match(False)
@@ -496,7 +470,7 @@ def test_transcript_jsonl_roundtrip():
     assert header == {
         "type": "header",
         "n": 5,
-        "convention": AVOIDER_ENFORCER,
+        "convention": "avoider-enforcer",
         "first_mover": "avoider",
         "property": "subgraph:K3",
         "seed": 42,
@@ -529,15 +503,13 @@ class _Recorder:
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(2, 9),
-    st.sampled_from([AVOIDER_ENFORCER, MAKER_BREAKER]),
-    st.sampled_from([BUILDER, OPPONENT]),
     st.sampled_from(["turan:1", "turan:2", "random", "first", "jumbleg:1/10"]),
     st.sampled_from(["turan:1", "turan:2", "random", "first", "jumbleg:1/5"]),
     st.sampled_from(["never", "subgraph:K3", "nc:2", "edge"]),
     st.one_of(st.none(), st.integers(1, 12)),
     st.integers(0, 2**31),
 )
-def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop, cap, seed):
+def test_transcript_lines_match_recorded_moves(n, a, b, prop, cap, seed):
     # the JSONL move records derived from the claim log equal what the
     # strategies returned, in order; rounds count each player's own moves,
     # and pairs come from the closed-form edge_of
@@ -545,15 +517,16 @@ def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop,
     record = []
     builder = _Recorder(parse_strategy(a, seed), record)
     opponent = _Recorder(parse_strategy(b, seed + 1), record)
-    r = GameRules(n=n, prop=parse_property(prop), convention=convention, first_mover=first)
+    r = GameRules(n=n, prop=parse_property(prop))
     tr = play_match(builder, opponent, r, max_rounds=cap, seed=seed)
     moves = [json.loads(line) for line in tr.to_jsonl().splitlines()[1:-1]]
     made = {BUILDER: 0, OPPONENT: 0}
+    role = {BUILDER: "avoider", OPPONENT: "enforcer"}
     expected = []
     for player, eid, note in record:
         made[player] += 1
         u, v = edge_of(eid, n)
-        rec = {"type": "move", "round": made[player], "role": r.role_name(player), "u": u, "v": v}
+        rec = {"type": "move", "round": made[player], "role": role[player], "u": u, "v": v}
         if note:
             rec["note"] = note
         expected.append(rec)
@@ -564,13 +537,11 @@ def test_transcript_lines_match_recorded_moves(n, convention, first, a, b, prop,
 
 def reference_jsonl(tr):
     """The transcript's text, one sorted-key JSON record per line."""
-    roles = {AVOIDER_ENFORCER: ("avoider", "enforcer"), MAKER_BREAKER: ("maker", "breaker")}
-    names = roles[tr.convention] if tr.first_mover == BUILDER else roles[tr.convention][::-1]
-    records = [{"type": "header", "n": tr.n, "convention": tr.convention,
-                "first_mover": names[0], "property": tr.property_descriptor, "seed": tr.seed}]
+    records = [{"type": "header", "n": tr.n, "convention": "avoider-enforcer",
+                "first_mover": "avoider", "property": tr.property_descriptor, "seed": tr.seed}]
     for i, eid in enumerate(tr.log):
         u, v = edge_of(eid, tr.n)
-        rec = {"type": "move", "round": i // 2 + 1, "role": names[i % 2], "u": u, "v": v}
+        rec = {"type": "move", "round": i // 2 + 1, "role": ("avoider", "enforcer")[i % 2], "u": u, "v": v}
         if i in tr.notes:
             rec["note"] = tr.notes[i]
         records.append(rec)
@@ -594,18 +565,16 @@ def test_to_jsonl_bytes_match_sorted_key_encoder():
     # or streamed
     rng = random.Random(11)
     n = 9
-    for convention in (AVOIDER_ENFORCER, MAKER_BREAKER):
-        for first in (BUILDER, OPPONENT):
-            for note_share in (0, 0.3, 1):
-                log = rng.sample(range(num_edges(n)), rng.randrange(num_edges(n) + 1))
-                notes = {i: rng.choice(["fallback", 'a "quoted" note']) for i in range(len(log))
-                         if rng.random() < note_share}
-                seed = rng.choice([None, 0, 12345])
-                tr = Transcript(n, convention, first, "subgraph:K3", seed, array("i", log), notes,
-                                "hit" if log else "never", len(log) // 2 if log else -1)
-                sink = Sink()
-                assert tr.to_jsonl(sink) is None
-                assert tr.to_jsonl() == "".join(sink.writes) == reference_jsonl(tr)
+    for note_share in (0, 0.3, 1):
+        log = rng.sample(range(num_edges(n)), rng.randrange(num_edges(n) + 1))
+        notes = {i: rng.choice(["fallback", 'a "quoted" note']) for i in range(len(log))
+                 if rng.random() < note_share}
+        seed = rng.choice([None, 0, 12345])
+        tr = Transcript(n, "subgraph:K3", seed, array("i", log), notes,
+                        "hit" if log else "never", len(log) // 2 if log else -1)
+        sink = Sink()
+        assert tr.to_jsonl(sink) is None
+        assert tr.to_jsonl() == "".join(sink.writes) == reference_jsonl(tr)
 
 
 @pytest.mark.parametrize("moves", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, num_edges(150)])
@@ -617,7 +586,7 @@ def test_to_jsonl_streams_bounded_chunks(moves):
     log = random.Random(moves).sample(range(num_edges(n)), moves)
     edges = [i for c in range(_CHUNK, moves + 1, _CHUNK) for i in (c - 1, c)]
     notes = {i: "fallback" for i in [0, moves - 1, *edges] if i < moves}
-    tr = Transcript(n, AVOIDER_ENFORCER, OPPONENT, "nc:150", 7, array("i", log), notes, "never", -1)
+    tr = Transcript(n, "nc:150", 7, array("i", log), notes, "never", -1)
     sink = Sink()
     tr.to_jsonl(sink)
     assert "".join(sink.writes) == tr.to_jsonl() == reference_jsonl(tr)
@@ -644,25 +613,22 @@ def test_replay_reproduces_final_claims():
             self.state = state
             return super().next_move(state, player)
 
-    for first in (BUILDER, OPPONENT):
-        builder = Keeper(1)
-        tr = play_match(builder, RandomStrategy(2), rules(6, triangle_prop(), first_mover=first))
-        state = replay(tr, triangle_prop())
-        assert state.claims == builder.state.claims
-        assert state.log == tr.log and state.adj == builder.state.adj
-        assert tr.final_codes() == state.claims
+    builder = Keeper(1)
+    tr = play_match(builder, RandomStrategy(2), rules(6, triangle_prop()))
+    state = replay(tr, triangle_prop())
+    assert state.claims == builder.state.claims
+    assert state.log == tr.log and state.adj == builder.state.adj
+    assert tr.final_codes() == state.claims
 
 
 def test_final_codes_read_the_log_on_odd_ended_and_stopped_boards():
-    # n = 5 has m = 10 edges, n = 6 an odd m = 15 the first mover ends;
+    # n = 5 has m = 10 edges, n = 6 an odd m = 15 that Avoider ends;
     # K3 stops a match early, and capped matches stop mid-board
     for n in (2, 5, 6, 9):
-        for first in (BUILDER, OPPONENT):
-            for prop, cap in ((NotKColorableProperty(n), None), (triangle_prop(), None),
-                              (NotKColorableProperty(n), 2)):
-                r = rules(n, prop, first_mover=first)
-                tr = play_match(RandomStrategy(n), RandomStrategy(first), r, max_rounds=cap)
-                assert tr.final_codes() == replay(tr, prop).claims
+        for prop, cap in ((NotKColorableProperty(n), None), (triangle_prop(), None),
+                          (NotKColorableProperty(n), 2)):
+            tr = play_match(RandomStrategy(n), RandomStrategy(1), rules(n, prop), max_rounds=cap)
+            assert tr.final_codes() == replay(tr, prop).claims
 
 
 def test_illegal_strategy_is_diagnosed():
@@ -684,12 +650,3 @@ def test_illegal_strategy_is_diagnosed():
         with pytest.raises(IllegalMoveError, match="strategy 'cheat' returned illegal move .*" + why):
             play_match(Cheater(moves), FirstAvailableStrategy(), rules(4, prop=triangle_prop()))
 
-
-def test_maker_breaker_labels_in_transcript():
-    tr = play_match(
-        FirstAvailableStrategy(),
-        FirstAvailableStrategy(),
-        rules(4, convention=MAKER_BREAKER),
-    )
-    assert tr.first_mover == BUILDER
-    assert json.loads(tr.to_jsonl().split("\n")[1])["role"] == "maker"

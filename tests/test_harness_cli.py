@@ -403,9 +403,15 @@ def test_cli_solve(tmp_path):
     code = main(["solve", "--n", "4", "--property", "subgraph:K3", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["value"] == "never"
-    assert payload["first_mover"] == "avoider"
-    assert payload["nodes"] > 0
+    assert isinstance(payload.pop("elapsed_ms"), int)
+    assert payload == {
+        "n": 4,
+        "property": "subgraph:K3",
+        "convention": "avoider-enforcer",
+        "first_mover": "avoider",
+        "value": "never",
+        "nodes": 21,
+    }
 
 
 def test_cli_solve_budget_exit_code(tmp_path):

@@ -34,8 +34,8 @@ from edgegames.solver import NEVER, _Search, _weights, best_move, canonical_clai
 from test_engine import FullRecomputeInduced
 
 
-def triangle_rules(n, **kw):
-    return GameRules(n=n, prop=SubgraphProperty([complete_graph(3)], "subgraph:K3"), **kw)
+def triangle_rules(n):
+    return GameRules(n=n, prop=SubgraphProperty([complete_graph(3)], "subgraph:K3"))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def _has_odd_cycle(adj, n):
     return False
 
 
-def oracle_value(n, hit, first=BUILDER, start=()):
+def oracle_value(n, hit, start=()):
     """Plain minimax from `start`, one claim code per edge id (the empty
     board by default): `hit(adj, u, v)` checks the builder's graph after a
     builder move on (u, v). Returns the game value (rounds or inf)."""
@@ -78,8 +78,7 @@ def oracle_value(n, hit, first=BUILDER, start=()):
             adj[v] |= 1 << u
 
     def turn():
-        second = OPPONENT if first == BUILDER else BUILDER
-        return first if counts[first] == counts[second] else second
+        return BUILDER if counts[BUILDER] == counts[OPPONENT] else OPPONENT
 
     def rec():
         if counts[BUILDER] + counts[OPPONENT] == m:
@@ -169,15 +168,6 @@ def test_nc2_n5():
     assert res.value == "exact" and res.t == 5
 
 
-def test_opponent_first_matches_oracle():
-    assert oracle_value(4, triangle_hit, first=OPPONENT) == math.inf
-    res = solve_tau(triangle_rules(4, first_mover=OPPONENT))
-    assert res.value == "never"
-    # edge game, opponent first: builder still hits at its first move
-    res2 = solve_tau(GameRules(n=3, prop=HasEdgeProperty(), first_mover=OPPONENT))
-    assert res2.value == "exact" and res2.t == 1
-
-
 @pytest.mark.parametrize(
     "n, prop, value, nodes",
     [
@@ -209,19 +199,18 @@ def test_induced_anchored_solve_matches_full_recompute(name):
         assert (a.value, a.t, a.nodes) == (b.value, b.t, b.nodes)
 
 
-@pytest.mark.parametrize("first", [BUILDER, OPPONENT])
 @pytest.mark.parametrize("prop", sorted(ORACLE_HITS))
-def test_memo_bounds_are_sound(prop, first):
+def test_memo_bounds_are_sound(prop):
     # every memo entry (lo, hi) must bracket the oracle value of the position
     # its key spells: base 3, edge 0 the most significant digit
     hit = ORACLE_HITS[prop]
     for n in (4, 5):
-        search = _Search(GameRules(n=n, prop=parse_property(prop), first_mover=first), None)
+        search = _Search(GameRules(n=n, prop=parse_property(prop)), None)
         search.best()
         m = search.m
         for key, (lo, hi) in search.memo.items():
             claims = [key // 3 ** (m - 1 - eid) % 3 for eid in range(m)]
-            assert lo <= oracle_value(n, hit, first, claims) <= hi, (n, claims, lo, hi)
+            assert lo <= oracle_value(n, hit, claims) <= hi, (n, claims, lo, hi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,9 +221,8 @@ def test_no_hit_before_the_builders_next_move(data):
     # next move, and so is every memo lo the search proves below it
     n = data.draw(st.integers(min_value=3, max_value=5))
     prop = data.draw(st.sampled_from(sorted(ORACLE_HITS)))
-    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
     hit = ORACLE_HITS[prop]
-    state = GameState(GameRules(n=n, prop=parse_property(prop), first_mover=first))
+    state = GameState(GameRules(n=n, prop=parse_property(prop)))
     # two claims or more at n = 5 keep the oracle to a fraction of a second
     for _ in range(data.draw(st.integers(min_value=n - 3, max_value=num_edges(n)))):
         player = state.whose_turn()
@@ -246,7 +234,7 @@ def test_no_hit_before_the_builders_next_move(data):
         if player == BUILDER and state.rules.prop.hit_after_state(state, eid):
             state.undo(eid, player)
             break
-    assert oracle_value(n, hit, first, state.claims) >= state.counts[BUILDER] + 1
+    assert oracle_value(n, hit, state.claims) >= state.counts[BUILDER] + 1
     if state.whose_turn() is None:
         return
     search = _Search(state.rules, None, state.claims)
@@ -264,9 +252,8 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
     # by the oracle: best_move must name the lowest-id optimal one
     n = 5
     prop = data.draw(st.sampled_from(sorted(ORACLE_HITS)))
-    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
     hit = ORACLE_HITS[prop]
-    state = GameState(GameRules(n=n, prop=parse_property(prop), first_mover=first))
+    state = GameState(GameRules(n=n, prop=parse_property(prop)))
 
     def hits(eid):
         adj = list(state.adj)
@@ -292,7 +279,7 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
         else:
             child = list(state.claims)
             child[eid] = player
-            values[eid] = oracle_value(n, hit, first, child)
+            values[eid] = oracle_value(n, hit, child)
     target = (max if player == BUILDER else min)(values.values())
     assert best_move(state, player) == min(e for e, v in values.items() if v == target)
 
@@ -340,8 +327,7 @@ def test_incremental_key_through_claims_and_undos(data):
     # start position's row must still be its own
     n = data.draw(st.integers(min_value=3, max_value=5))
     prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2"])))
-    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
-    state = GameState(GameRules(n=n, prop=prop, first_mover=first))
+    state = GameState(GameRules(n=n, prop=prop))
     for _ in range(data.draw(st.integers(min_value=0, max_value=num_edges(n) - 1))):
         player = state.whose_turn()
         free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
@@ -398,8 +384,7 @@ def test_key_rows_against_keys_from_scratch(data):
     # with one that computes each key from scratch, memo and node count too
     n = data.draw(st.integers(min_value=3, max_value=5))
     prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2"])))
-    first = data.draw(st.sampled_from([BUILDER, OPPONENT]))
-    state = GameState(GameRules(n=n, prop=prop, first_mover=first))
+    state = GameState(GameRules(n=n, prop=prop))
     for _ in range(data.draw(st.integers(min_value=0, max_value=num_edges(n) - 1))):
         player = state.whose_turn()
         free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]

@@ -242,7 +242,6 @@ class _Checked(Strategy):
     st.lists(
         st.tuples(
             st.integers(2, 12),
-            st.sampled_from([BUILDER, OPPONENT]),
             st.sampled_from(["builder", "opponent", "both", "shared"]),
             st.integers(0, 8),
             st.integers(0, 8),
@@ -259,7 +258,7 @@ def test_incremental_strategies_match_from_scratch_oracles(seed, games):
     rand, oracle_rng = RandomStrategy(seed), random.Random(seed)
     rand_oracle = lambda state, player: pick_free(state, oracle_rng)  # noqa: E731
     warm = random.Random(seed ^ 1)
-    for n, first, side, start_b, start_o in games:
+    for n, side, start_b, start_o in games:
         if side == "opponent":
             builder = _Checked(rand, rand_oracle, start_b, warm)
         else:
@@ -269,7 +268,7 @@ def test_incremental_strategies_match_from_scratch_oracles(seed, games):
         else:
             other = jumbleg if side == "shared" else jumbleg2
             opponent = _Checked(other, oracle_jumbleg_move, start_o, warm)
-        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n))
         tr = play_match(builder, opponent, rules)
         assert tr.result == "never"
         state = next(s.state for s in (builder, opponent) if hasattr(s, "state"))
@@ -333,7 +332,6 @@ def test_incremental_strategies_rekey_a_new_board_with_a_longer_log():
             st.integers(2, 40),
             st.sampled_from(["first", "turan:2", "random", "jumbleg"]),
             st.sampled_from([BUILDER, OPPONENT]),
-            st.sampled_from([BUILDER, OPPONENT]),
             st.integers(0, 40),
         ),
         min_size=1,
@@ -347,11 +345,11 @@ def test_jumbleg_search_matches_the_reference_scan_against_every_opponent(seed, 
     # and `turan:2` saturate low vertices and spread the differences wide,
     # so classes empty out and hits fall below the top key
     jumbleg, warm = JumbleGStrategy(Fraction(1, 10)), random.Random(seed)
-    for n, other, side, first, start in games:
+    for n, other, side, start in games:
         checked = _Checked(jumbleg, oracle_jumbleg_move, start, warm)
         rival = checked if other == "jumbleg" else parse_strategy(other, seed)
         players = (checked, rival) if side == BUILDER else (rival, checked)
-        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n))
         tr = play_match(*players, rules)
         assert tr.result == "never"
 
@@ -373,7 +371,7 @@ def oracle_turan_move(parts):
     st.integers(0, 2**32 - 1),
     st.integers(1, 14),
     st.lists(
-        st.tuples(st.integers(2, 12), st.sampled_from([BUILDER, OPPONENT]), st.integers(0, 8)),
+        st.tuples(st.integers(2, 12), st.integers(0, 8)),
         min_size=1,
         max_size=3,
     ),
@@ -386,9 +384,9 @@ def test_turan_pointer_matches_from_scratch_gather(seed, parts, games, back):
     # where every vertex is its own cluster and every edge a cross edge
     turan, warm = TuranAvoiderStrategy(parts), random.Random(seed)
     oracle = oracle_turan_move(parts)
-    for n, first, start in games:
+    for n, start in games:
         player = _Checked(turan, oracle, start, warm)
-        rules = GameRules(n=n, prop=NotKColorableProperty(n), first_mover=first)
+        rules = GameRules(n=n, prop=NotKColorableProperty(n))
         tr = play_match(player, player, rules)
         assert tr.result == "never"
     state = player.state
