@@ -10,10 +10,13 @@ edges; with an odd board Avoider takes the final unpaired edge and the
 match ends mid-round.
 
 One `Board` holds who claimed which edge for play, the strategies and the
-exact solver, one claim code byte per edge id; its `claim` and `undo` are
-the only writers of it, the builder's masks and counts. The strategies
-rebuild their own state only by replaying `GameState.log`. This layer needs
-no numpy: the solver and the sweep monitor view a claim record themselves.
+exact solver, one claim code byte per edge id. Play writes it only through
+`apply_move`, which calls `Board.claim`; the solver's search claims its
+start through `Board.claim` and then writes the claim bytes and the
+builder's masks of its own board itself, restoring them after each child.
+The strategies rebuild their own state only by replaying `GameState.log`.
+This layer needs no numpy: the solver and the sweep monitor view a claim
+record themselves.
 
 A move is an edge id, the index of (u, v) in `edge_pairs(n)`, from the
 strategy through `apply_move` to `GameState.log`, the match's record. Its
@@ -202,7 +205,10 @@ def _endpoints(n: int):
 
 
 class Board:
-    """Who claimed which edge of K_n; `claim` and `undo` are its only writers.
+    """Who claimed which edge of K_n. Play writes it through `apply_move`,
+    which calls `claim`; the solver's search writes the claim bytes and
+    masks of its own board below the start and restores them, leaving
+    `counts` and `unclaimed` at the start.
 
     `claims` holds one claim code per edge id, a bytearray: scalar reads
     index it, and `claims.find(code, start)` walks to the next edge with a

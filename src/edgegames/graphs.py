@@ -8,6 +8,7 @@ All densities are exact `Fraction`s; no floats enter any threshold comparison.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import os
 import re
@@ -206,19 +207,46 @@ def _pattern_chi(F: Graph) -> int:
 @functools.lru_cache(maxsize=1024)
 def _embed_order(F: Graph, first: tuple) -> tuple:
     """The pre-placed vertices `first`, then each vertex touching as many
-    placed ones as possible, ties broken by degree, then by label."""
+    placed ones as possible, ties broken by degree, then by label. A heap
+    holds (-placed neighbours, -degree, label) per remaining vertex; placing
+    a vertex pushes a fresh entry for each unplaced neighbour, and an entry
+    whose count has since grown is stale and skipped."""
     order = list(first)
-    placed = mask_of(first)
-    remaining = [w for w in range(F.n) if w not in first]
-    while remaining:
-        nxt = max(
-            remaining,
-            key=lambda w: ((F.adj[w] & placed).bit_count(), F.degree(w)),
-        )
-        order.append(nxt)
-        remaining.remove(nxt)
-        placed |= 1 << nxt
+    placed = bytearray(F.n)
+    for w in first:
+        placed[w] = 1
+    first_mask = mask_of(first)
+    touching = [(row & first_mask).bit_count() for row in F.adj]
+    heap = [(-touching[w], -F.degree(w), w) for w in range(F.n) if not placed[w]]
+    heapq.heapify(heap)
+    while heap:
+        count, _, w = heapq.heappop(heap)
+        if placed[w] or -count != touching[w]:
+            continue
+        order.append(w)
+        placed[w] = 1
+        for x in bits(F.adj[w]):
+            if not placed[x]:
+                touching[x] += 1
+                heapq.heappush(heap, (-touching[x], -F.degree(x), x))
     return tuple(order)
+
+
+def _degree_domains(adj, need) -> list:
+    """For each d in `need`, the mask of the vertices whose row in `adj`
+    has at least d bits: one mask per distinct degree, ORed downward."""
+    of_degree = {}
+    for g, row in enumerate(adj):
+        d = row.bit_count()
+        of_degree[d] = of_degree.get(d, 0) | 1 << g
+    at_least, mask, i = {}, 0, 0
+    levels = sorted(of_degree, reverse=True)
+    for d in sorted(set(need), reverse=True):
+        while i < len(levels) and levels[i] >= d:
+            mask |= of_degree[levels[i]]
+            i += 1
+        at_least[d] = mask
+    return [at_least[d] for d in need]
 
 
 def _two_colouring(adj) -> Optional[list]:
@@ -404,7 +432,7 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
     adj = G.adj
     if domains is None:  # degree pruning for non-induced search: deg_G >= deg_F
         need = [0 if induced else F.degree(w) for w in range(F.n)]
-        domains = [mask_of(g for g in range(G.n) if adj[g].bit_count() >= d) for d in need]
+        domains = _degree_domains(adj, need)
     image = [-1] * F.n
 
     def extend(pos: int, used: int) -> bool:

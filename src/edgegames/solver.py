@@ -9,18 +9,28 @@ window, so the move returned is the lowest-id optimal one. `nodes` counts
 the positions valued below the root, memo hits and full boards included; a
 builder move that hits is a leaf and costs no node.
 
+The search is an engine `Board`: the start position is claimed through
+`Board.claim`, and below it the search writes the board itself. A child
+sets its claim byte and, for a builder move, XORs its two mask bits, and
+both are restored once it is valued. So during a search `claims` and
+`adj` describe the node, while `counts` and `unclaimed` describe the
+start. Play alternates from the empty board, so a node `depth` claims deep
+is the builder's turn when depth is even, the builder then holds
+(depth + 1) // 2 edges, and a builder move there that hits is round
+depth // 2 + 1; a start that alternate play cannot reach is refused.
+
 Positions are memoized up to vertex relabelling (so n <= 7) as proven
 bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A lookup
 answers at once when they are exact or outside the window, else searches
 the window they narrow and tightens them. A position not in the memo
-starts at the a priori bounds (counts[BUILDER] + 1, never): hits are
+starts at the a priori bounds ((depth + 1) // 2 + 1, never): hits are
 checked only after builder moves, so none comes before the builder's next
-one. The claim map fixes the counts, so positions that share a key share
+one. The claim map fixes the depth, so positions that share a key share
 the bound, and one whose bound reaches beta fails high unsearched.
 
 The key of a claim map is the smallest base-3 number, over all n! vertex
-permutations, that the relabelled claim string spells. The search is an
-engine `Board` plus one row of such numbers, one per permutation, for each
+permutations, that the relabelled claim string spells. Beside its board
+the search keeps one row of such numbers, one per permutation, for each
 depth on the current path: a child that the search goes on to value gets
 its row written as its parent's row plus claims[e] times e's weight row,
 and nothing is ever subtracted, so a node costs one n!-wide add into a row
@@ -95,12 +105,14 @@ def canonical_claims(claims, n: int) -> bytes:
 
 class _Search(Board):
     """Alpha-beta from a start position, given as one claim code per edge id.
+    During a search its `claims` and `adj` hold the node being searched,
+    and its `counts` and `unclaimed` the start (see the module docstring).
 
-    `keys[d]` is `claims @ W` for the position with d claims on the current
+    `keys[d]` is `claims @ W` for the node at depth d on the current
     search path, one entry per vertex permutation of the weight table W of
-    the board's n; the start position's row is written once, and `best`
-    writes each child's row from its parent's. `rows[player][e]` is player's
-    code times W[e].
+    the board's n; the start's row is written once, and `_best` writes
+    each child's row from its parent's. `rows[player][e]` is player's code
+    times W[e].
     """
 
     def __init__(self, rules: GameRules, budget: Optional[int], start=()):
@@ -118,46 +130,62 @@ class _Search(Board):
         self.rows = {BUILDER: list(W), OPPONENT: list(OPPONENT * W)}
         self.keys = np.empty((self.m + 1, W.shape[1]), dtype=np.int64)
         self.key_rows = list(self.keys)  # views, faster to index than keys
-        self.keys[self.depth] = np.frombuffer(self.claims, dtype=np.int8) @ W
+        self.keys[self.m - self.unclaimed] = np.frombuffer(self.claims, dtype=np.int8) @ W
         require_absent(self.prop, self.n, self.adj)
 
     @property
-    def depth(self) -> int:
-        """Claims on the board: the row of `keys` the current position owns."""
-        return self.m - self.unclaimed
-
-    @property
     def key(self) -> np.ndarray:
-        """The current position's key row, read-only."""
-        row = self.keys[self.depth]
+        """The start position's key row, read-only."""
+        row = self.keys[self.m - self.unclaimed]
         row.flags.writeable = False
         return row
 
-    def best(self, alpha=-NEVER, beta=NEVER):
+    def best(self):
         """(value, first optimal edge id) for the player to move at the
-        current position, which must have an unclaimed edge. Fail-soft: a
-        value <= alpha is only an upper bound on the true one, a value >=
-        beta only a lower bound, and the edge id is then not meaningful."""
-        turn = self.whose_turn()
-        builder = turn == BUILDER
-        n, claims, us, vs, counts = self.n, self.claims, self.us, self.vs, self.counts
-        adj = self.adj
-        hit = self.prop.hit_after_masks
-        claim, undo, value = self.claim, self.undo, self._value
-        depth = self.depth
+        start position, which must have an unclaimed edge. Raises ValueError
+        unless alternate play from the empty board reaches the start, that
+        is unless the builder holds as many edges as the opponent or one
+        more. The board is as it was once best returns; a search that the
+        budget cuts leaves it mid-path."""
+        lead = self.counts[BUILDER] - self.counts[OPPONENT]
+        if lead not in (0, 1):
+            raise ValueError(
+                "alternate play cannot reach a start where the builder holds %d edges "
+                "and the opponent %d" % (self.counts[BUILDER], self.counts[OPPONENT])
+            )
+        return self._best(self.m - self.unclaimed, -NEVER, NEVER)
+
+    def _best(self, depth, alpha, beta):
+        """(value, first optimal edge id) at the node `depth` claims deep.
+        Fail-soft: a value <= alpha is only an upper bound on the true one,
+        a value >= beta only a lower bound, and the edge id is then not
+        meaningful."""
+        builder = not depth & 1
+        turn = BUILDER if builder else OPPONENT
+        n, claims, us, vs, adj = self.n, self.claims, self.us, self.vs, self.adj
+        find, hit, value = claims.find, self.prop.hit_after_masks, self._value
+        hit_round = depth // 2 + 1  # the round of a builder move here
         parent, child = self.key_rows[depth], self.key_rows[depth + 1]
         rows, add = self.rows[turn], np.add
         best = move = None
-        for eid in range(self.m):
-            if claims[eid] != UNCLAIMED:
-                continue
-            claim(eid, turn)
-            if builder and hit(n, adj, us[eid], vs[eid]):
-                val = counts[BUILDER]
+        eid = find(UNCLAIMED)
+        while eid >= 0:
+            claims[eid] = turn
+            if builder:
+                u, v = us[eid], vs[eid]
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                if hit(n, adj, u, v):
+                    val = hit_round
+                else:
+                    add(parent, rows[eid], out=child)  # the row _value reads
+                    val = value(depth + 1, alpha, beta)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
             else:
-                add(parent, rows[eid], out=child)  # the row _value reads
-                val = value(alpha, beta)
-            undo(eid, turn)
+                add(parent, rows[eid], out=child)
+                val = value(depth + 1, alpha, beta)
+            claims[eid] = UNCLAIMED
             if move is None or ((val > best) if builder else (val < best)):
                 best, move = val, eid
                 if builder:
@@ -167,20 +195,21 @@ class _Search(Board):
                     beta = best
                 if alpha >= beta:
                     break
+            eid = find(UNCLAIMED, eid + 1)
         return best, move
 
-    def _value(self, alpha, beta):
-        """Fail-soft value of the position just reached within the window
-        (alpha, beta); one search node."""
+    def _value(self, depth, alpha, beta):
+        """Fail-soft value of the node `depth` claims deep, just reached,
+        within the window (alpha, beta); one search node."""
         if self.nodes >= self.limit:
             raise BudgetExhausted()
         self.nodes += 1
-        if self.unclaimed == 0:
+        if depth == self.m:
             return NEVER
-        row = self.key_rows[self.depth]
+        row = self.key_rows[depth]
         key = row.item(row.argmin())
         # unseen: no hit before the builder's next move
-        lo, hi = self.memo.get(key) or (self.counts[BUILDER] + 1, NEVER)
+        lo, hi = self.memo.get(key) or ((depth + 1) // 2 + 1, NEVER)
         if lo == hi or lo >= beta:
             return lo
         if hi <= alpha:
@@ -189,7 +218,7 @@ class _Search(Board):
             alpha = lo
         if hi < beta:
             beta = hi
-        val = self.best(alpha, beta)[0]
+        val = self._best(depth, alpha, beta)[0]
         if val > alpha:  # not a fail-low: a lower bound, or exact
             lo = val
         if val < beta:  # not a fail-high: an upper bound, or exact

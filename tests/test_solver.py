@@ -175,6 +175,11 @@ def test_nc2_n5():
         (5, "nc:2", 5, 188),
         (6, "subgraph:K3", 7, 3_137),
         (6, "nc:2", 7, 2_877),
+        # the embedding kernel, anchored, under the solver's claims and restores
+        (6, "subgraph:C4", 7, 4_805),
+        (6, "induced:C4", 8, 6_697),
+        (6, "induced:P4", 7, 1_142),
+        (6, "subgraph:C5", 8, 2_141),
     ],
 )
 def test_pinned_values_and_node_counts(n, prop, value, nodes):
@@ -339,14 +344,15 @@ def test_incremental_key_through_claims_and_undos(data):
     search = _Search(state.rules, None, state.claims)
     valued = []
 
-    def value(alpha, beta, real=search._value):
-        valued.append((int(search.key.min()), bytes(search.claims)))
-        return real(alpha, beta)
+    def value(depth, alpha, beta, real=search._value):
+        valued.append((depth, int(search.keys[depth].min()), bytes(search.claims)))
+        return real(depth, alpha, beta)
 
     search._value = value
     search.best()
     assert len(valued) == search.nodes
-    for key, claims in valued:
+    for depth, key, claims in valued:
+        assert depth == search.m - claims.count(UNCLAIMED)
         assert key == base3(brute_canonical(claims, n))
     assert bytes(search.claims) == bytes(state.claims)
     assert (search.key == np.frombuffer(search.claims, dtype=np.int8) @ _weights(n)).all()
@@ -354,20 +360,22 @@ def test_incremental_key_through_claims_and_undos(data):
 
 class ScratchKeySearch(_Search):
     """The solver's alpha-beta with every memo key computed from scratch as
-    the minimum of claims @ W, never from the per-depth key rows."""
+    the minimum of claims @ W, never from the per-depth key rows, and the
+    full board and the a priori bound read off the node's claim bytes, not
+    its depth."""
 
-    def _value(self, alpha, beta):
+    def _value(self, depth, alpha, beta):
         self.nodes += 1
-        if self.unclaimed == 0:
+        if UNCLAIMED not in self.claims:
             return NEVER
         key = int((np.frombuffer(self.claims, dtype=np.int8) @ _weights(self.n)).min())
-        lo, hi = self.memo.get(key) or (self.counts[BUILDER] + 1, NEVER)
+        lo, hi = self.memo.get(key) or (self.claims.count(BUILDER) + 1, NEVER)
         if lo == hi or lo >= beta:
             return lo
         if hi <= alpha:
             return hi
         alpha, beta = max(alpha, lo), min(beta, hi)
-        val = self.best(alpha, beta)[0]
+        val = self._best(depth, alpha, beta)[0]
         if val > alpha:
             lo = val
         if val < beta:
@@ -396,10 +404,9 @@ def test_key_rows_against_keys_from_scratch(data):
     search = _Search(state.rules, None, state.claims)
     shallower_rows_kept = []
 
-    def value(alpha, beta, real=search._value):
-        depth = search.m - search.unclaimed
+    def value(depth, alpha, beta, real=search._value):
         before = search.keys[: depth + 1].copy()
-        val = real(alpha, beta)
+        val = real(depth, alpha, beta)
         shallower_rows_kept.append((search.keys[: depth + 1] == before).all())
         return val
 
@@ -412,6 +419,52 @@ def test_key_rows_against_keys_from_scratch(data):
     assert scratch.best() == result
     assert (scratch.memo, scratch.nodes) == (memo, nodes)
     assert best_move(state, state.whose_turn()) == result[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_best_restores_the_start(data):
+    # the search writes the claim bytes and the builder's masks of its own
+    # board below the start and restores them: after best() the board, its
+    # counts and the start's key row are what they were before
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2", "subgraph:C4"])))
+    state = GameState(GameRules(n=n, prop=prop))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=num_edges(n) - 1))):
+        player = state.whose_turn()
+        free = [e for e in range(state.m) if state.claims[e] == UNCLAIMED]
+        eid = data.draw(st.sampled_from(free))
+        apply_move(state, player, eid)
+        if player == BUILDER and prop.hit_after_state(state, eid):
+            state.undo(eid, player)
+            break
+    search = _Search(state.rules, None, state.claims)
+    before = (bytes(search.claims), list(search.adj), dict(search.counts), search.unclaimed)
+    key = search.key.copy()
+    search.best()
+    assert (bytes(search.claims), search.adj, search.counts, search.unclaimed) == before
+    assert before[:3] == (bytes(state.claims), state.adj, state.counts)
+    assert (search.key == key).all()
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        [(BUILDER, (0, 1)), (BUILDER, (2, 3))],  # the builder two ahead
+        [(OPPONENT, (0, 1))],  # the opponent ahead
+        [(BUILDER, (0, 1)), (OPPONENT, (1, 2)), (OPPONENT, (2, 3))],
+    ],
+)
+def test_best_refuses_a_start_alternate_play_cannot_reach(moves):
+    # whose turn it is follows from the depth's parity, so a start off the
+    # alternating sequence has no turn to search under
+    claims = bytearray(num_edges(5))
+    for player, (u, v) in moves:
+        claims[edge_index(u, v, 5)] = player
+    search = _Search(triangle_rules(5), None, claims)
+    with pytest.raises(ValueError, match="alternate play"):
+        search.best()
+    assert search.nodes == 0
 
 
 def reference_weights(n):
