@@ -236,15 +236,6 @@ class Board:
         self.counts[player] += 1
         self.unclaimed -= 1
 
-    def undo(self, eid: int, player: int) -> None:
-        self.claims[eid] = UNCLAIMED
-        if player == BUILDER:
-            u, v, adj = self.us[eid], self.vs[eid], self.adj
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-        self.counts[player] -= 1
-        self.unclaimed += 1
-
     def whose_turn(self) -> Optional[int]:
         if self.unclaimed == 0:
             return None

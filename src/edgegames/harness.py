@@ -10,6 +10,7 @@ is stable across platforms.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import random
@@ -33,7 +34,7 @@ from .engine import (
     play_match,
 )
 from .graphs import graph_from_name, graph_from_text, turan_bounds
-from .regularity import _pool_samples, jumbleg_margin, least_size_above
+from .regularity import _samples, jumbleg_margin, least_size_above
 from .strategies import match_players
 
 CSV_COLUMNS = "n,trial,seed,hit_round,lower,upper_main,violations"
@@ -130,13 +131,14 @@ def margin_violation_fraction(n: int, codes, eps: Fraction, pairs: int, seed: in
 
     Pair i is S + T = `rng.sample(range(n), 2*size)`, the i-th such draw from
     `random.Random(seed)` (as `_random_disjoint_pairs` draws pairs), taken
-    straight from the generator's bits by `_pool_samples`. Every pair's
+    straight from the generator's bits by `_samples`. Every pair's
     e_B - e_M is summed at once from one signed n x n matrix, +1 where the
     builder holds the edge and -1 where the opponent does."""
     size = monitor_set_size(n, eps)
     # margins are integers, so margin <= bound iff margin <= floor(bound)
     limit = math.floor(jumbleg_margin(0, 0, size, size, eps)[1])
-    picks = np.array(_pool_samples(random.Random(seed), n, 2 * size, pairs), dtype=np.intp)
+    draws = _samples(random.Random(seed), range(n), 2 * size)
+    picks = np.array(list(itertools.islice(draws, pairs)), dtype=np.intp)
     us, vs = (np.frombuffer(t, dtype=np.uint16) for t in _endpoints(n))
     signed = np.zeros((n, n), dtype=np.int8)
     signed[us, vs] = _SIGN.take(np.frombuffer(codes, dtype=np.int8))  # the upper triangle

@@ -14,6 +14,7 @@ uses <=, pair regularity uses strict <, cluster-graph adjacency uses >=.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,9 +27,13 @@ import numpy as np
 from .graphs import Graph, bits, density, edges_between, embed, graph_from_edges, mask_of
 
 
-P2_EXACT_LIMIT = 16  # exact P2 sorts one weight row per S with |S| <= n/2, about 2^(n-1)
-PAIR_EXACT_LIMIT = 24  # exact regular-pair sorts one weight row per subset of the smaller side
-DRAW_CHUNK = 1024  # sampled P2 draws its pairs this many at a time
+P2_EXACT_LIMIT = 20  # exact P2 sorts one weight row per S with |S| <= n/2, about 2^(n-1)
+# exact regular-pair sorts one weight row of max(|A|, |B|) cells per subset of
+# the smaller side, so it caps 2^min(|A|, |B|) * max(|A|, |B|)
+PAIR_EXACT_CELLS = 2**18 * 18
+# the exact scans sort their weight rows in chunks of about this many cells,
+# SCAN_CELLS // (columns) rows or one row, so no chunk grows with either side
+SCAN_CELLS = 2**13
 
 
 def least_size_above(x) -> int:
@@ -92,15 +97,23 @@ def _worst_cells(W, sizes, least: int, c: Fraction):
     """The worst |e(R,C)/(|R||C|) - c| over the rows R of W and the sets C of
     at least `least` columns, where W[r, j] = |N(c_j) & R_r| and sizes[r] = |R_r|.
 
-    W is float64, as the scans' matmuls make it: its entries and their sums
-    over C are integers below 2^53, so they are exact.
     e(R,C) sums the row's weights over C, and the deviation is convex in it,
     so over |C| = t only the sets at the bottom-t or top-t sum reach the
     peak; one sort and one cumsum per row give both sums for every t.
     Returns the exact Fraction `worst` and hit[direction, row, t - least],
     which marks the cells at it (direction 0 bottom, 1 top; None if there is
-    no cell). Equal float ratios of exact integers are equal deviations, and
-    distinct ones stay apart at these sizes.
+    no cell).
+
+    The cells are compared as float64 ratios N/D, N = |q e - p |R| t| and
+    D = |R| t, where c = p/q; the exact scans keep them exact and apart. With
+    rows of at most m vertices and M columns, e and D are at most mM, and so
+    is q (P2: q = 2; a pair: q divides |A||B| = mM). So N <= qD is an integer
+    of at most (mM)^2 < 2^53, exact, and equal ratios are equal floats. Two
+    distinct ratios differ by at least 1/(D D') >= 1/(mM)^2, and both are at
+    most q, as a deviation is at most 1; rounding to nearest moves each by
+    less than 2^-52 q, so they stay apart while (mM)^3 < 2^52. Under the caps
+    mM is at most 10 * 20 for P2 at n = 20, and below 2^17 for a pair
+    (checked by is_regular_pair): 324 at 18 + 18, 2,400 at 12 + 200.
     """
     k = W.shape[1]
     if least > k or not len(W):
@@ -119,22 +132,26 @@ def _worst_cells(W, sizes, least: int, c: Fraction):
     return abs(Fraction(int(e), int(size[r, j])) - c), hit
 
 
-def _earliest_sets(W, least: int):
-    """masks[direction, row, t - least]: the earliest column set of size t at
-    the bottom-t (0) or top-t (1) sum of each row of W, as a bitmask over the
-    column positions. It is the first t entries of a stable argsort: the
+def _earliest_sets(W, t, direction: int) -> list:
+    """For each row r of W, the earliest column set of size t[r] at the
+    bottom-t (direction 0) or top-t (1) sum of the row, as a bitmask over the
+    column positions. It is the first t[r] entries of a stable argsort: the
     columns strictly past the threshold weight, then the lowest tied ones.
     Among the sets at that sum it is first in combinations order and the
-    smallest bitmask."""
-    orders = np.stack([np.argsort(w, axis=1, kind="stable") for w in (W, -W)])
-    return np.cumsum(1 << orders, axis=2)[..., least - 1 :]
+    smallest bitmask. One set per row, packed into a Python int, so any
+    number of columns fits and memory stays at one bit per cell of W."""
+    order = np.argsort(-W if direction else W, axis=1, kind="stable")
+    chosen = np.zeros(W.shape, dtype=bool)
+    np.put_along_axis(chosen, order, np.arange(W.shape[1]) < t[:, None], axis=1)
+    packed = np.packbits(chosen, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _subset_table(k: int) -> np.ndarray:
-    """The 2^k x k uint8 table whose row i is the indicator vector of subset
-    id i: entry j is bit j of i, unpacked from the little-endian bytes of the
-    uint32 ids."""
-    ids = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+def _subset_table(k: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start) x k uint8 table whose row i is the indicator vector
+    of subset id start + i: entry j is bit j of the id, unpacked from the
+    little-endian bytes of the uint32 ids."""
+    ids = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return np.unpackbits(ids, axis=1, count=k, bitorder="little")
 
 
@@ -142,29 +159,52 @@ def _pair_exact_scan(G: Graph, a_list, b_list, x_size: int, y_size: int, c: Frac
     """Exact is_regular_pair. The witness is the least (X index, Y index)
     among the worst pairs, an index being the bitmask over the positions of
     a side. The rows of _worst_cells are the subsets of the smaller side (A
-    on a tie), at most 2^12 of them under PAIR_EXACT_LIMIT. W is float64, one
-    matmul of the subsets' incidence rows with the side-to-side adjacency:
-    its entries are sums of at most 12 zeros and ones, exact below 2^53."""
+    on a tie), at most 2^18 of them under the cap, taken in ascending order
+    SCAN_CELLS // max(|A|, |B|) subset ids (or one) at a time, so memory
+    grows with neither their number nor the length of a row.
+    W is float64, one matmul of a chunk's incidence rows with the
+    side-to-side adjacency: its entries are sums of at most 18 zeros and
+    ones, exact below 2^53.
+
+    A chunk's worst takes over only when it is strictly larger, so with A as
+    rows the first worst row of the first chunk at the worst holds the
+    witness. With B as rows an equal worst also takes over when its least
+    column set key (the X index) is smaller: the least X, then the least Y.
+    """
     swap = len(b_list) < len(a_list)
     rows, cols = (b_list, a_list) if swap else (a_list, b_list)
     row_size, col_size = (y_size, x_size) if swap else (x_size, y_size)
-    inc = _subset_table(len(rows))
-    sizes = inc.sum(axis=1, dtype=np.intp)
-    keep = sizes >= row_size  # row subsets, in ascending index order
-    inc, sizes = inc[keep].astype(np.float64), sizes[keep]
-    W = inc @ np.array([[G.adj[u] >> v & 1 for v in cols] for u in rows], dtype=np.float64)
-    worst, hit = _worst_cells(W, sizes, col_size, c)
-    witness = None
-    if worst:
+    adj = np.array([[G.adj[u] >> v & 1 for v in cols] for u in rows], dtype=np.float64)
+    none = 1 << len(cols)  # above every column mask
+    worst, witness, best = Fraction(0), None, none
+    step = max(1, SCAN_CELLS // len(cols))
+    for start in range(0, 1 << len(rows), step):
+        inc = _subset_table(len(rows), start, min(start + step, 1 << len(rows)))
+        sizes = inc.sum(axis=1, dtype=np.intp)
+        keep = sizes >= row_size  # row subsets, in ascending index order
+        if not keep.any():
+            continue
+        inc, sizes = inc[keep], sizes[keep]
+        W = inc.astype(np.float64) @ adj
+        dev, hit = _worst_cells(W, sizes, col_size, c)
+        if not dev or dev < worst or (dev == worst and not swap):
+            continue
         # rows with a worst cell; with A as rows the first one holds the witness
         hr = np.flatnonzero(hit.any(axis=(0, 2)))[: None if swap else 1]
-        none = 1 << len(cols)  # above every column mask
-        key = np.where(hit[:, hr], _earliest_sets(W[hr], col_size), none).min(axis=(0, 2))
-        i = int(np.argmin(key))  # with B as rows, the least X and then the least Y
+        key = [none] * len(hr)
+        for d in (0, 1):  # one direction's sets grow with t: only its least hit t counts
+            h = hit[d, hr]
+            sets = _earliest_sets(W[hr], col_size + h.argmax(axis=1), d)
+            key = [min(k, m) if hits else k for k, m, hits in zip(key, sets, h.any(axis=1))]
+        i = key.index(min(key))  # with B as rows, the least X and then the least Y
+        if dev == worst and key[i] >= best:
+            continue
+        worst, best = dev, key[i]
         R = mask_of(rows[k] for k in np.flatnonzero(inc[hr[i]]).tolist())
-        C = mask_of(cols[k] for k in bits(int(key[i])))
+        C = mask_of(cols[k] for k in bits(best))
         witness = (C, R) if swap else (R, C)
-    samples = len(inc) * sum(math.comb(len(cols), t) for t in range(col_size, len(cols) + 1))
+    subsets = lambda side, least: sum(math.comb(len(side), t) for t in range(least, len(side) + 1))
+    samples = subsets(rows, row_size) * subsets(cols, col_size)
     return _report("exact", worst, samples, witness, fails)
 
 
@@ -175,34 +215,38 @@ def _p2_exact_scan(G: Graph, min_size: int, fails) -> RegularityReport:
     order. A pair (S, T) and its mirror (T, S) deviate equally, so the first
     worst pair has T after S, hence |T| >= |S|: only rows S with |S| <= n/2
     and sets T with |T| >= |S| are scanned. The rows of one size go to
-    _worst_cells in combinations order, with the vertices outside S as
-    columns. Their weights W are float64, one matmul per size of the rows'
-    indicator vectors with the adjacency matrix: sums of at most 8 zeros and
-    ones, exact below 2^53. `samples` counts every ordered qualifying pair.
+    _worst_cells in combinations order, SCAN_CELLS // (n - |S|) at a time,
+    with the vertices outside S as columns, so memory does not grow with
+    their number; a chunk's worst takes over only when it is strictly
+    larger, so the first worst row of the first chunk at the worst holds the
+    witness.
+    Their weights W are float64, one matmul per chunk of the rows' indicator
+    vectors with the adjacency matrix: sums of at most 10 zeros and ones,
+    exact below 2^53. `samples` counts every ordered qualifying pair.
     """
     n = G.n
     adj = np.array([[G.adj[u] >> v & 1 for v in range(n)] for u in range(n)], dtype=np.float64)
-    # The indicator vector of every vertex set, with reversed columns, so
-    # that bit n-1-v of its id marks v. Of two sets of one size, the first in
-    # combinations order holds the least vertex where they differ, so it has
-    # the larger id: reversed rows, descending ids, list each size in
-    # combinations order.
-    indicators = _subset_table(n)[::-1, ::-1]
-    set_sizes = indicators.sum(axis=1)
     worst, witness = Fraction(0), None
     for s in range(min_size, n // 2 + 1):
-        inside = indicators[set_sizes == s].astype(np.float64)
-        W = (inside @ adj)[inside == 0].reshape(len(inside), n - s)  # columns ascending per row
-        dev, hit = _worst_cells(W, np.full(len(W), s), s, Fraction(1, 2))
-        if dev > worst:
-            worst = dev
-            r = int(np.argmax(hit.any(axis=(0, 2))))  # the first worst row
-            j = int(np.argmax(hit[:, r].any(axis=0)))  # its smallest worst |T|
-            sets = _earliest_sets(W[r, None], s)[:, 0, j][hit[:, r, j]]
-            T = min(sets.tolist(), key=lambda m: list(bits(m)))  # the earlier in (sorted T) order
-            outside = np.flatnonzero(inside[r] == 0)
-            S = np.flatnonzero(inside[r])
-            witness = (mask_of(S.tolist()), mask_of(outside[list(bits(T))].tolist()))
+        combos, step = itertools.combinations(range(n), s), max(1, SCAN_CELLS // (n - s))
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, step))
+            S = np.fromiter(chunk, dtype=np.intp).reshape(-1, s)  # one set per row, ascending
+            if not len(S):
+                break
+            inside = np.zeros((len(S), n))
+            np.put_along_axis(inside, S, 1, axis=1)
+            W = (inside @ adj)[inside == 0].reshape(len(S), n - s)  # columns ascending per row
+            dev, hit = _worst_cells(W, np.full(len(S), s), s, Fraction(1, 2))
+            if dev > worst:
+                worst = dev
+                r = int(np.argmax(hit.any(axis=(0, 2))))  # the first worst row
+                j = int(np.argmax(hit[:, r].any(axis=0)))  # its smallest worst |T|
+                t = np.array([s + j])
+                sets = [_earliest_sets(W[r, None], t, d)[0] for d in (0, 1) if hit[d, r, j]]
+                T = min(sets, key=lambda m: list(bits(m)))  # the earlier in (sorted T) order
+                outside = np.flatnonzero(inside[r] == 0)
+                witness = (mask_of(S[r].tolist()), mask_of(outside[list(bits(T))].tolist()))
     samples = sum(
         math.comb(n, s) * math.comb(n - s, t)
         for s in range(min_size, n + 1)
@@ -253,20 +297,23 @@ def _pool_limit(k: int) -> int:
     return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
 
 
-def _pool_samples(rng: random.Random, n: int, k: int, count: int) -> list:
-    """`[rng.sample(range(n), k) for _ in range(count)]`, drawn without
-    `sample`'s per-call overhead.
+def _samples(rng: random.Random, population, k: int):
+    """Yield `rng.sample(population, k)`, again and again.
 
-    Runs the pool path of CPython's `Random.sample` inline: a partial
-    Fisher-Yates shuffle of list(range(n)) whose index j < m is `_randbelow(m)`,
-    `getrandbits(m.bit_length())` redrawn until below m. `sample` takes that
-    path when n <= `_pool_limit(k)`; outside it this raises ValueError."""
+    Where len(population) <= `_pool_limit(k)`, `sample` takes its pool path,
+    and each draw runs it inline, without `sample`'s per-call overhead: a
+    partial Fisher-Yates shuffle of a copy of the population whose index
+    j < m is `_randbelow(m)`, that is `getrandbits(m.bit_length())` redrawn
+    until below m. Elsewhere each draw is a `sample` call, which raises
+    ValueError for a k outside 0..len(population)."""
+    n = len(population)
     if not 0 <= k <= n or n > _pool_limit(k):
-        raise ValueError("sample of %d from %d is off the pool path" % (k, n))
+        while True:
+            yield rng.sample(population, k)
     getrandbits = rng.getrandbits
+    population = list(population)
     widths = [(m, m.bit_length()) for m in range(n, n - k, -1)]
-    population, samples = list(range(n)), []
-    for _ in range(count):
+    while True:
         pool, picks = population[:], []
         pick = picks.append
         for m, width in widths:
@@ -275,26 +322,15 @@ def _pool_samples(rng: random.Random, n: int, k: int, count: int) -> list:
                 j = getrandbits(width)
             pick(pool[j])
             pool[j] = pool[m - 1]  # the unpicked last entry fills the vacancy
-        samples.append(picks)
-    return samples
+        yield picks
 
 
 def _random_disjoint_pairs(rng: random.Random, n: int, s: int, t: int, count: int):
     """Yield `count` disjoint vertex masks (S, T), |S| = s and |T| = t: the
     i-th is the first s and the last t picks of the i-th
-    `rng.sample(range(n), s + t)`. Drawn DRAW_CHUNK at a time, so memory
-    stays flat in `count`, through `_pool_samples` where `sample` takes its
-    pool path, else by `sample`."""
-    k = s + t
-    pooled = n <= _pool_limit(k)
-    for start in range(0, count, DRAW_CHUNK):
-        size = min(DRAW_CHUNK, count - start)
-        if pooled:
-            picks = _pool_samples(rng, n, k, size)
-        else:
-            picks = [rng.sample(range(n), k) for _ in range(size)]
-        for p in picks:
-            yield mask_of(p[:s]), mask_of(p[s:])
+    `rng.sample(range(n), s + t)`, drawn by `_samples`."""
+    for p in itertools.islice(_samples(rng, range(n), s + t), count):
+        yield mask_of(p[:s]), mask_of(p[s:])
 
 
 def check_p2(
@@ -394,10 +430,12 @@ def is_regular_pair(
     """alpha-regularity of (A,B): |d(A,B) - d(X,Y)| < alpha for all X sub A,
     Y sub B with |X| > alpha|A| and |Y| > alpha|B|.
 
-    Exact mode covers every qualifying sub-pair (|A|+|B| <= PAIR_EXACT_LIMIT)
-    with one sorted weight row per subset of the smaller side (see
-    _pair_exact_scan); sampled mode draws qualifying subsets at the minimum
-    qualifying size.
+    Exact mode covers every qualifying sub-pair, with one sorted weight row
+    per subset of the smaller side (see _pair_exact_scan), while
+    2^min(|A|,|B|) * max(|A|,|B|) <= PAIR_EXACT_CELLS and |A||B| < 2^17.
+    Sampled mode draws qualifying subsets at the minimum qualifying size,
+    X and then Y from one generator, as `rng.sample` on the sides' sorted
+    vertex lists would.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -415,23 +453,23 @@ def is_regular_pair(
     fails = lambda dev: dev >= alpha
 
     if mode == "exact":
-        if a + b > PAIR_EXACT_LIMIT:
-            raise ValueError("exact regular-pair limited to |A|+|B| <= %d" % PAIR_EXACT_LIMIT)
+        # |A||B| < 2^17 keeps _worst_cells' float ratios apart; under the
+        # cell cap only a side of at least 16,384 vertices reaches it
+        if max(a, b) << min(a, b) > PAIR_EXACT_CELLS or a * b >= 2**17:
+            raise ValueError(
+                "exact regular-pair limited to 2^min(|A|,|B|) * max(|A|,|B|) <= 2^18 * 18"
+                " and |A||B| < 2^17"
+            )
         return _pair_exact_scan(G, a_list, b_list, x_size, y_size, d, fails)
 
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    return _sampled_scan(
-        G,
-        lambda rng, count: (
-            (mask_of(rng.sample(a_list, x_size)), mask_of(rng.sample(b_list, y_size)))
-            for _ in range(count)
-        ),
-        d,
-        fails,
-        trials,
-        seed,
-    )
+
+    def draws(rng, count):
+        xs, ys = _samples(rng, a_list, x_size), _samples(rng, b_list, y_size)
+        return ((mask_of(next(xs)), mask_of(next(ys))) for _ in range(count))
+
+    return _sampled_scan(G, draws, d, fails, trials, seed)
 
 
 def slicing_alpha(alpha, L0: int, Li: int, Lj: int) -> Fraction:

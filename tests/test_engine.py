@@ -27,6 +27,7 @@ from edgegames.engine import (
     PropertyDetector,
     SubgraphProperty,
     Transcript,
+    UNCLAIMED,
     _encode,
     _endpoints,
     apply_move,
@@ -285,6 +286,19 @@ def test_state_graphs_equal_validated_graphs(n, data):
         assert G == graph_from_edges(n, claimed)
 
 
+def undo(board, eid: int, player: int) -> None:
+    """Take back `player`'s claim of edge `eid`, the inverse of `Board.claim`,
+    for the tests that walk a board back; play never undoes, and the
+    solver's search restores its own claim bytes and masks."""
+    board.claims[eid] = UNCLAIMED
+    if player == BUILDER:
+        u, v, adj = board.us[eid], board.vs[eid], board.adj
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    board.counts[player] -= 1
+    board.unclaimed += 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_board_claim_undo_matches_rebuild(n, data):
@@ -299,7 +313,7 @@ def test_board_claim_undo_matches_rebuild(n, data):
         if claimed and (not free or data.draw(st.booleans())):
             eid = data.draw(st.sampled_from(sorted(claimed)))
             player = claimed.pop(eid)
-            board.undo(eid, player)
+            undo(board, eid, player)
         else:
             eid = data.draw(st.sampled_from(free))
             player = claimed[eid] = data.draw(st.sampled_from([BUILDER, OPPONENT]))

@@ -4,6 +4,7 @@ CLI tests go through cli.main(argv) so exit codes and output files are
 exercised exactly as a shell user would see them.
 """
 
+import itertools
 import json
 import math
 import random
@@ -40,7 +41,7 @@ from edgegames.harness import (
     sweep_to_csv,
     sweep_to_json,
 )
-from edgegames.regularity import _pool_samples, jumbleg_margin
+from edgegames.regularity import _samples, jumbleg_margin
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +174,12 @@ def test_pool_samples_match_random_sample(n, eps, seed, count):
     k = 2 * monitor_set_size(n, eps)
     rng = random.Random(seed)
     want = [rng.sample(range(n), k) for _ in range(count)]
-    assert _pool_samples(random.Random(seed), n, k, count) == want
+    assert list(itertools.islice(_samples(random.Random(seed), range(n), k), count)) == want
 
 
 def test_monitor_sizes_take_the_pool_path():
     # `sample` shuffles a pool when n <= 21 + (the smallest power of 4 that
-    # is at least 3k, for k > 5); `_pool_samples` runs only that path
+    # is at least 3k, for k > 5); `_samples` runs that path inline
     for eps in (Fraction(1, 10), Fraction(1, 3)):
         for n in range(2, MAX_N + 1):
             k = 2 * monitor_set_size(n, eps)
@@ -186,9 +187,6 @@ def test_monitor_sizes_take_the_pool_path():
             while k > 5 and table < 3 * k:
                 table *= 4
             assert 2 <= k <= n <= 21 + (table if k > 5 else 0), (n, eps)
-    for n, k in ((100, 5), (1000, 10), (5, 6)):  # set path, set path, k > n
-        with pytest.raises(ValueError, match="off the pool path"):
-            _pool_samples(random.Random(0), n, k, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,6 +574,10 @@ def test_cli_validation_exit_code_2(tmp_path, capsys):
     assert main(["play", "--n", "5", "--property", "subgraph:K1"]) == 2
     assert main(["sweep", "--n", "5:6", "--property", "subgraph:K1"]) == 2
     assert main(["verify", "regular-pair", "--graph", "K6"]) == 2  # no --A/--B
+    # past the exact caps: n = 21, and 2^19 * 19 cells above 2^18 * 18
+    assert main(["verify", "p2", "--graph", "K21", "--eps", "1/10", "--mode", "exact"]) == 2
+    assert main(["verify", "regular-pair", "--graph", "Kpartite:19,19", "--alpha", "1/10",
+                 "--A", ",".join(map(str, range(19))), "--B", ",".join(map(str, range(19, 38)))]) == 2
     for mode in ("exact", "sampled"):
         assert main(["verify", "regular-pair", "--graph", "K6", "--A", "0,1", "--B", "2,99",
                      "--mode", mode]) == 2  # vertex 99 is not in K6

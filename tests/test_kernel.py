@@ -34,6 +34,7 @@ from edgegames.graphs import (
     path_graph,
 )
 from edgegames.regularity import find_induced_embedding
+from test_engine import undo
 from test_graphs import brute_force_colorable
 from test_regularity import oracle_embedding
 
@@ -294,7 +295,7 @@ def claim_or_undo(board, data, claimed):
     after an undo."""
     if claimed and data.draw(st.integers(0, 3)) == 0:
         eid, player = claimed.pop(data.draw(st.integers(0, len(claimed) - 1)))
-        board.undo(eid, player)
+        undo(board, eid, player)
         return None
     free = [e for e in range(board.m) if board.claims[e] == 0]
     eid = data.draw(st.sampled_from(free))

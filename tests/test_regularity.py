@@ -7,6 +7,7 @@ independently of the bitmask/numpy implementations under test.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,13 @@ from edgegames.graphs import (
     mask_of,
     path_graph,
 )
+from edgegames import regularity
 from edgegames.regularity import (
     ConstantSchedule,
-    DRAW_CHUNK,
     _meets_jumbleg_eps,
     _p2_exact_scan,
     _random_disjoint_pairs,
+    _samples,
     _subset_table,
     check_density_lemma,
     check_p1,
@@ -186,6 +188,11 @@ def test_p2_exact_k16_pin():
         (14, Fraction(1, 4), 2_401_828, HALF, [2, 6, 10, 12], [3, 4, 5, 9]),
         (16, Fraction(1, 10), 41_867_346, HALF, [0, 1], [3, 7]),
         (16, Fraction(1, 4), 16_117_686, Fraction(23, 50), [0, 3, 6, 12, 13], [1, 2, 4, 7, 11]),
+        # recorded through _p2_exact_scan before it took its rows in chunks
+        (18, Fraction(1, 10), 382_177_952, HALF, [0, 1], [5, 9]),
+        (18, Fraction(1, 4), 214_908_254, Fraction(21, 50), [0, 2, 5, 10, 13], [1, 6, 7, 12, 15]),
+        (20, Fraction(1, 10), 3_364_137_720, HALF, [0, 1, 3], [4, 8, 12]),
+        (20, Fraction(1, 4), 1_537_622_766, Fraction(5, 12), [1, 3, 4, 5, 11, 12], [2, 6, 7, 10, 13, 15]),
     ],
 )
 def test_p2_exact_pins_on_random_graphs(n, eps, samples, deviation, S, T):
@@ -212,20 +219,22 @@ def test_p2_witness_is_a_violation():
 
 def test_p2_exact_size_cap():
     with pytest.raises(ValueError):
-        check_p2(empty_graph(20), Fraction(1, 10), mode="exact")
+        check_p2(empty_graph(21), Fraction(1, 10), mode="exact")
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 17])
 def test_subset_table_rows_are_the_bits_of_their_ids(k):
-    table = _subset_table(k)
+    table = _subset_table(k, 0, 1 << k)
     ids = np.arange(1 << k)
     assert table.shape == (1 << k, k)
     assert (table == ids[:, None] >> np.arange(k) & 1).all()
+    start, stop = (1 << k) // 3, (1 << k) // 2  # a chunk from the middle
+    assert (_subset_table(k, start, stop) == table[start:stop]).all()
 
 
 def test_p2_exact_scan_past_16_vertices():
-    # check_p2 still caps exact mode at n = 16; the scan itself runs at n = 17,
-    # where 16-bit subset ids overflowed
+    # at n = 17, where the 16-bit subset ids of an earlier scan overflowed;
+    # the scan now lists each size's sets in combinations order instead
     rep = _p2_exact_scan(complete_graph(17), 2, lambda dev: dev > Fraction(1, 10))
     assert rep.deviation == HALF and not rep.passed
     assert (rep.witness_S, rep.witness_T) == (mask_of([0, 1]), mask_of([2, 3]))
@@ -275,13 +284,12 @@ def sample_pool_limit(k):
 @given(st.data())
 def test_disjoint_pairs_are_sample_draws_on_both_paths(data):
     # sampled P2's pairs against one `sample` call per pair, at n on both
-    # sides of the pool/set threshold and across chunk boundaries; both
+    # sides of the pool/set threshold and over long runs of draws; both
     # generators must also end in the same state
     s, t = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
     limit = sample_pool_limit(s + t)
     n = data.draw(st.one_of(st.sampled_from([limit, limit + 1]), st.integers(s + t, 2 * limit)))
-    edges = [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 1]
-    count = data.draw(st.one_of(st.integers(0, 7), st.sampled_from(edges)))
+    count = data.draw(st.one_of(st.integers(0, 7), st.sampled_from([1023, 1024, 1025, 2049])))
     seed = data.draw(st.integers(min_value=0, max_value=2**64))
     rng, ref = random.Random(seed), random.Random(seed)
     got = list(_random_disjoint_pairs(rng, n, s, t, count))
@@ -480,6 +488,112 @@ def test_regular_pair_exact_pins_on_a_random_graph(alpha, samples, deviation, X,
     }
 
 
+# Reports recorded through _pair_exact_scan before it took its rows in
+# chunks, past the |A| + |B| <= 24 cap of that time: seeded k + k splits of
+# G(2k, 1/2), seeded as the 12 + 12 pins are.
+@pytest.mark.parametrize(
+    "k, alpha, samples, deviation, X, Y",
+    [
+        (16, Fraction(1, 10), 4_292_739_361, Fraction(129, 256), [1, 2], [4, 7]),
+        (16, Fraction(1, 4), 3_971_394_361, Fraction(2969, 6400), [2, 21, 23, 26, 30], [4, 9, 11, 14, 27]),
+        (18, Fraction(1, 10), 68_709_515_625, Fraction(14, 27), [0, 3], [8, 14]),
+        (18, Fraction(1, 4), 66_613_545_216, Fraction(298, 675), [2, 5, 7, 9, 18], [12, 14, 22, 23, 33]),
+    ],
+)
+def test_regular_pair_exact_pins_past_24_vertices(k, alpha, samples, deviation, X, Y):
+    G = random_graph(2 * k, 0.5, random.Random(2 * k))
+    perm = random.Random(int(str(2 * k) * 2)).sample(range(2 * k), 2 * k)
+    A, B = sorted(perm[:k]), sorted(perm[k:])
+    rep = is_regular_pair(G, mask_of(A), mask_of(B), alpha, mode="exact")
+    assert rep.to_json() == {
+        "passed": False,
+        "mode": "exact",
+        "deviation_num": deviation.numerator,
+        "deviation_den": deviation.denominator,
+        "samples": samples,
+        "witness_S": X,
+        "witness_T": Y,
+    }
+
+
+def reference_pair_scan(G, A_verts, B_verts, alpha):
+    """(worst deviation, sub-pair count) of exact regular-pair, from every
+    subset R of the smaller side and, for each size t, the t smallest and
+    the t largest of the other side's weights |N(c) & R|, in Python ints."""
+    d = density(G, mask_of(A_verts), mask_of(B_verts))
+    rows, cols = sorted((A_verts, B_verts), key=len)
+    least = [math.floor(alpha * len(side)) + 1 for side in (rows, cols)]
+    worst, count = Fraction(0), 0
+    for size in range(least[0], len(rows) + 1):
+        for R in itertools.combinations(rows, size):
+            count += 1
+            w = sorted((G.adj[c] & mask_of(R)).bit_count() for c in cols)
+            for t in range(least[1], len(cols) + 1):
+                for e in (sum(w[:t]), sum(w[-t:])):
+                    worst = max(worst, abs(Fraction(e, size * t) - d))
+    return worst, count * sum(math.comb(len(cols), t) for t in range(least[1], len(cols) + 1))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_regular_pair_exact_past_63_columns(swap):
+    # 8 + 100 vertices: the column sets of the 100-vertex side are bitmasks
+    # wider than an int64; the report must be the reference scan's, and the
+    # witness a qualifying sub-pair at the worst deviation
+    G = random_graph(108, 0.5, random.Random(108))
+    small, big = list(range(8)), list(range(8, 108))
+    A, B = (big, small) if swap else (small, big)
+    alpha = Fraction(1, 4)
+    worst, count = reference_pair_scan(G, A, B, alpha)
+    rep = is_regular_pair(G, mask_of(A), mask_of(B), alpha, mode="exact")
+    assert (rep.deviation, rep.samples, rep.passed) == (worst, count, False)
+    X, Y = rep.witness_S, rep.witness_T
+    assert X & ~mask_of(A) == 0 and Y & ~mask_of(B) == 0
+    assert Fraction(X.bit_count()) > alpha * len(A) and Fraction(Y.bit_count()) > alpha * len(B)
+    assert abs(density(G, X, Y) - density(G, mask_of(A), mask_of(B))) == worst
+
+
+@pytest.mark.parametrize("small_first", [False, True])
+def test_regular_pair_exact_wide_side_in_bounded_memory(small_first):
+    # 1989 + 11 vertices, the first of the 1989 joined to all 11, alpha
+    # 1/400: with the 11 as rows every row is at the worst, 1/5 - 1/1989 at
+    # the five earliest columns; both ways the witness is the least qualifying
+    # pair. The scan's traced peak stays under 4 MB: one chunk of about
+    # SCAN_CELLS weights, and one packed column set per worst row
+    big, small = list(range(1989)), list(range(1989, 2000))
+    G = graph_from_edges(2000, [(0, v) for v in small])
+    A, B = (small, big) if small_first else (big, small)
+    tracemalloc.start()
+    try:
+        rep = is_regular_pair(G, mask_of(A), mask_of(B), Fraction(1, 400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    least = (mask_of(small[:1]), mask_of(big[:5]))  # the least qualifying sets
+    columns = sum(math.comb(1989, t) for t in range(5, 1990))
+    assert (rep.deviation, rep.passed, rep.samples) == (Fraction(1984, 9945), False, 2047 * columns)
+    assert (rep.witness_S, rep.witness_T) == (least if small_first else least[::-1])
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("cells", [1, 12])
+@pytest.mark.parametrize(
+    "oracle_test",
+    [
+        test_p2_exact_matches_oracle,
+        test_p2_exact_matches_oracle_any_graph,
+        test_regular_pair_matches_oracle,
+        test_regular_pair_matches_oracle_any_graph,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_exact_scans_match_the_oracles_in_small_chunks(oracle_test, cells, monkeypatch):
+    # chunks of one row, and of 12 // (columns) rows, 1 to 6 here: ties
+    # across chunk edges, chunks with no row of the size, and the witness
+    # rule with B as rows
+    monkeypatch.setattr(regularity, "SCAN_CELLS", cells)
+    oracle_test()
+
+
 def test_regular_pair_strictness():
     # deviation exactly equal to alpha must fail (strict <):
     # A={0,1,2}, B={3,4,5}, edges only from 0, so d = 1/3; the qualifying
@@ -497,13 +611,14 @@ def test_regular_pair_validation():
         is_regular_pair(G, mask_of([0, 1]), mask_of([1, 2]), HALF)  # overlap
     with pytest.raises(ValueError):
         is_regular_pair(G, 0, mask_of([1, 2]), HALF)
-    with pytest.raises(ValueError):
-        is_regular_pair(
-            complete_multipartite([13, 13]),
-            mask_of(range(13)),
-            mask_of(range(13, 26)),
-            HALF,
-        )  # over the exact cap
+    for sizes in ([19, 19], [12, 1153], [7, 18725]):  # over the exact caps
+        with pytest.raises(ValueError):
+            is_regular_pair(
+                empty_graph(sum(sizes)),
+                mask_of(range(sizes[0])),
+                mask_of(range(sizes[0], sum(sizes))),
+                HALF,
+            )
     for mode in ("exact", "sampled"):
         with pytest.raises(ValueError):
             is_regular_pair(G, mask_of([0, 1]), mask_of([2, 99]), HALF, mode=mode)
@@ -519,6 +634,46 @@ def test_regular_pair_sampled_one_sided():
     assert sampled.deviation <= exact.deviation
     if exact.passed:
         assert sampled.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_regular_pair_sampled_draws_are_sample_draws(data):
+    # X and then Y each trial, against two `sample` calls on the sorted
+    # sides: sides on both sides of the pool/set threshold, and draws larger
+    # than their side, which raise as `sample` does; the report, and the
+    # generator's state after the draws, must be the reference's
+    n = data.draw(st.integers(2, 130))
+    side = data.draw(
+        st.lists(st.sampled_from("AB-"), min_size=n, max_size=n).filter(
+            lambda s: "A" in s and "B" in s
+        )
+    )
+    A = [v for v in range(n) if side[v] == "A"]
+    B = [v for v in range(n) if side[v] == "B"]
+    alpha = data.draw(st.fractions(0, 1, max_denominator=20))
+    trials, seed = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 2**64))
+    G = random_graph(n, 0.5, random.Random(seed))
+    x, y = math.floor(alpha * len(A)) + 1, math.floor(alpha * len(B)) + 1
+    if x > len(A) or y > len(B):
+        with pytest.raises(ValueError):
+            is_regular_pair(G, mask_of(A), mask_of(B), alpha, mode="sampled", trials=trials, seed=seed)
+        return
+    rng, ref = random.Random(seed), random.Random(seed)
+    xs, ys = _samples(rng, A, x), _samples(rng, B, y)
+    for _ in range(trials):
+        assert (next(xs), next(ys)) == (ref.sample(A, x), ref.sample(B, y))
+    assert rng.getstate() == ref.getstate()
+    d = density(G, mask_of(A), mask_of(B))
+    ref, worst, witness = random.Random(seed), Fraction(0), (None, None)
+    for _ in range(trials):
+        X, Y = mask_of(ref.sample(A, x)), mask_of(ref.sample(B, y))
+        if abs(density(G, X, Y) - d) > worst:
+            worst, witness = abs(density(G, X, Y) - d), (X, Y)
+    rep = is_regular_pair(G, mask_of(A), mask_of(B), alpha, mode="sampled", trials=trials, seed=seed)
+    passed = worst < alpha
+    assert (rep.deviation, rep.passed, rep.samples) == (worst, passed, trials)
+    assert (rep.witness_S, rep.witness_T) == ((None, None) if passed or not worst else witness)
 
 
 def test_report_json_shape():

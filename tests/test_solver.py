@@ -31,7 +31,7 @@ from edgegames.engine import (
 from edgegames.graphs import complete_graph, edge_index, edge_pairs, graph_from_name, num_edges
 from edgegames.harness import parse_property
 from edgegames.solver import NEVER, _Search, _weights, best_move, canonical_claims, solve_tau
-from test_engine import FullRecomputeInduced
+from test_engine import FullRecomputeInduced, undo
 
 
 def triangle_rules(n):
@@ -237,7 +237,7 @@ def test_no_hit_before_the_builders_next_move(data):
         eid = data.draw(st.sampled_from(free))
         apply_move(state, player, eid)
         if player == BUILDER and state.rules.prop.hit_after_state(state, eid):
-            state.undo(eid, player)
+            undo(state, eid, player)
             break
     assert oracle_value(n, hit, state.claims) >= state.counts[BUILDER] + 1
     if state.whose_turn() is None:
@@ -339,7 +339,7 @@ def test_incremental_key_through_claims_and_undos(data):
         eid = data.draw(st.sampled_from(free))
         apply_move(state, player, eid)
         if player == BUILDER and prop.hit_after_state(state, eid):
-            state.undo(eid, player)
+            undo(state, eid, player)
             break
     search = _Search(state.rules, None, state.claims)
     valued = []
@@ -399,7 +399,7 @@ def test_key_rows_against_keys_from_scratch(data):
         eid = data.draw(st.sampled_from(free))
         apply_move(state, player, eid)
         if player == BUILDER and prop.hit_after_state(state, eid):
-            state.undo(eid, player)
+            undo(state, eid, player)
             break
     search = _Search(state.rules, None, state.claims)
     shallower_rows_kept = []
@@ -436,7 +436,7 @@ def test_best_restores_the_start(data):
         eid = data.draw(st.sampled_from(free))
         apply_move(state, player, eid)
         if player == BUILDER and prop.hit_after_state(state, eid):
-            state.undo(eid, player)
+            undo(state, eid, player)
             break
     search = _Search(state.rules, None, state.claims)
     before = (bytes(search.claims), list(search.adj), dict(search.counts), search.unclaimed)

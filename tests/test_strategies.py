@@ -31,6 +31,8 @@ from edgegames.strategies import (
     parse_strategy,
 )
 
+from test_engine import undo
+
 
 def fresh_state(n):
     return GameState(GameRules(n=n, prop=HasEdgeProperty()))
@@ -300,7 +302,7 @@ def test_random_pick_matches_the_free_id_oracle(seed, sizes):
             if roll < 0.35:
                 for _ in range(min(steer.randint(1, 3), len(state.log))):
                     eid = state.log.pop()
-                    state.undo(eid, state.claims[eid])
+                    undo(state, eid, state.claims[eid])
             player = state.whose_turn()
             eid = rand.next_move(state, player)
             assert eid == pick_free(state, oracle_rng)
@@ -392,7 +394,7 @@ def test_turan_pointer_matches_from_scratch_gather(seed, parts, games, back):
     state = player.state
     for _ in range(min(back, len(state.log))):
         eid = state.log.pop()
-        state.undo(eid, state.claims[eid])
+        undo(state, eid, state.claims[eid])
         if state.whose_turn() is not None:
             assert turan.next_move(state, state.whose_turn()) == oracle(state, None)
 
