@@ -69,7 +69,9 @@ class IllegalMoveError(Exception):
 # ---------------------------------------------------------------------------
 
 class PropertyDetector:
-    """Detects whether the builder's graph has the target property.
+    """Detects whether the builder's graph has the target property: a
+    member of a pattern family occurs (`SubgraphProperty`, induced or not),
+    or the graph is not k-colourable (`NotKColorableProperty`).
 
     `holds(G)` is the full recomputation. `hit_after_masks(n, adj, u, v)` is
     `holds` on the builder's masks just after it claimed uv, and may look only
@@ -81,7 +83,7 @@ class PropertyDetector:
     """
 
     descriptor = "?"
-    chi: Optional[int] = None  # least chromatic number of a graph with the property
+    chi: int  # least chromatic number of a graph with the property; every detector sets it
 
     def holds(self, G: Graph) -> bool:
         raise NotImplementedError
@@ -97,17 +99,6 @@ def require_absent(prop: PropertyDetector, n: int, adj) -> None:
     """Raise ValueError unless the property is absent from the builder's masks."""
     if prop.holds(_trusted_graph(n, adj)):
         raise ValueError("the builder's graph already has the property")
-
-
-class HasEdgeProperty(PropertyDetector):
-    descriptor = "edge"
-    chi = 2
-
-    def holds(self, G: Graph) -> bool:
-        return any(G.adj)
-
-    def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
-        return True
 
 
 class SubgraphProperty(PropertyDetector):
@@ -154,7 +145,9 @@ class NotKColorableProperty(PropertyDetector):
     """The builder's graph is not k-colourable. Its certificate recolours
     exactly (DSATUR with backtracking for k >= 3): the k-colouring that
     last proved the graph colourable is kept across calls, and a graph that
-    contains one the exact search failed on is not k-colourable either."""
+    contains one the exact search failed on is not k-colourable either. At
+    k >= n it proves every graph colourable: DSATUR's first descent opens
+    at most one colour per vertex."""
 
     def __init__(self, k: int):
         if k < 1:
@@ -165,14 +158,10 @@ class NotKColorableProperty(PropertyDetector):
         self._cert = ColouringCertificate(k, exact=True)
 
     def holds(self, G: Graph) -> bool:
-        return not self._colourable(G.n, G.adj)
+        return not self._cert.proves(G.adj)
 
     def hit_after_masks(self, n: int, adj, u: int, v: int) -> bool:
-        return not self._colourable(n, adj)
-
-    def _colourable(self, n: int, adj) -> bool:
-        # every graph on n vertices is n-colorable
-        return self.k >= n or self._cert.proves(adj)
+        return not self._cert.proves(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +197,9 @@ class Board:
     """Who claimed which edge of K_n. Play writes it through `apply_move`,
     which calls `claim`; the solver's search writes the claim bytes and
     masks of its own board below the start and restores them, leaving
-    `counts` and `unclaimed` at the start.
+    `unclaimed` at the start. Turns alternate from Avoider, so `whose_turn`
+    is the parity of the claim total, also on a board that raw `claim`
+    calls left off that sequence.
 
     `claims` holds one claim code per edge id, a bytearray: scalar reads
     index it, and `claims.find(code, start)` walks to the next edge with a
@@ -224,7 +215,6 @@ class Board:
         self.m = len(self.us)
         self.claims = bytearray(self.m)
         self.adj = [0] * n  # the builder's masks
-        self.counts = {BUILDER: 0, OPPONENT: 0}
         self.unclaimed = self.m
 
     def claim(self, eid: int, player: int) -> None:
@@ -233,13 +223,12 @@ class Board:
             u, v, adj = self.us[eid], self.vs[eid], self.adj
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.counts[player] += 1
         self.unclaimed -= 1
 
     def whose_turn(self) -> Optional[int]:
         if self.unclaimed == 0:
             return None
-        return BUILDER if self.counts[BUILDER] == self.counts[OPPONENT] else OPPONENT
+        return OPPONENT if (self.m - self.unclaimed) & 1 else BUILDER
 
     def builder_graph(self) -> Graph:
         return _trusted_graph(self.n, self.adj)
@@ -381,7 +370,7 @@ def play_match(
     require_absent(prop, state.n, state.adj)
     # every graph on n vertices is n-colourable, so a property whose chi
     # exceeds n never holds on this board: its detector need not run
-    can_hit = prop.chi is None or prop.chi <= state.n
+    can_hit = prop.chi <= state.n
     turns = [(BUILDER, builder_strategy), (OPPONENT, opponent_strategy)]  # move i: turns[i & 1]
     log, notes = state.log, {}
     result, t = "never", -1
@@ -398,10 +387,11 @@ def play_match(
         if note:
             notes[len(log) - 1] = note
         if player == BUILDER:
+            rnd = len(log) // 2 + 1
             if can_hit and prop.hit_after_state(state, eid):
-                result, t = "hit", state.counts[BUILDER]
+                result, t = "hit", rnd
                 break
-            if state.counts[BUILDER] == max_rounds and state.unclaimed:
+            if rnd == max_rounds and state.unclaimed:
                 result = "capped"
                 break
     return Transcript(

@@ -205,6 +205,11 @@ def _pattern_chi(F: Graph) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
+def _embed_starts(F: Graph, anchored: bool) -> tuple:
+    """(first, order) per start: nothing pre-placed, or, anchored, each F-edge."""
+    return tuple((first, _embed_order(F, first)) for first in (F.edges() if anchored else [()]))
+
+
 def _embed_order(F: Graph, first: tuple) -> tuple:
     """The pre-placed vertices `first`, then each vertex touching as many
     placed ones as possible, ties broken by degree, then by label. A heap
@@ -463,17 +468,14 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
                 cand = stack.pop()
         return True
 
-    if anchor is None:
-        starts = [((), ())]
-    else:
-        u, v = anchor
-        starts = [((a, b), gs) for a, b in F.edges() for gs in ((u, v), (v, u))]
-    for first, pinned in starts:
-        order = _embed_order(F, first)
-        for a, g in zip(first, pinned):
-            image[a] = g
-        if extend(len(first), mask_of(pinned)):
-            return tuple(image)
+    pins = (anchor, anchor[::-1]) if anchor else ((),)  # u, v on each F-edge both ways
+    used = mask_of(pins[0])
+    for first, order in _embed_starts(F, anchor is not None):
+        for pinned in pins:
+            for a, g in zip(first, pinned):
+                image[a] = g
+            if extend(len(first), used):
+                return tuple(image)
     return None
 
 

@@ -25,7 +25,6 @@ from .engine import (
     BUILDER,
     OPPONENT,
     GameRules,
-    HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
     PropertyDetector,
@@ -33,7 +32,7 @@ from .engine import (
     _endpoints,
     play_match,
 )
-from .graphs import graph_from_name, graph_from_text, turan_bounds
+from .graphs import complete_graph, graph_from_name, graph_from_text, turan_bounds
 from .regularity import _samples, jumbleg_margin, least_size_above
 from .strategies import match_players
 
@@ -47,8 +46,8 @@ _SIGN[BUILDER], _SIGN[OPPONENT] = 1, -1
 
 def parse_property(descriptor: str) -> PropertyDetector:
     """Property DSL: edge | subgraph:<name> | induced:<name> | nc:<k> | family:<path>."""
-    if descriptor == "edge":
-        return HasEdgeProperty()
+    if descriptor == "edge":  # the family {K2}
+        return SubgraphProperty([complete_graph(2)], descriptor=descriptor)
     if descriptor.startswith("subgraph:"):
         name = descriptor.split(":", 1)[1]
         return SubgraphProperty([graph_from_name(name)], descriptor=descriptor)
@@ -65,17 +64,6 @@ def parse_property(descriptor: str) -> PropertyDetector:
             raise ValueError("family file must be a nonempty JSON list of graph texts")
         return SubgraphProperty([graph_from_text(t) for t in texts], descriptor=descriptor)
     raise ValueError("unknown property descriptor: %r" % descriptor)
-
-
-def property_bounds(prop: PropertyDetector, n: int):
-    """(lower, upper_main) = `turan_bounds(n, prop.chi)`: floor(t(n,chi-1)/2)
-    and (chi-2)/(chi-1)*n^2/4, with chi the least chromatic number of a graph
-    with the property (`edge` is chi = 2, `nc:k` is chi = k + 1). Raises
-    ValueError for a detector whose chi is None.
-    """
-    if prop.chi is None:
-        raise ValueError("no bound formula for detector %r" % prop.descriptor)
-    return turan_bounds(n, prop.chi)
 
 
 @dataclass
@@ -159,7 +147,7 @@ def run_sweep(cfg: SweepConfig):
             transcript = play_match(
                 avoider, enforcer, rules_of[n], max_rounds=cfg.max_rounds, seed=seed
             )
-            lower, upper_main = property_bounds(prop, n)
+            lower, upper_main = turan_bounds(n, prop.chi)
             violations = margin_violation_fraction(
                 n, transcript.final_codes(), cfg.eps, MONITOR_PAIRS, seed ^ 0xA5A5
             )
@@ -177,7 +165,7 @@ def run_sweep(cfg: SweepConfig):
     summary = []
     for n in cfg.n_values:
         hits = [r.hit_round for r in rows if r.n == n and r.hit_round >= 0]
-        lower, upper_main = property_bounds(prop, n)
+        lower, upper_main = turan_bounds(n, prop.chi)
         summary.append(
             {
                 "n": n,

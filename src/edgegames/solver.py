@@ -13,11 +13,11 @@ The search is an engine `Board`: the start position is claimed through
 `Board.claim`, and below it the search writes the board itself. A child
 sets its claim byte and, for a builder move, XORs its two mask bits, and
 both are restored once it is valued. So during a search `claims` and
-`adj` describe the node, while `counts` and `unclaimed` describe the
-start. Play alternates from the empty board, so a node `depth` claims deep
-is the builder's turn when depth is even, the builder then holds
-(depth + 1) // 2 edges, and a builder move there that hits is round
-depth // 2 + 1; a start that alternate play cannot reach is refused.
+`adj` describe the node, while `unclaimed` describes the start. Play
+alternates from the empty board, so a node `depth` claims deep is the
+builder's turn when depth is even, the builder then holds (depth + 1) // 2
+edges, and a builder move there that hits is round depth // 2 + 1; a start
+that alternate play cannot reach is refused.
 
 Positions are memoized up to vertex relabelling (so n <= 7) as proven
 bounds (lo, hi), exact when lo == hi (Knuth & Moore 1975). A lookup
@@ -106,7 +106,7 @@ def canonical_claims(claims, n: int) -> bytes:
 class _Search(Board):
     """Alpha-beta from a start position, given as one claim code per edge id.
     During a search its `claims` and `adj` hold the node being searched,
-    and its `counts` and `unclaimed` the start (see the module docstring).
+    and its `unclaimed` the start (see the module docstring).
 
     `keys[d]` is `claims @ W` for the node at depth d on the current
     search path, one entry per vertex permutation of the weight table W of
@@ -147,11 +147,11 @@ class _Search(Board):
         is unless the builder holds as many edges as the opponent or one
         more. The board is as it was once best returns; a search that the
         budget cuts leaves it mid-path."""
-        lead = self.counts[BUILDER] - self.counts[OPPONENT]
-        if lead not in (0, 1):
+        held = self.claims.count(BUILDER), self.claims.count(OPPONENT)
+        if held[0] - held[1] not in (0, 1):
             raise ValueError(
                 "alternate play cannot reach a start where the builder holds %d edges "
-                "and the opponent %d" % (self.counts[BUILDER], self.counts[OPPONENT])
+                "and the opponent %d" % held
             )
         return self._best(self.m - self.unclaimed, -NEVER, NEVER)
 

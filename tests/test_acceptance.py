@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from edgegames.engine import (
     GameRules,
-    HasEdgeProperty,
     NotKColorableProperty,
     SubgraphProperty,
     play_match,
@@ -26,7 +25,7 @@ from edgegames.graphs import (
     mask_of,
     turan_number,
 )
-from edgegames.harness import margin_violation_fraction, match_seed
+from edgegames.harness import margin_violation_fraction, match_seed, parse_property
 from edgegames.regularity import (
     ConstantSchedule,
     check_density_lemma,
@@ -69,7 +68,7 @@ def test_trivial_tau():
     t0 = time.perf_counter()
     ok = True
     for n in range(2, 7):
-        res = solve_tau(GameRules(n=n, prop=HasEdgeProperty()))
+        res = solve_tau(GameRules(n=n, prop=parse_property("edge")))
         ok = ok and res.value == "exact" and res.t == 1
     res = solve_tau(triangle_rules(3))
     ok = ok and res.value == "never"
@@ -84,7 +83,7 @@ def test_trivial_tau():
 def test_solver_oracle_equivalence():
     t0 = time.perf_counter()
     cases = [
-        (HasEdgeProperty(), edge_hit),
+        (parse_property("edge"), edge_hit),
         (SubgraphProperty([complete_graph(3)], "subgraph:K3"), triangle_hit),
         (NotKColorableProperty(2), odd_cycle_hit),
     ]

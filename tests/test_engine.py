@@ -20,7 +20,6 @@ from edgegames.engine import (
     Board,
     GameRules,
     GameState,
-    HasEdgeProperty,
     IllegalMoveError,
     InducedSubgraphProperty,
     NotKColorableProperty,
@@ -56,7 +55,7 @@ def triangle_prop():
 
 
 def rules(n, prop=None):
-    return GameRules(n=n, prop=prop or HasEdgeProperty())
+    return GameRules(n=n, prop=prop or parse_property("edge"))
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +63,40 @@ def rules(n, prop=None):
 # ---------------------------------------------------------------------------
 
 def test_has_edge_detector():
-    p = HasEdgeProperty()
+    p = parse_property("edge")
+    assert isinstance(p, SubgraphProperty) and p.members == [complete_graph(2)]
+    assert (p.descriptor, p.chi) == ("edge", 2)
     assert not p.holds(graph_from_edges(3, []))
     assert p.holds(graph_from_edges(3, [(0, 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_edge_family_oracle(n, data):
+    # the family {K2}: the graph has the property iff it has an edge, and
+    # every builder claim is a hit, whatever the board held before
+    p = parse_property("edge")
+    adj = [0] * n
+    for u, v in data.draw(st.lists(st.sampled_from(edge_pairs(n)), max_size=10)):
+        assert p.holds(Graph(n, tuple(adj))) == any(adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        assert p.hit_after_masks(n, list(adj), u, v)
+    assert p.holds(Graph(n, tuple(adj))) == any(adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_nc_at_k_at_least_n_never_holds(n, data):
+    # a graph on n vertices is n-colourable: at k >= n the detector's
+    # certificate must prove every graph colourable, dense ones included
+    k = data.draw(st.integers(min_value=n, max_value=n + 2))
+    edges = data.draw(st.lists(st.sampled_from(edge_pairs(n)), unique=True))
+    G = graph_from_edges(n, edges)
+    p = NotKColorableProperty(k)
+    assert not p.holds(G) and not p.holds(complete_graph(n))
+    for u, v in edges:
+        assert not p.hit_after_masks(n, list(G.adj), u, v)
 
 
 def test_subgraph_detector_triangle():
@@ -248,8 +278,8 @@ def test_state_bookkeeping():
     state = GameState(rules(4))
     apply_move(state, BUILDER, edge_index(0, 1, 4))
     apply_move(state, OPPONENT, edge_index(2, 3, 4))
-    assert state.counts == {BUILDER: 1, OPPONENT: 1}
-    assert state.unclaimed == num_edges(4) - 2
+    assert (state.claims.count(BUILDER), state.claims.count(OPPONENT)) == (1, 1)
+    assert state.unclaimed == num_edges(4) - 2 and state.whose_turn() == BUILDER
     assert state.builder_graph().has_edge(0, 1)
     assert not state.builder_graph().has_edge(2, 3)
     assert state.opponent_graph().has_edge(2, 3)
@@ -295,7 +325,6 @@ def undo(board, eid: int, player: int) -> None:
         u, v, adj = board.us[eid], board.vs[eid], board.adj
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-    board.counts[player] -= 1
     board.unclaimed += 1
 
 
@@ -303,8 +332,10 @@ def undo(board, eid: int, player: int) -> None:
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_board_claim_undo_matches_rebuild(n, data):
     # any claim/undo sequence leaves the board equal to one rebuilt from its
-    # claim codes alone, and it is the builder's turn iff the two counts are
-    # equal; an opponent claim or undo leaves the builder's masks untouched
+    # claim codes alone, and it is the builder's turn iff an even number of
+    # edges is claimed, whoever claimed them (play only reaches boards where
+    # the builder holds as many as the opponent or one more); an opponent
+    # claim or undo leaves the builder's masks untouched
     board = Board(n)
     claimed = {}
     for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
@@ -326,13 +357,12 @@ def test_board_claim_undo_matches_rebuild(n, data):
         if codes[eid]:
             adj[codes[eid]][u] |= 1 << v
             adj[codes[eid]][v] |= 1 << u
-    counts = {p: codes.count(p) for p in (BUILDER, OPPONENT)}
     assert list(board.claims) == codes
     assert board.builder_graph() == Graph(n, tuple(adj[BUILDER]))
     assert board.opponent_graph() == Graph(n, tuple(adj[OPPONENT]))
-    assert board.counts == counts
     assert board.unclaimed == codes.count(0)
-    expected_turn = None if 0 not in codes else (BUILDER if counts[BUILDER] == counts[OPPONENT] else OPPONENT)
+    claimed_total = len(codes) - codes.count(0)
+    expected_turn = None if 0 not in codes else (OPPONENT if claimed_total % 2 else BUILDER)
     assert board.whose_turn() == expected_turn
 
 
@@ -399,15 +429,6 @@ def test_max_rounds_cap():
             )
 
 
-class _NoChiProperty(PropertyDetector):
-    """A detector that never fires and names no chromatic number."""
-
-    descriptor = "no-chi"
-
-    def holds(self, G):
-        return False
-
-
 @pytest.mark.parametrize(
     "descriptor, n, runs",
     [
@@ -415,7 +436,6 @@ class _NoChiProperty(PropertyDetector):
         ("subgraph:K7", 6, False),  # chi 7 > 6
         ("nc:7", 8, True),  # chi 8 <= 8, and only K8 would hit
         ("subgraph:K7", 7, True),
-        ("no-chi", 8, True),
     ],
 )
 def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor, n, runs):
@@ -431,21 +451,21 @@ def test_play_skips_only_a_detector_whose_chi_exceeds_n(monkeypatch, descriptor,
 
     monkeypatch.setattr(PropertyDetector, "hit_after_state", counted)
 
-    def match(chi_known):
-        prop = _NoChiProperty() if descriptor == "no-chi" else _detector(descriptor)
-        if not chi_known:
-            prop.chi = None
+    def match(forced):
+        prop = _detector(descriptor)
+        if forced:
+            prop.chi = 2  # at most n: play must run the detector
         calls[0] = 0
         avoider, enforcer = match_players("random", "jumbleg:1/10", 5)
         tr = play_match(avoider, enforcer, rules(n, prop), seed=5)
         return tr, calls[0]
 
-    tr, seen = match(True)
+    tr, seen = match(False)
     builder_moves = tr.final_codes().count(BUILDER)
     assert tr.result == "never" and builder_moves == (n * (n - 1) // 2 + 1) // 2
     assert seen == (builder_moves if runs else 0)
-    # without a chi the detector runs after every builder move, to the same end
-    plain, seen = match(False)
+    # with its chi lowered the detector runs after every builder move, to the same end
+    plain, seen = match(True)
     assert seen == builder_moves
     assert plain.to_jsonl() == tr.to_jsonl()
 

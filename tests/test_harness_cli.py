@@ -20,13 +20,21 @@ from edgegames import cli
 from edgegames.cli import SUBCOMMANDS, build_parser, main
 from edgegames.engine import (
     Board,
-    HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
-    PropertyDetector,
     SubgraphProperty,
 )
-from edgegames.graphs import MAX_N, bits, edge_index, edges_between, mask_of, num_edges, turan_number
+from edgegames.graphs import (
+    MAX_N,
+    bits,
+    complete_graph,
+    edge_index,
+    edges_between,
+    mask_of,
+    num_edges,
+    turan_bounds,
+    turan_number,
+)
 from edgegames.harness import (
     CSV_COLUMNS,
     SweepConfig,
@@ -35,7 +43,6 @@ from edgegames.harness import (
     monitor_set_size,
     parse_n_range,
     parse_property,
-    property_bounds,
     report_bounds,
     run_sweep,
     sweep_to_csv,
@@ -49,7 +56,8 @@ from edgegames.regularity import _samples, jumbleg_margin
 # ---------------------------------------------------------------------------
 
 def test_parse_property_kinds():
-    assert isinstance(parse_property("edge"), HasEdgeProperty)
+    p = parse_property("edge")  # the family {K2}
+    assert type(p) is SubgraphProperty and p.members == [complete_graph(2)] and p.chi == 2
     p = parse_property("subgraph:K3")
     assert isinstance(p, SubgraphProperty) and p.chi == 3
     p = parse_property("induced:P3")
@@ -82,13 +90,14 @@ def test_parse_property_family_file(tmp_path):
 
 
 def test_property_bounds():
-    lower, upper = property_bounds(parse_property("subgraph:K3"), 10)
+    # a property's bounds are turan_bounds at its chi
+    lower, upper = turan_bounds(10, parse_property("subgraph:K3").chi)
     assert lower == turan_number(10, 2) // 2 == 12
     assert upper == Fraction(1, 2) * 100 / 4
-    lower, upper = property_bounds(parse_property("nc:2"), 10)
+    lower, upper = turan_bounds(10, parse_property("nc:2").chi)
     assert lower == turan_number(10, 2) // 2
     assert upper == Fraction(1, 2) * 100 / 4
-    lower, upper = property_bounds(parse_property("edge"), 10)
+    lower, upper = turan_bounds(10, parse_property("edge").chi)
     assert lower == turan_number(10, 1) // 2 == 0
 
 
@@ -110,20 +119,9 @@ def test_property_bounds_match_the_report_row(tmp_path, descriptor, chi, k, vari
     prop = parse_property(descriptor)
     assert prop.chi == chi
     for n in (2, 5, 10, 13):
-        lower, upper = property_bounds(prop, n)
+        lower, upper = turan_bounds(n, prop.chi)
         row = report_bounds(n, k, variant)
         assert (lower, float(upper)) == (row["lower"], row["upper_main"])
-
-
-def test_property_bounds_refuse_a_detector_without_chi():
-    class NoBound(PropertyDetector):
-        descriptor = "no-bound"
-
-        def holds(self, G):
-            return False
-
-    with pytest.raises(ValueError, match="no-bound"):
-        property_bounds(NoBound(), 10)
 
 
 # ---------------------------------------------------------------------------

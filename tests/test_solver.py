@@ -22,7 +22,6 @@ from edgegames.engine import (
     UNCLAIMED,
     GameRules,
     GameState,
-    HasEdgeProperty,
     InducedSubgraphProperty,
     NotKColorableProperty,
     SubgraphProperty,
@@ -138,9 +137,11 @@ ORACLE_HITS = {
 # ---------------------------------------------------------------------------
 
 def test_edge_game_is_always_round_one():
-    for n in range(2, 7):
-        res = solve_tau(GameRules(n=n, prop=HasEdgeProperty()))
-        assert res.value == "exact" and res.t == 1
+    # the family {K2}: the builder's first move hits, a leaf, so no node is
+    # searched and the lowest id is the move
+    for n in range(2, 8):
+        res = solve_tau(GameRules(n=n, prop=parse_property("edge")))
+        assert (res.value, res.t, res.nodes, res.best_move) == ("exact", 1, 0, 0)
 
 
 def test_triangle_impossible_on_tiny_boards():
@@ -239,7 +240,7 @@ def test_no_hit_before_the_builders_next_move(data):
         if player == BUILDER and state.rules.prop.hit_after_state(state, eid):
             undo(state, eid, player)
             break
-    assert oracle_value(n, hit, state.claims) >= state.counts[BUILDER] + 1
+    assert oracle_value(n, hit, state.claims) >= state.claims.count(BUILDER) + 1
     if state.whose_turn() is None:
         return
     search = _Search(state.rules, None, state.claims)
@@ -280,7 +281,7 @@ def test_best_move_is_lowest_id_oracle_optimal(data):
         if state.claims[eid] != UNCLAIMED:
             continue
         if player == BUILDER and hits(eid):
-            values[eid] = state.counts[BUILDER] + 1
+            values[eid] = state.claims.count(BUILDER) + 1
         else:
             child = list(state.claims)
             child[eid] = player
@@ -426,7 +427,7 @@ def test_key_rows_against_keys_from_scratch(data):
 def test_best_restores_the_start(data):
     # the search writes the claim bytes and the builder's masks of its own
     # board below the start and restores them: after best() the board, its
-    # counts and the start's key row are what they were before
+    # unclaimed total and the start's key row are what they were before
     n = data.draw(st.integers(min_value=3, max_value=5))
     prop = parse_property(data.draw(st.sampled_from(["subgraph:K3", "nc:2", "subgraph:C4"])))
     state = GameState(GameRules(n=n, prop=prop))
@@ -439,11 +440,11 @@ def test_best_restores_the_start(data):
             undo(state, eid, player)
             break
     search = _Search(state.rules, None, state.claims)
-    before = (bytes(search.claims), list(search.adj), dict(search.counts), search.unclaimed)
+    before = (bytes(search.claims), list(search.adj), search.unclaimed)
     key = search.key.copy()
     search.best()
-    assert (bytes(search.claims), search.adj, search.counts, search.unclaimed) == before
-    assert before[:3] == (bytes(state.claims), state.adj, state.counts)
+    assert (bytes(search.claims), search.adj, search.unclaimed) == before
+    assert before == (bytes(state.claims), state.adj, state.unclaimed)
     assert (search.key == key).all()
 
 
@@ -562,7 +563,7 @@ def test_best_move_enforcer_minimizes():
         apply_move(state, player, m)
         if player == BUILDER and state.rules.prop.hit_after_state(state, m):
             break
-    assert state.counts[BUILDER] <= 5
+    assert state.claims.count(BUILDER) <= 5
 
 
 def test_property_already_held_at_start_is_rejected():

@@ -13,7 +13,6 @@ from edgegames.engine import (
     OPPONENT,
     GameRules,
     GameState,
-    HasEdgeProperty,
     NotKColorableProperty,
     SubgraphProperty,
     apply_move,
@@ -21,6 +20,7 @@ from edgegames.engine import (
     replay,
 )
 from edgegames.graphs import complete_graph, edge_index, edge_of, is_k_colorable
+from edgegames.harness import parse_property
 from edgegames.strategies import (
     FirstAvailableStrategy,
     JumbleGStrategy,
@@ -35,7 +35,7 @@ from test_engine import undo
 
 
 def fresh_state(n):
-    return GameState(GameRules(n=n, prop=HasEdgeProperty()))
+    return GameState(GameRules(n=n, prop=parse_property("edge")))
 
 
 def triangle_rules(n):
