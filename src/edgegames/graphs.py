@@ -206,8 +206,10 @@ def _pattern_chi(F: Graph) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _embed_starts(F: Graph, anchored: bool) -> tuple:
-    """(first, order) per start: nothing pre-placed, or, anchored, each F-edge."""
-    return tuple((first, _embed_order(F, first)) for first in (F.edges() if anchored else [()]))
+    """F's degree per vertex, and (first, order) per start: nothing
+    pre-placed, or, anchored, each F-edge."""
+    starts = tuple((first, _embed_order(F, first)) for first in (F.edges() if anchored else [()]))
+    return tuple(map(F.degree, range(F.n))), starts
 
 
 def _embed_order(F: Graph, first: tuple) -> tuple:
@@ -414,19 +416,20 @@ def _certified_free(G: Graph, F: Graph) -> bool:
     return k >= 2 and _colouring(G.adj, k) is not None
 
 
-def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optional[tuple]:
+def embed(G: Graph, F: Graph, induced: bool, anchor=None) -> Optional[tuple]:
     """The embedding kernel: an injective map V(F)->V(G) preserving edges (and
     non-edges when `induced`), or None.
 
-    `domains[i]` restricts F-vertex i to a mask of G-vertices (the transversal
-    case); `anchor=(u, v)` asks for a copy through the G-edge uv, pre-placing
-    u, v on each F-edge in both orientations. Unanchored, no search runs
-    when G is certifiably (chi(F)-1)-colourable; the anchored search is the
-    detectors' per-move check, and they keep their certificate across moves
+    `anchor=(u, v)` asks for a copy through the G-edge uv, pre-placing u, v
+    on each F-edge in both orientations. Unanchored, no search runs when G is
+    certifiably (chi(F)-1)-colourable; the anchored search is the detectors'
+    per-move check, and they keep their certificate across moves
     (`ColouringCertificate`) and ask it first. Otherwise each F-vertex, in
-    connectivity order, draws its candidates from one mask: its domain minus
-    the used vertices, ANDed with the adjacency of each placed F-neighbour
-    and, for induced search, minus that of each placed F-non-neighbour.
+    connectivity order, draws its candidates from one mask: its domain (the
+    G-vertices of at least its degree, or all of them for induced search)
+    minus the used vertices, ANDed with the adjacency of each placed
+    F-neighbour and, for induced search, minus that of each placed
+    F-non-neighbour.
     """
     if F.n == 0:
         return ()
@@ -435,9 +438,8 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
     if anchor is None and _certified_free(G, F):
         return None
     adj = G.adj
-    if domains is None:  # degree pruning for non-induced search: deg_G >= deg_F
-        need = [0 if induced else F.degree(w) for w in range(F.n)]
-        domains = _degree_domains(adj, need)
+    need, starts = _embed_starts(F, anchor is not None)
+    domains = [(1 << G.n) - 1] * F.n if induced else _degree_domains(adj, need)
     image = [-1] * F.n
 
     def extend(pos: int, used: int) -> bool:
@@ -470,7 +472,7 @@ def embed(G: Graph, F: Graph, induced: bool, domains=None, anchor=None) -> Optio
 
     pins = (anchor, anchor[::-1]) if anchor else ((),)  # u, v on each F-edge both ways
     used = mask_of(pins[0])
-    for first, order in _embed_starts(F, anchor is not None):
+    for first, order in starts:
         for pinned in pins:
             for a, g in zip(first, pinned):
                 image[a] = g

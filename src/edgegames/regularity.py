@@ -1,6 +1,5 @@
 """Pseudo-randomness and regularity checks: unbiased pairs, P1/P2, regular
-pairs, slicing, the density inequality, induced embeddings, cluster graphs,
-and the constant-chain validator.
+pairs, slicing, the density inequality and the constant-chain validator.
 
 Everything threshold-shaped is exact rational arithmetic. Exact modes
 enumerate the full quantifier and are capped by hard size limits; above the
@@ -9,7 +8,7 @@ seeds and give a one-sided guarantee only (they can pass spuriously, never
 fail spuriously).
 
 Threshold strictness follows the source definitions verbatim: unbiasedness
-uses <=, pair regularity uses strict <, cluster-graph adjacency uses >=.
+uses <=, pair regularity uses strict <.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, density, edges_between, embed, graph_from_edges, mask_of
+from .graphs import Graph, bits, density, edges_between, mask_of
 
 
 P2_EXACT_LIMIT = 20  # exact P2 sorts one weight row per S with |S| <= n/2, about 2^(n-1)
@@ -275,13 +274,6 @@ def _sampled_scan(G: Graph, draws, c: Fraction, fails, trials: int, seed: int) -
 # JumbleG-style pseudo-randomness (unbiased pairs, P1, P2, margin lemma)
 # ---------------------------------------------------------------------------
 
-def is_unbiased(G: Graph, S: int, T: int, eps):
-    """(ok, deviation) where deviation = |e(S,T)/(|S||T|) - 1/2|, ok iff <= eps."""
-    eps = Fraction(eps)
-    dev = abs(density(G, S, T) - Fraction(1, 2))
-    return dev <= eps, dev
-
-
 def check_p1(G: Graph, eps):
     """(ok, min_degree): ok iff min degree >= (1/2 - eps) * n."""
     eps = Fraction(eps)
@@ -386,13 +378,6 @@ def jumbleg_margin(e_B: int, e_M: int, s_size: int, t_size: int, eps):
     margin = e_B - e_M
     bound = 2 * eps * s_size * t_size + 1
     return margin, bound, Fraction(margin) <= bound
-
-
-def jumbleg_eps_threshold(n: int) -> float:
-    """The 2*(log n / n)^(1/3) threshold from the JumbleG winning criterion."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return 2.0 * (math.log(n) / n) ** (1.0 / 3.0)
 
 
 def _meets_jumbleg_eps(eps, n: int) -> bool:
@@ -524,24 +509,7 @@ def verify_slicing(
 
 
 # ---------------------------------------------------------------------------
-# Induced embedding across parts
-# ---------------------------------------------------------------------------
-
-def find_induced_embedding(G: Graph, H: Graph, parts) -> Optional[tuple]:
-    """A transversal u_1 in U_1, ..., u_f in U_f spanning an induced copy of H
-    (u_i u_j an edge of G iff v_i v_j an edge of H), or None.
-    """
-    if len(parts) != H.n:
-        raise ValueError("need exactly %d parts" % H.n)
-    if 0 in parts:
-        raise ValueError("empty part")
-    if _disjoint_union(parts) is None:
-        raise ValueError("parts overlap")
-    return embed(G, H, induced=True, domains=parts)
-
-
-# ---------------------------------------------------------------------------
-# Equipartitions, density inequality, cluster graph
+# Equipartitions, density inequality
 # ---------------------------------------------------------------------------
 
 def round_robin_partition(n: int, parts: int):
@@ -583,6 +551,8 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
     check and the displayed inequality are reported independently.
     """
     E = Fraction(E)
+    if E <= 0:
+        raise ValueError("E must be > 0")
     n = G.n
     ell = len(outer)
     if ell != len(inner) or ell < 2:
@@ -630,21 +600,6 @@ def check_density_lemma(G: Graph, outer, inner, E) -> DensityLemmaReport:
         deviant_pairs=deviant,
         failures=failures,
     )
-
-
-def cluster_graph(G: Graph, parts, threshold) -> Graph:
-    """Auxiliary graph on the parts: i ~ j iff d(parts[i], parts[j]) >= threshold."""
-    threshold = Fraction(threshold)
-    ell = len(parts)
-    if ell < 2:
-        raise ValueError("need at least 2 parts")
-    edges = [
-        (i, j)
-        for i in range(ell)
-        for j in range(i + 1, ell)
-        if density(G, parts[i], parts[j]) >= threshold
-    ]
-    return graph_from_edges(ell, edges)
 
 
 # ---------------------------------------------------------------------------

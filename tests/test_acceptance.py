@@ -5,7 +5,6 @@ frozen expected value; tolerances and runtime budgets are asserted as stated
 in each test. Run with `pytest tests/test_acceptance.py -v`.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -31,7 +30,6 @@ from edgegames.regularity import (
     check_density_lemma,
     check_p1,
     check_p2,
-    find_induced_embedding,
     is_regular_pair,
     round_robin_partition,
     validate_constants,
@@ -251,43 +249,6 @@ def test_slicing_suite():
         instances += t
         violations += v
     verdict("slicing-suite", instances == 100 and violations == 0)
-
-
-def test_embedding_suite():
-    rng = random.Random(66)
-    ok = True
-    for trial in range(200):
-        f = rng.randrange(2, 5)
-        H = graph_from_edges(
-            f, [(a, b) for a in range(f) for b in range(a + 1, f) if rng.random() < 0.5]
-        )
-        sizes = [rng.randrange(1, 6) for _ in range(f)]
-        parts_verts, at = [], 0
-        for s in sizes:
-            parts_verts.append(list(range(at, at + s)))
-            at += s
-        G = graph_from_edges(
-            at, [(a, b) for a in range(at) for b in range(a + 1, at) if rng.random() < 0.5]
-        )
-        mine = find_induced_embedding(G, H, [mask_of(p) for p in parts_verts])
-        # full product enumeration
-        oracle = None
-        for choice in itertools.product(*parts_verts):
-            if all(
-                H.has_edge(i, j) == G.has_edge(choice[i], choice[j])
-                for i in range(f)
-                for j in range(i + 1, f)
-            ):
-                oracle = choice
-                break
-        ok = ok and (mine is None) == (oracle is None)
-        if mine is not None:
-            ok = ok and all(
-                H.has_edge(i, j) == G.has_edge(mine[i], mine[j])
-                for i in range(f)
-                for j in range(i + 1, f)
-            )
-    verdict("embedding-suite", ok)
 
 
 def test_induced_implies_subgraph_suite():

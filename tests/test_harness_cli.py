@@ -592,6 +592,9 @@ def test_cli_validation_exit_code_2(tmp_path, capsys):
     for size in ("0", "-1"):
         assert main(["verify", "density-lemma", "--graph", "C12", "--parts", "3",
                      "--inner-size", size]) == 2
+    for E in ("0", "-1"):
+        assert main(["verify", "density-lemma", "--graph", "C12", "--parts", "3",
+                     "--E", E]) == 2
     assert main(["sweep", "--n", "6", "--eps", "-1"]) == 2
     assert main(["solve", "--n", "4", "--budget", "-5"]) == 2
     assert main(["verify", "p1", "--graph", "K6", "--eps", "-1"]) == 2

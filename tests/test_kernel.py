@@ -33,10 +33,8 @@ from edgegames.graphs import (
     mask_of,
     path_graph,
 )
-from edgegames.regularity import find_induced_embedding
 from test_engine import undo
 from test_graphs import brute_force_colorable
-from test_regularity import oracle_embedding
 
 
 def to_nx(G):
@@ -50,19 +48,19 @@ def monomorphic(G, F):
     return GraphMatcher(to_nx(G), to_nx(F)).subgraph_is_monomorphic()
 
 
-def copy_uses_edge(G, F, u, v):
-    """Some copy of F in G maps an F-edge onto uv (all VF2 monomorphisms)."""
-    for m in GraphMatcher(to_nx(G), to_nx(F)).subgraph_monomorphisms_iter():
-        if u in m and v in m and F.has_edge(m[u], m[v]):
-            return True
-    return False
+def copy_uses_edge(G, F, u, v, induced=False):
+    """Some copy of F in G maps an F-edge onto uv (all VF2 monomorphisms, or
+    all VF2 induced subgraph isomorphisms when `induced`)."""
+    matcher = GraphMatcher(to_nx(G), to_nx(F))
+    copies = matcher.subgraph_isomorphisms_iter() if induced else matcher.subgraph_monomorphisms_iter()
+    return any(u in m and v in m and F.has_edge(m[u], m[v]) for m in copies)
 
 
 def without_edge(G, u, v):
     return graph_from_edges(G.n, [e for e in G.edges() if e != (min(u, v), max(u, v))])
 
 
-def check_witness(G, F, w, induced=False, parts=None, edge=None):
+def check_witness(G, F, w, induced=False, edge=None):
     assert len(w) == F.n and len(set(w)) == F.n
     assert all(0 <= x < G.n for x in w)
     for a in range(F.n):
@@ -71,8 +69,6 @@ def check_witness(G, F, w, induced=False, parts=None, edge=None):
                 assert G.has_edge(w[a], w[b])
             elif induced:
                 assert not G.has_edge(w[a], w[b])
-    if parts is not None:
-        assert all(parts[i] >> w[i] & 1 for i in range(F.n))
     if edge is not None:
         u, v = edge
         assert any(
@@ -112,15 +108,6 @@ def patterns_with_cycle(draw, length):
     return graph_from_edges(n, sorted(forced) + [e for e, k in zip(pairs, keep) if k])
 
 
-@st.composite
-def transversal_parts(draw, G, f):
-    """f disjoint non-empty vertex classes of G (not necessarily covering it)."""
-    order = draw(st.permutations(range(G.n)))
-    rest = draw(st.lists(st.integers(-1, f - 1), min_size=G.n - f, max_size=G.n - f))
-    label = dict(zip(order, list(range(f)) + rest))  # -1: in no class
-    return [[v for v in range(G.n) if label[v] == i] for i in range(f)]
-
-
 # (a) subgraph containment agrees with VF2 monomorphism
 @settings(max_examples=300, deadline=None)
 @given(graphs(0, 9), graphs(1, 5))
@@ -141,36 +128,23 @@ def test_contains_induced_matches_networkx(G, F):
         check_witness(G, F, w, induced=True)
 
 
-# (c) the anchored search finds exactly the copies through uv
-@settings(max_examples=300, deadline=None)
-@given(graphs(2, 9), graphs(1, 5), st.data())
-def test_with_edge_matches_networkx(G, F, data):
+# (c) the anchored search finds exactly the copies through uv, induced or not
+@settings(max_examples=600, deadline=None)
+@given(graphs(2, 9), graphs(1, 5), st.booleans(), st.data())
+def test_with_edge_matches_networkx(G, F, induced, data):
     u = data.draw(st.integers(0, G.n - 1))
     v = data.draw(st.integers(0, G.n - 1).filter(lambda x: x != u))
-    w = contains_subgraph_with_edge(G, F, u, v)
-    assert (w is not None) == copy_uses_edge(G, F, u, v)
+    w = contains_subgraph_with_edge(G, F, u, v, induced=induced)
+    assert (w is not None) == copy_uses_edge(G, F, u, v, induced)
     if w is not None:
-        check_witness(G, F, w, edge=(u, v))
-    # the in-game case: when G - uv is F-free, a hit through uv is F in G
-    if not monomorphic(without_edge(G, u, v), F):
-        assert (w is not None) == monomorphic(G, F)
+        check_witness(G, F, w, induced=induced, edge=(u, v))
+    # the in-game case: a copy that G - uv lacks holds u and v, so uv is an
+    # F-edge of it; when G - uv has no copy, a hit through uv is one in G
+    if not has_copy(without_edge(G, u, v), [F], induced):
+        assert (w is not None) == has_copy(G, [F], induced)
 
 
-# (d) the transversal search agrees with the product-scan oracle
-@settings(max_examples=300, deadline=None)
-@given(graphs(1, 9), graphs(1, 5), st.data())
-def test_find_induced_embedding_matches_oracle(G, H, data):
-    if H.n > G.n:
-        return
-    parts_verts = data.draw(transversal_parts(G, H.n))
-    parts = [mask_of(p) for p in parts_verts]
-    w = find_induced_embedding(G, H, parts)
-    assert (w is None) == (oracle_embedding(G, H, parts_verts) is None)
-    if w is not None:
-        check_witness(G, H, w, induced=True, parts=parts)
-
-
-# (e) the linear setup: search order and degree domains as the quadratic
+# (d) the linear setup: search order and degree domains as the quadratic
 # constructions it replaced built them
 def scan_embed_order(F, first):
     """Each step rescans every remaining vertex: the most placed
@@ -215,29 +189,29 @@ def test_path_embedding_setup_is_linear():
     assert min(times) < 0.1
 
 
-def all_entry_points(G, F, u, v, parts_verts):
-    parts = [mask_of(p) for p in parts_verts]
+def all_entry_points(G, F, u, v):
     return (
         contains_subgraph(G, F),
         contains_induced(G, F),
         contains_subgraph_with_edge(G, F, u, v),
-        find_induced_embedding(G, F, parts) if F.n <= G.n else None,
+        contains_subgraph_with_edge(G, F, u, v, induced=True),
     )
 
 
-def check_entry_points_against_oracles(G, F, u, v, parts_verts):
-    sub, ind, anchored, trans = all_entry_points(G, F, u, v, parts_verts)
+def check_entry_points_against_oracles(G, F, u, v):
+    sub, ind, anchored, anchored_ind = all_entry_points(G, F, u, v)
     assert (sub is not None) == monomorphic(G, F)
     assert (ind is not None) == GraphMatcher(to_nx(G), to_nx(F)).subgraph_is_isomorphic()
     assert (anchored is not None) == copy_uses_edge(G, F, u, v)
-    if F.n <= G.n:
-        assert (trans is None) == (oracle_embedding(G, F, parts_verts) is None)
-    for w, kw in ((sub, {}), (ind, {"induced": True}), (anchored, {"edge": (u, v)})):
+    assert (anchored_ind is not None) == copy_uses_edge(G, F, u, v, induced=True)
+    for w, kw in (
+        (sub, {}),
+        (ind, {"induced": True}),
+        (anchored, {"edge": (u, v)}),
+        (anchored_ind, {"induced": True, "edge": (u, v)}),
+    ):
         if w is not None:
             check_witness(G, F, w, **kw)
-    if trans is not None:
-        check_witness(G, F, trans, induced=True, parts=[mask_of(p) for p in parts_verts])
-    return sub, ind, anchored, trans
 
 
 # (e) the certificate never hides a copy
@@ -249,15 +223,14 @@ def test_certificate_on_bipartite_then_odd_edge(Gc, length, data):
     assert chromatic_number(F) >= 3
     u = data.draw(st.integers(0, G.n - 1))
     v = data.draw(st.integers(0, G.n - 1).filter(lambda x: x != u))
-    parts_verts = data.draw(transversal_parts(G, F.n)) if F.n <= G.n else []
-    assert all_entry_points(G, F, u, v, parts_verts) == (None, None, None, None)
-    check_entry_points_against_oracles(G, F, u, v, parts_verts)
+    assert all_entry_points(G, F, u, v) == (None, None, None, None)
+    check_entry_points_against_oracles(G, F, u, v)
     # an edge inside one side may close an odd cycle; then search must run
     same = [x for x in range(G.n) if x != u and side[x] == side[u]]
     if same:
         x = data.draw(st.sampled_from(same))
         G2 = graph_from_edges(G.n, G.edges() + [(min(u, x), max(u, x))])
-        check_entry_points_against_oracles(G2, F, u, x, parts_verts)
+        check_entry_points_against_oracles(G2, F, u, x)
         # in-game: G2 - ux = G is F-free, so a hit through ux is F in G2
         assert (contains_subgraph_with_edge(G2, F, u, x) is not None) == monomorphic(G2, F)
 
@@ -269,9 +242,8 @@ def test_certificate_on_tripartite(Gc, F, data):
     assert chromatic_number(F) >= 4
     u = data.draw(st.integers(0, G.n - 1))
     v = data.draw(st.integers(0, G.n - 1).filter(lambda x: x != u))
-    parts_verts = data.draw(transversal_parts(G, F.n)) if F.n <= G.n else []
-    assert all_entry_points(G, F, u, v, parts_verts) == (None, None, None, None)
-    check_entry_points_against_oracles(G, F, u, v, parts_verts)
+    assert all_entry_points(G, F, u, v) == (None, None, None, None)
+    check_entry_points_against_oracles(G, F, u, v)
 
 
 # (f) the certificate the detectors keep across claims and undos

@@ -35,12 +35,8 @@ from edgegames.regularity import (
     check_density_lemma,
     check_p1,
     check_p2,
-    cluster_graph,
-    find_induced_embedding,
     is_equipartition,
     is_regular_pair,
-    is_unbiased,
-    jumbleg_eps_threshold,
     jumbleg_margin,
     round_robin_partition,
     slicing_alpha,
@@ -69,15 +65,6 @@ def random_bipartite(a_list, b_list, p, rng, n):
 # ---------------------------------------------------------------------------
 # unbiasedness, P1, P2
 # ---------------------------------------------------------------------------
-
-def test_is_unbiased_boundary_inclusive():
-    # K4 split into two pairs: density 1, deviation exactly 1/2
-    G = complete_graph(4)
-    ok, dev = is_unbiased(G, mask_of([0, 1]), mask_of([2, 3]), HALF)
-    assert ok and dev == HALF
-    ok, _ = is_unbiased(G, mask_of([0, 1]), mask_of([2, 3]), Fraction(49, 100))
-    assert not ok
-
 
 def test_check_p1():
     ok, mindeg = check_p1(complete_graph(10), Fraction(1, 10))
@@ -211,10 +198,8 @@ def test_p2_exact_pins_on_random_graphs(n, eps, samples, deviation, S, T):
 def test_p2_witness_is_a_violation():
     rep = check_p2(complete_graph(8), Fraction(1, 5), mode="exact")
     assert not rep.passed
-    ok, dev = is_unbiased(
-        complete_graph(8), rep.witness_S, rep.witness_T, Fraction(1, 5)
-    )
-    assert not ok and dev == rep.deviation
+    dev = abs(density(complete_graph(8), rep.witness_S, rep.witness_T) - HALF)
+    assert dev > Fraction(1, 5) and dev == rep.deviation
 
 
 def test_p2_exact_size_cap():
@@ -333,19 +318,6 @@ def test_jumbleg_margin():
     assert margin == 3 and bound == 3 and ok  # boundary is inclusive
     with pytest.raises(ValueError):
         jumbleg_margin(1, 1, 0, 5, HALF)
-
-
-def test_jumbleg_eps_threshold():
-    import math
-
-    assert jumbleg_eps_threshold(100) == pytest.approx(
-        2 * (math.log(100) / 100) ** (1 / 3)
-    )
-    # decreasing in n, still above 0.1 at desk scale
-    assert jumbleg_eps_threshold(10**6) < jumbleg_eps_threshold(1000) < jumbleg_eps_threshold(10)
-    assert jumbleg_eps_threshold(100) > 0.1
-    with pytest.raises(ValueError):
-        jumbleg_eps_threshold(1)
 
 
 # ---------------------------------------------------------------------------
@@ -753,74 +725,7 @@ def test_verify_slicing_rejects_small_slices():
 
 
 # ---------------------------------------------------------------------------
-# induced embeddings across parts
-# ---------------------------------------------------------------------------
-
-def oracle_embedding(G, H, parts_verts):
-    """Product scan over all transversals."""
-    for choice in itertools.product(*parts_verts):
-        if len(set(choice)) != len(choice):
-            continue
-        if all(
-            (H.has_edge(i, j)) == (G.has_edge(choice[i], choice[j]))
-            for i in range(H.n)
-            for j in range(i + 1, H.n)
-        ):
-            return choice
-    return None
-
-
-def test_embedding_triangle_in_tripartite():
-    G = complete_multipartite([2, 2, 2])
-    parts = [mask_of([0, 1]), mask_of([2, 3]), mask_of([4, 5])]
-    found = find_induced_embedding(G, complete_graph(3), parts)
-    assert found is not None
-    u, v, w = found
-    assert G.has_edge(u, v) and G.has_edge(u, w) and G.has_edge(v, w)
-
-
-def test_embedding_needs_nonedges_too():
-    # induced P3 needs the chord absent; complete tripartite has all cross edges
-    G = complete_multipartite([2, 2, 2])
-    parts = [mask_of([0, 1]), mask_of([2, 3]), mask_of([4, 5])]
-    assert find_induced_embedding(G, path_graph(3), parts) is None
-
-
-def test_embedding_matches_oracle():
-    rng = random.Random(17)
-    for trial in range(60):
-        f = rng.randrange(2, 5)
-        H = random_graph(f, 0.5, rng)
-        sizes = [rng.randrange(1, 4) for _ in range(f)]
-        verts, parts_verts = 0, []
-        for s in sizes:
-            parts_verts.append(list(range(verts, verts + s)))
-            verts += s
-        G = random_graph(verts, 0.5, rng)
-        parts = [mask_of(p) for p in parts_verts]
-        mine = find_induced_embedding(G, H, parts)
-        oracle = oracle_embedding(G, H, parts_verts)
-        assert (mine is None) == (oracle is None), trial
-        if mine is not None:
-            for i in range(f):
-                assert parts[i] >> mine[i] & 1
-            for i in range(f):
-                for j in range(i + 1, f):
-                    assert H.has_edge(i, j) == G.has_edge(mine[i], mine[j])
-
-
-def test_embedding_validation():
-    G = complete_graph(4)
-    with pytest.raises(ValueError):
-        find_induced_embedding(G, complete_graph(2), [mask_of([0])])  # wrong arity
-    with pytest.raises(ValueError):
-        find_induced_embedding(G, complete_graph(2), [mask_of([0, 1]), mask_of([1])])
-    with pytest.raises(ValueError):
-        find_induced_embedding(G, complete_graph(2), [mask_of([0]), 0])
-
-
-# ---------------------------------------------------------------------------
-# partitions, density inequality, cluster graph
+# partitions, density inequality
 # ---------------------------------------------------------------------------
 
 def test_round_robin_partition():
@@ -889,19 +794,9 @@ def test_density_lemma_validation():
         check_density_lemma(G, outer, [mask_of([1]), mask_of([0])], HALF)  # containment
     with pytest.raises(ValueError):
         check_density_lemma(G, [outer[0], outer[0]], outer, HALF)  # not a partition
-
-
-def test_cluster_graph_threshold_inclusive():
-    # parts {0,1},{2,3},{4,5}; pair densities 1, 1/2, 0
-    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)]
-    G = graph_from_edges(6, edges)
-    parts = [mask_of([0, 1]), mask_of([2, 3]), mask_of([4, 5])]
-    C = cluster_graph(G, parts, HALF)
-    assert C.has_edge(0, 1)  # density 1
-    assert C.has_edge(1, 2)  # density exactly 1/2: >= threshold counts
-    assert not C.has_edge(0, 2)
-    C_strict = cluster_graph(G, parts, Fraction(51, 100))
-    assert not C_strict.has_edge(1, 2)
+    for E in (0, Fraction(-1, 2)):  # 1/E would divide by zero, or l >= 1/E hold vacuously
+        with pytest.raises(ValueError, match="E must be > 0"):
+            check_density_lemma(G, outer, outer, E)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,6 +897,12 @@ def test_exp_exceeds_oracle(q, n, expected):
     assert _exp_exceeds(q, n) == expected
 
 
+def float_jumbleg_eps(n):
+    """The JumbleG threshold 2*(ln n / n)^(1/3) in floats: a start near the
+    exact one, which the tests below step away from."""
+    return 2.0 * (math.log(n) / n) ** (1 / 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(27, 10**12), st.integers(-(2**12), 2**12))
 # the float threshold itself at n = 30: n*eps^3/8 = 3.40119738166215520... lies
@@ -1010,7 +911,7 @@ def test_exp_exceeds_oracle(q, n, expected):
 def test_constants_jumbleg_eps_matches_an_exact_oracle(n, step):
     # eps within a few float ulps of the float threshold, which is below 1 for
     # n >= 27; (2) to (5) hold for every eps in (0, 1), so only jumbleg-eps can fail
-    eps = Fraction(jumbleg_eps_threshold(n)) + Fraction(step, 2**62)
+    eps = Fraction(float_jumbleg_eps(n)) + Fraction(step, 2**62)
     assume(0 < eps < 1)
     meets = _exp_exceeds(n * eps**3 / 8, n)
     schedule = ConstantSchedule(epsilon=eps, E0=Fraction(1, 100), E1=Fraction(1, 10), eta=HALF,
@@ -1027,7 +928,7 @@ def test_jumbleg_eps_refines_past_the_first_precision(n):
     # found by bisection on the oracle, from a bracket around the float threshold
     scale = 10**40
     meets = lambda digits: _exp_exceeds(n * Fraction(digits, scale) ** 3 / 8, n)
-    guess = math.floor(Fraction(jumbleg_eps_threshold(n)) * scale)
+    guess = math.floor(Fraction(float_jumbleg_eps(n)) * scale)
     lo, hi = guess - 10**27, guess + 10**27
     assert not meets(lo) and meets(hi)
     while hi - lo > 1:
