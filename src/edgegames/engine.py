@@ -80,6 +80,10 @@ class PropertyDetector:
     hit). The engine calls only `hit_after_state`, after the builder claimed
     edge id eid, and not at all on a board of fewer than `chi` vertices;
     subclasses leave it alone.
+
+    The colouring certificate is the detectors', not the kernel's: one of
+    `chi` >= 3 keeps a `ColouringCertificate` across calls and asks it
+    before any search, as a (chi-1)-colourable graph lacks the property.
     """
 
     descriptor = "?"
@@ -118,6 +122,8 @@ class SubgraphProperty(PropertyDetector):
         self._cert = ColouringCertificate(self.chi - 1) if self.chi >= 3 else None
 
     def holds(self, G: Graph) -> bool:
+        if self._cert is not None and self._cert.proves(G.adj):
+            return False
         find = contains_induced if self.induced else contains_subgraph
         return any(find(G, F) is not None for F in self.members)
 
@@ -146,8 +152,8 @@ class NotKColorableProperty(PropertyDetector):
     exactly (DSATUR with backtracking for k >= 3): the k-colouring that
     last proved the graph colourable is kept across calls, and a graph that
     contains one the exact search failed on is not k-colourable either. At
-    k >= n it proves every graph colourable: DSATUR's first descent opens
-    at most one colour per vertex."""
+    k >= n it proves every graph colourable with n colours: DSATUR's first
+    descent opens at most one colour per vertex."""
 
     def __init__(self, k: int):
         if k < 1:

@@ -194,15 +194,9 @@ def density(G: Graph, A: int, B: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph / induced-subgraph search: a colouring certificate, then one
-# domain-mask matcher (Ullmann-style candidate masks, degree pruning)
+# Subgraph / induced-subgraph search: one domain-mask matcher (Ullmann-style
+# candidate masks, degree pruning)
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=1024)
-def _pattern_chi(F: Graph) -> int:
-    """chi(F), computed once per pattern (Graph is frozen and hashable)."""
-    return chromatic_number(F)
-
 
 @functools.lru_cache(maxsize=1024)
 def _embed_starts(F: Graph, anchored: bool) -> tuple:
@@ -292,7 +286,9 @@ def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
     descent stops once a vertex sees all k colours, which does not prove
     that the graph needs more. With `exact` it then backtracks, on an
     explicit stack, to the latest vertex with another free colour (still at
-    most one new colour), so None proves that no k-colouring exists.
+    most one new colour), so None proves that no k-colouring exists. It
+    stops on backtracking to a pick that saw no colour: that pick opened a
+    component, the earlier ones all coloured, which has no k-colouring.
     """
     n = len(adj)
     if k == 1:
@@ -324,6 +320,8 @@ def _colouring(adj, k: int, exact: bool = False) -> Optional[list]:
             if not exact or not stack:
                 return None
             w, c, untried, newly = stack.pop()
+            if not seen[w]:  # w opened its component, which then has no k-colouring
+                return None
             i = c.bit_length() - 1
             classes[i] ^= 1 << w
             if not classes[i]:  # w brought colour i in, and all after it are undone
@@ -376,12 +374,13 @@ class ColouringCertificate:
     one mask AND per vertex. That assumes nothing about what changed since
     the last call, so it is sound on any graph, in play and in the solver.
     Only when the colouring broke does `_colouring` run, exact when
-    `exact`. The last graph it failed on is kept too, and a graph that
-    contains it is not recoloured: in play the builder's graph only grows,
-    so a board that fails once skips recolouring for the rest of its match,
-    and in the solver, which undoes moves, the skip holds at the failed
-    position and above it. With `exact` that skip is exact too, since a
-    graph that contains a non-k-colourable one is not k-colourable.
+    `exact`, with at most as many colours as there are vertices. The last
+    graph it failed on is kept too, and a graph that contains it is not
+    recoloured: in play the builder's graph only grows, so a board that
+    fails once skips recolouring for the rest of its match, and in the
+    solver, which undoes moves, the skip holds at the failed position and
+    above it. With `exact` that skip is exact too, since a graph that
+    contains a non-k-colourable one is not k-colourable.
     """
 
     def __init__(self, k: int, exact: bool = False):
@@ -398,7 +397,7 @@ class ColouringCertificate:
             f & a == f for f, a in zip(failed, adj)
         ):
             return False
-        classes = _colouring(adj, self.k, self.exact)
+        classes = _colouring(adj, min(self.k, len(adj)), self.exact)
         if classes is None:
             self.failed = tuple(adj)
             return False
@@ -410,32 +409,21 @@ class ColouringCertificate:
         return True
 
 
-def _certified_free(G: Graph, F: Graph) -> bool:
-    """True when G has a proper (chi(F)-1)-colouring, so it holds no copy of F."""
-    k = _pattern_chi(F) - 1
-    return k >= 2 and _colouring(G.adj, k) is not None
-
-
 def embed(G: Graph, F: Graph, induced: bool, anchor=None) -> Optional[tuple]:
     """The embedding kernel: an injective map V(F)->V(G) preserving edges (and
     non-edges when `induced`), or None.
 
     `anchor=(u, v)` asks for a copy through the G-edge uv, pre-placing u, v
-    on each F-edge in both orientations. Unanchored, no search runs when G is
-    certifiably (chi(F)-1)-colourable; the anchored search is the detectors'
-    per-move check, and they keep their certificate across moves
-    (`ColouringCertificate`) and ask it first. Otherwise each F-vertex, in
-    connectivity order, draws its candidates from one mask: its domain (the
-    G-vertices of at least its degree, or all of them for induced search)
-    minus the used vertices, ANDed with the adjacency of each placed
-    F-neighbour and, for induced search, minus that of each placed
-    F-non-neighbour.
+    on each F-edge in both orientations. Each F-vertex, in connectivity
+    order, draws its candidates from one mask: its domain (the G-vertices of
+    at least its degree, or all of them for induced search) minus the used
+    vertices, ANDed with the adjacency of each placed F-neighbour and, for
+    induced search, minus that of each placed F-non-neighbour. It only
+    searches: a colouring certificate is the detectors' job.
     """
     if F.n == 0:
         return ()
     if F.n > G.n or (anchor and not G.has_edge(*anchor)):
-        return None
-    if anchor is None and _certified_free(G, F):
         return None
     adj = G.adj
     need, starts = _embed_starts(F, anchor is not None)
@@ -497,12 +485,10 @@ def contains_subgraph_with_edge(
     """A copy of F in G (induced when `induced`) whose image uses the edge
     (u,v), or None.
 
-    The kernel pre-places u and v on each F-edge and searches the rest, with
-    no colouring certificate: the detectors that call it keep their own
-    across moves. Sound as a full containment check only when G minus that
-    edge holds no such copy (the in-game incremental case): a new copy
-    contains u and v, so uv is the image of an F-edge even in an induced
-    copy.
+    The kernel pre-places u and v on each F-edge and searches the rest.
+    Sound as a full containment check only when G minus that edge holds no
+    such copy (the in-game incremental case): a new copy contains u and v,
+    so uv is the image of an F-edge even in an induced copy.
     """
     return embed(G, F, induced=induced, anchor=(u, v))
 
@@ -531,10 +517,10 @@ def is_k_colorable(G: Graph, k: int) -> bool:
 
 
 def chromatic_number(G: Graph) -> int:
-    """chi(G): the two-colour BFS, else counted down from the first descent's colours."""
+    """chi(G), counted down from DSATUR's first descent, which 2-colours a bipartite G."""
     if G.n == 0:
         return 0
-    k = 2 if is_k_colorable(G, 2) else max(greedy_coloring(G)) + 1
+    k = max(greedy_coloring(G)) + 1
     while k > 1 and is_k_colorable(G, k - 1):
         k -= 1
     return k

@@ -184,17 +184,13 @@ def _num(x: Fraction):
     return int(x) if x.denominator == 1 else float(x)
 
 
-def _fmt(x: Fraction) -> str:
-    return str(int(x)) if x.denominator == 1 else repr(float(x))
-
-
 def sweep_to_csv(rows, summary) -> str:
     out = io.StringIO()
     out.write(CSV_COLUMNS + "\n")
     for r in rows:
         out.write(
             "%d,%d,%d,%d,%d,%s,%s\n"
-            % (r.n, r.trial, r.seed, r.hit_round, r.lower, _fmt(r.upper_main), _fmt(r.violations))
+            % (r.n, r.trial, r.seed, r.hit_round, r.lower, _num(r.upper_main), _num(r.violations))
         )
     for s in summary:
         out.write(

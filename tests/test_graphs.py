@@ -312,9 +312,9 @@ def test_chromatic_number_examples():
 
 
 def test_chromatic_number_counts_down_with_one_failed_search(monkeypatch):
-    # past the two-colour BFS, DSATUR's first descent colours K300 with 300
-    # colours and the one backtracking search, for 299, fails; counting up
-    # from 1 ran 297 failed ones
+    # DSATUR's first descent colours K300 with 300 colours and the one
+    # backtracking search, for 299, fails; counting up from 1 ran 297 failed
+    # ones, and no two-colour test runs first
     searches = []
 
     def counted(G, k):
@@ -325,7 +325,7 @@ def test_chromatic_number_counts_down_with_one_failed_search(monkeypatch):
     start = time.perf_counter()
     assert chromatic_number(complete_graph(300)) == 300
     assert time.perf_counter() - start < 1.0
-    assert searches == [(2, False), (299, False)]
+    assert searches == [(299, False)]
 
 
 def brute_force_chi(G):
@@ -466,6 +466,22 @@ def test_colouring_past_the_recursion_limit():
     assert is_k_colorable(G, 2)
     assert chromatic_number(G) == 2
     assert chromatic_number(cycle_graph(1101)) == 3
+
+
+def test_exact_colouring_does_not_backtrack_across_components():
+    # K4 beside six disjoint stars K_{1,5}: DSATUR colours the stars first
+    # (their centres have the higher degree), then fails on K4. Backtracking
+    # into the finished stars cost a factor per star: 3 stars took about
+    # 10 s, and 4 ran past 60 s
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    for s in range(6):
+        centre = 4 + 6 * s
+        edges += [(centre, centre + i) for i in range(1, 6)]
+    G = graph_from_edges(40, edges)
+    start = time.perf_counter()
+    assert k_coloring(G, 3) is None
+    assert chromatic_number(G) == 4
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 networkx VF2 matcher (Cordella et al. 2004) and brute-force oracles.
 
 G has at most 9 vertices and F at most 5. Every witness is checked for
-validity; the colouring certificate is checked not to hide a copy, on
-bipartite (and 3-partite) graphs and after an odd edge is added.
+validity. The kernel only searches; the colouring certificate is the
+detectors', and it is checked not to hide a copy: on bipartite (and
+3-partite) graphs, after an odd edge is added, and kept across the claims
+and undos of a board.
 """
 
 import time
@@ -224,6 +226,7 @@ def test_certificate_on_bipartite_then_odd_edge(Gc, length, data):
     u = data.draw(st.integers(0, G.n - 1))
     v = data.draw(st.integers(0, G.n - 1).filter(lambda x: x != u))
     assert all_entry_points(G, F, u, v) == (None, None, None, None)
+    assert SubgraphProperty([F]).holds(G) is False
     check_entry_points_against_oracles(G, F, u, v)
     # an edge inside one side may close an odd cycle; then search must run
     same = [x for x in range(G.n) if x != u and side[x] == side[u]]
@@ -243,6 +246,7 @@ def test_certificate_on_tripartite(Gc, F, data):
     u = data.draw(st.integers(0, G.n - 1))
     v = data.draw(st.integers(0, G.n - 1).filter(lambda x: x != u))
     assert all_entry_points(G, F, u, v) == (None, None, None, None)
+    assert SubgraphProperty([F]).holds(G) is False
     check_entry_points_against_oracles(G, F, u, v)
 
 
@@ -251,6 +255,7 @@ CERTIFIED_FAMILIES = [
     ("subgraph", ["C5"]),
     ("subgraph", ["K4"]),
     ("subgraph", ["K5"]),
+    ("subgraph", ["C5", "K4"]),
     ("induced", ["C5", "K4"]),
 ]
 
@@ -283,9 +288,9 @@ def claim_or_undo(board, data, claimed):
 def test_kept_certificate_never_certifies_a_copy(kind, names, data):
     # random claims and undos, as the solver makes them, on one board; the
     # detector's certificate is asked after every step and must not prove a
-    # graph free that holds a copy (networkx VF2), and the detector's check
-    # after a builder claim, made when the graph before it had no copy,
-    # must find exactly the new copies
+    # graph free that holds a copy (networkx VF2), the detector's full check
+    # must agree with VF2, and its check after a builder claim, made when
+    # the graph before it had no copy, must find exactly the new copies
     members = [graph_from_name(x) for x in names]
     induced = kind == "induced"
     det = (InducedSubgraphProperty if induced else SubgraphProperty)(members)
@@ -303,6 +308,7 @@ def test_kept_certificate_never_certifies_a_copy(kind, names, data):
         if step is not None and step[1] == BUILDER and not before:
             u, v = board.us[step[0]], board.vs[step[0]]
             assert det.hit_after_masks(n, board.adj, u, v) == now
+        assert det.holds(G) == now
         before = now
 
 
