@@ -255,8 +255,8 @@ CERTIFIED_FAMILIES = [
     ("subgraph", ["C5"]),
     ("subgraph", ["K4"]),
     ("subgraph", ["K5"]),
-    ("subgraph", ["C5", "K4"]),
     ("induced", ["C5", "K4"]),
+    ("subgraph", ["C5", "K4"]),
 ]
 
 
