@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: play, solve, sweep, verify, constants, bounds.
-Exit codes: 0 success, 2 validation error, 3 budget exhaustion.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 validation error,
+3 budget exhaustion. A process builds each parser once and, on its first
+`main` call, freezes the heap it has loaded out of the garbage collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -333,14 +338,29 @@ def build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
     return p
 
 
+_frozen = False  # a plain flag: gc.get_freeze_count() walks the frozen list
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(names: tuple) -> argparse.ArgumentParser:
+    return build_parser(names)
+
+
 def main(argv=None) -> int:
+    global _frozen
+    if not _frozen:  # what is loaded now lives until exit: no collection need rescan it
+        gc.freeze()
+        _frozen = True
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call builds only the subparser it names; --help, a typo or no
-    # arguments build all of them
-    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
-    args = build_parser(named).parse_args(argv)
+    # only the subparser named, or all of them for --help, a typo or no arguments
+    named = tuple(argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS)
+    args = _parser(named).parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: the exit flush goes to /dev/null
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (ValueError, IllegalMoveError, OSError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

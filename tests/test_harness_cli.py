@@ -4,11 +4,15 @@ CLI tests go through cli.main(argv) so exit codes and output files are
 exercised exactly as a shell user would see them.
 """
 
+import gc
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -30,6 +34,8 @@ from edgegames.graphs import (
     complete_graph,
     edge_index,
     edges_between,
+    graph_from_edges,
+    graph_to_text,
     mask_of,
     num_edges,
     turan_bounds,
@@ -708,6 +714,7 @@ def test_one_subparser_build_matches_the_full_build(name, capsys, monkeypatch):
 
 def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
     built = []
 
     def spy(commands=SUBCOMMANDS):
@@ -728,7 +735,105 @@ def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
         assert error in capsys.readouterr().err
     with pytest.raises(SystemExit, match="0"):
         main(["--help"])
-    assert built == [["bounds"]] + [list(SUBCOMMANDS)] * 3
+    # each parser is built once per process: the typo, [] and --help share one
+    assert built == [["bounds"], list(SUBCOMMANDS)]
     out = capsys.readouterr().out
     for name, (help_line, _) in SUBCOMMANDS.items():  # one listing line each
         assert re.search(r"^    %s +%s" % (name, re.escape(help_line[:40])), out, re.M)
+
+
+# ---------------------------------------------------------------------------
+# once per process: the parser cache, the heap freeze, a closed stdout
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports edgegames from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=True, timeout=120, **kwargs).stdout
+
+
+def test_reused_parser_formats_help_at_the_current_width(monkeypatch, capsys):
+    # argparse formats help when it prints it, so a cached parser follows COLUMNS
+    helps = {}
+    for columns in ("60", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
+            with pytest.raises(SystemExit, match="0"):
+                main(argv)
+            got = capsys.readouterr().out
+            want = _parse(build_parser(), argv, capsys)
+            assert want[1] == 0 and got == want[2]
+            helps[columns, argv[0]] = got
+    for argv0 in ["--help"] + list(SUBCOMMANDS):
+        assert helps["60", argv0] != helps["100", argv0]
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path):
+    rng = random.Random(5)
+    edges = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5]
+    (tmp_path / "g.txt").write_text(graph_to_text(graph_from_edges(12, edges)))
+    calls = [
+        ["verify", "p2", "--graph", "g.txt", "--eps", "1/10", "--mode", "exact"],
+        ["verify", "regular-pair", "--graph", "g.txt", "--alpha", "1/10",
+         "--A", "0,1,2,3,4,5", "--B", "6,7,8,9,10,11"],
+    ] + [["play", "--n", "20", "--avoider", "random", "--enforcer", "jumbleg:1/10",
+          "--property", "nc:20", "--seed", seed] for seed in ("1", "2")]
+    fresh = b"".join(_python("-m", "edgegames.cli", *argv, cwd=tmp_path) for argv in calls)
+    script = (
+        "import json, sys\n"
+        "from edgegames.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1]) * 2))\n"
+    )
+    assert _python("-c", script, json.dumps(calls), cwd=tmp_path) == fresh * 2
+
+
+def test_main_freezes_the_heap_once(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    enabled = gc.isenabled()
+    argv = ["play", "--n", "8", "--avoider", "random", "--property", "nc:2", "--seed", "4"]
+    monkeypatch.setattr(cli, "_frozen", True)
+    assert main(argv) == 0 and not frozen
+    want = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_frozen", False)
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert frozen == [True] and cli._frozen is True
+    assert gc.isenabled() == enabled
+
+
+CLOSED_PIPE_ARGV = ["play", "--n", "200", "--avoider", "random", "--enforcer", "jumbleg:1/10",
+                    "--property", "nc:200", "--seed", "1"]
+
+
+def test_closed_stdout_pipe_exits_1_silently():
+    # the reader takes one line and leaves, like `edgegames play ... | head -1`
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen([sys.executable, "-m", "edgegames.cli", *CLOSED_PIPE_ARGV], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        rc = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert first["convention"] == "avoider-enforcer"
+    assert (rc, err) == (1, b"")
+
+
+def test_closed_stdout_pipe_leaves_stdout_on_devnull(monkeypatch):
+    # the header waits in the stream's buffer when the first write fails, so
+    # a flush at exit would raise again unless stdout now points at /dev/null
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stream = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stream)
+    try:
+        assert main(CLOSED_PIPE_ARGV) == 1
+        stream.flush()
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        stream.close()
